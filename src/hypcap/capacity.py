@@ -6,11 +6,12 @@ function w -> E_w[log |W_exit|] is harmonic with boundary values log|w|,
 and composing with the Riemann map of D \\ B turns its value at 0 into the
 circle average of log|f|, which is log|f'(0)| by the mean value property.
 
-hcap(A) is sampled through E_{iy}[Im W_exit] = Im(iy - g(iy)) for the
-hydrodynamically normalized map g (Im(z - g) is bounded harmonic with
-boundary values Im z), and y * Im(iy - g(iy)) -> hcap(A) with an O(1/y)
-bias, so a least-squares fit of h + c/y over a y grid removes the leading
-error term.
+hcap(A) is sampled through the exact half-circle identity
+hcap(A) = (4R/pi) E[Im W_exit] for walks started at x_c + R e^{i theta}
+with theta ~ sin(theta)/2 on [0, pi], where the closed half-disk of radius
+R about x_c contains A (Lawler, Conformally Invariant Processes in the
+Plane, AMS 2005, ch. 3; Lalley-Lawler-Narayanan, arXiv:0909.0438).  The
+only bias is the O(eps_stop) projection at the stopping distance.
 
 Transport: crad(H \\ A, iy) = 2 y exp(-dcap(T_y(A))), and dcap of the
 pushforward is sampled with half-plane walks, using conformal invariance
@@ -27,7 +28,9 @@ import numpy as np
 from .dyadic import layer_of_radius
 from .geom import ArcBox, DiskCompact, HalfDisk, HalfPlaneHull, VSlit
 from .mobius import pushforward_set, t_y
+from .rng import uniform01
 from .wos import (
+    START_COUNTER,
     DiskDomain,
     Estimate,
     HalfPlaneDomain,
@@ -155,9 +158,6 @@ class LayerSum:
     lower: float = 0.0
     upper: float = 0.0
 
-    def omega_vector(self, n_max: int) -> np.ndarray:
-        return np.array([self.omega.get(n, 0.0) for n in range(1, n_max + 1)])
-
 
 def dcap_layer_sum(
     B,
@@ -195,85 +195,29 @@ def dcap_layer_sum(
 # ---------------------------------------------------------------------------
 
 
-def default_y_grid(A: HalfPlaneHull, factors=(8.0, 16.0, 32.0, 64.0)) -> list[float]:
-    base = A.sup_abs
-    if base <= 0:
-        base = 1.0
-    return [f * base for f in factors]
-
-
-@dataclass
-class HcapResult:
-    """Fitted hcap with the raw per-height values behind it."""
-
-    estimate: Estimate
-    per_y: list[tuple[float, Estimate]]
-    slope: float
-    fit_ok: bool
-
-    @property
-    def value(self) -> float:
-        return self.estimate.mean
-
-
-def _fit_h_plus_c_over_y(ys, values, sigmas):
-    ys = np.asarray(ys, dtype=float)
-    v = np.asarray(values, dtype=float)
-    sig = np.asarray(sigmas, dtype=float)
-    if np.max(sig) <= 0.0:
-        return float(v[-1]), 0.0, 0.0, True
-    floor = 1e-3 * float(np.max(sig))
-    w = 1.0 / np.maximum(sig, floor) ** 2
-    X = np.column_stack([np.ones_like(ys), 1.0 / ys])
-    XtW = X.T * w
-    cov = np.linalg.inv(XtW @ X)
-    beta = cov @ (XtW @ v)
-    resid = v - X @ beta
-    ok = bool(np.all(np.abs(resid) <= 5.0 * np.maximum(sig, floor)))
-    return float(beta[0]), float(beta[1]), float(math.sqrt(max(cov[0, 0], 0.0))), ok
-
-
 def hcap_mc(
     A: HalfPlaneHull,
-    y_grid: list[float] | None = None,
     n_walks: int = 200_000,
     eps_stop: float | None = None,
     seed: int = 0,
     threads: int = 1,
-) -> HcapResult:
-    """Estimate hcap(A) from y * E_{iy}[Im W_exit] fitted as h + c/y."""
-    ys = sorted(default_y_grid(A) if y_grid is None else list(y_grid))
-    if len(ys) < 3:
-        raise ValueError("y_grid needs at least 3 heights")
-    bound = 2.0 * A.sup_abs
-    if ys[0] <= bound:
-        raise ValueError(f"every y must exceed 2 sup|z| = {bound}")
-    domain = HalfPlaneDomain(A)
-    per_y = []
-    for i, y in enumerate(ys):
-        est = expected_height(domain, 1j * y, n_walks, seed + i, eps_stop, threads)
-        per_y.append(
-            (y, Estimate(y * est.mean, y * est.std_error, est.n_walks, est.eps_stop, seed + i, est.bias_note))
-        )
-    h, c, h_se, ok = _fit_h_plus_c_over_y(
-        [y for y, _ in per_y],
-        [e.mean for _, e in per_y],
-        [e.std_error for _, e in per_y],
-    )
-    eps = per_y[0][1].eps_stop
-    if ok:
-        fitted = Estimate(h, h_se, n_walks * len(ys), eps, seed, "fit of h + c/y over y grid")
-    else:
-        y_last, e_last = per_y[-1]
-        fitted = Estimate(
-            e_last.mean,
-            e_last.std_error,
-            e_last.n_walks,
-            eps,
-            seed,
-            f"fit rejected (residuals > 5 sigma); raw value at y={y_last}",
-        )
-    return HcapResult(fitted, per_y, c, ok)
+) -> Estimate:
+    """Estimate hcap(A) = (4R/pi) E[Im W_exit] from half-circle starts.
+
+    The circle has center x_c, the midpoint of A.x_bounds, and radius R =
+    sup |z - x_c| over A.  Walk i starts at polar angle
+    arccos(1 - 2u_i), with u_i drawn at START_COUNTER of its own substream.
+    """
+    if A.is_empty:
+        return Estimate(0.0, 0.0, 0, 0.0, seed, "empty hull")
+    x_lo, x_hi = A.x_bounds
+    x_c = 0.5 * (x_lo + x_hi)
+    R = A.translate(-x_c).sup_abs
+    u = uniform01(seed, np.arange(n_walks, dtype=np.uint64), START_COUNTER)
+    starts = x_c + R * np.exp(1j * np.arccos(1.0 - 2.0 * u))
+    est = expected_height(HalfPlaneDomain(A), starts, n_walks, seed, eps_stop, threads)
+    k = 4.0 * R / math.pi
+    return Estimate(k * est.mean, k * est.std_error, est.n_walks, est.eps_stop, seed, est.bias_note)
 
 
 # ---------------------------------------------------------------------------

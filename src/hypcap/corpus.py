@@ -2,14 +2,13 @@
 
 Generation is rejection-based against the exact disjointness predicates,
 keyed entirely by (seed, element index), so a corpus is reproducible from
-its spec.  Element sizes are drawn log-uniformly over three octaves so the
-corpus spans several dyadic scales of hull diameter.
+its kind, size and seed.  Element sizes are drawn log-uniformly over
+three octaves so the corpus spans several dyadic scales of hull diameter.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .geom import (
     ArcBox,
@@ -26,35 +25,20 @@ from .rng import CounterRNG
 
 TWO_PI = 2.0 * math.pi
 
-KINDS = ("slit-forest", "staircase", "halfdisk-mix", "radial-slit-set", "arcbox-set")
-
 _RETRY_CAP = 400
+_SCALE_OCTAVES = 3.0
 
 
 class CorpusError(RuntimeError):
     """Rejection sampling failed to produce a valid element."""
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
-    kind: str
-    count: int
-    seed: int
-    scale_octaves: float = 3.0
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown corpus kind {self.kind!r}; pick one of {KINDS}")
-        if self.count < 0:
-            raise ValueError("count must be nonnegative")
-
-
 def _log_uniform(r: CounterRNG, lo: float, hi: float) -> float:
     return math.exp(r.uniform(math.log(lo), math.log(hi)))
 
 
-def _element_scale(r: CounterRNG, octaves: float) -> float:
-    return 2.0 ** r.uniform(-octaves / 2.0, octaves / 2.0)
+def _element_scale(r: CounterRNG) -> float:
+    return 2.0 ** r.uniform(-_SCALE_OCTAVES / 2.0, _SCALE_OCTAVES / 2.0)
 
 
 def _slit_forest(r: CounterRNG, scale: float) -> HalfPlaneHull:
@@ -128,10 +112,10 @@ def _arcbox_set(r: CounterRNG) -> DiskCompact:
     return DiskCompact(shapes)
 
 
-def generate_element(kind: str, seed: int, index: int, scale_octaves: float = 3.0):
+def generate_element(kind: str, seed: int, index: int):
     """One deterministic corpus element, keyed by (seed, index)."""
     r = CounterRNG(seed, stream=index)
-    scale = _element_scale(r, scale_octaves)
+    scale = _element_scale(r)
     if kind == "slit-forest":
         return _slit_forest(r, scale)
     if kind == "staircase":
@@ -143,14 +127,6 @@ def generate_element(kind: str, seed: int, index: int, scale_octaves: float = 3.
     if kind == "arcbox-set":
         return _arcbox_set(r)
     raise ValueError(f"unknown corpus kind {kind!r}")
-
-
-def corpus_generate(spec: CorpusSpec) -> list:
-    """Deterministic corpus satisfying all hull / compact invariants."""
-    return [
-        generate_element(spec.kind, spec.seed, i, spec.scale_octaves)
-        for i in range(spec.count)
-    ]
 
 
 def mixed_disk_corpus(count: int, seed: int) -> list[DiskCompact]:
@@ -165,33 +141,3 @@ def mixed_disk_corpus(count: int, seed: int) -> list[DiskCompact]:
 def mixed_halfplane_corpus(count: int, seed: int) -> list[HalfPlaneHull]:
     kinds = ("slit-forest", "staircase", "halfdisk-mix")
     return [generate_element(kinds[i % 3], seed, i) for i in range(count)]
-
-
-def small_hull_corpus(count: int, seed: int, sup_bound: float = 0.3) -> list[HalfPlaneHull]:
-    """Hulls rescaled into sup|z| <= sup_bound (for transport at y = 1)."""
-    out = []
-    for i in range(count):
-        h = generate_element("halfdisk-mix", seed, i)
-        r = h.sup_abs
-        out.append(h.scale(sup_bound / r * CounterRNG(seed, 10_000 + i).uniform(0.5, 1.0)))
-    return out
-
-
-def nested_halfplane_pairs(count: int, seed: int) -> list[tuple[HalfPlaneHull, HalfPlaneHull]]:
-    """(A, A') with A contained in A': every slit grows in height."""
-    pairs = []
-    for i in range(count):
-        a = generate_element("slit-forest", seed, i)
-        grown = [VSlit(s.x, s.h * 1.4) for s in a.shapes]
-        pairs.append((a, HalfPlaneHull(grown)))
-    return pairs
-
-
-def nested_disk_pairs(count: int, seed: int) -> list[tuple[DiskCompact, DiskCompact]]:
-    """(B, B') with B contained in B': slits extend inward."""
-    pairs = []
-    for i in range(count):
-        b = generate_element("radial-slit-set", seed, i)
-        grown = [RadialSlit(s.theta, max(0.52, s.rho - 0.06)) for s in b.shapes]
-        pairs.append((b, DiskCompact(grown)))
-    return pairs

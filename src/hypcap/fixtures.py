@@ -2,9 +2,9 @@
 
 The comparability theorems assert existence of universal constants without
 giving values, so the harness checks against brackets measured once on the
-default seeded corpora and widened by a 1.5x margin on each side.  Values
-below were produced by scripts/make_fixtures.py (seed 7); regenerate with
-that script if estimator defaults change materially.
+default seeded corpora (seed 7) and widened by a 1.5x margin on each
+side.  The script that produced them is not in the repository; tooling that
+reproduces each bracket from the repository is pending (ROADMAP item 5).
 """
 
 # hcap(A) / |N(A)| over the mixed half-plane corpus
@@ -38,4 +38,3 @@ HCAP_CRAD_C = 3.0
 QB_OVER_NB = (0.2, 5.0)
 WHITNEY_OVER_N = (0.1, 10.0)
 LIPSCHITZ_OVER_N = (0.1, 10.0)
-NHAT_OVER_N = (0.5, 5.0)

@@ -40,9 +40,6 @@ class AreaBounds:
     def __contains__(self, value: float) -> bool:
         return self.lower <= value <= self.upper
 
-    def scaled(self, k: float) -> "AreaBounds":
-        return AreaBounds(self.lower * k, self.upper * k, self.cells_refined, self.tolerance_met)
-
 
 @dataclass
 class Leaves:

@@ -90,26 +90,32 @@ def _in_bracket(x: float, bracket: tuple) -> bool:
     return bracket[0] <= x <= bracket[1]
 
 
+def _limit_verdict(value: float, sigma: float, delta: float) -> tuple[str, str]:
+    """(verdict, note) for value against the limit 2 +- delta.
+
+    When 3 sigma reaches delta the noise can carry a correct value outside
+    the bracket, so a miss is "inconclusive" rather than "fail".
+    """
+    ok = abs(value - 2.0) <= delta
+    if 3.0 * sigma < delta:
+        return _verdict(ok), ""
+    return ("pass" if ok else "inconclusive"), "MC noise (3 sigma) reaches the tolerance"
+
+
 # ---------------------------------------------------------------------------
 # Theorem 1 and Theorem 2 comparability
 # ---------------------------------------------------------------------------
 
 
 def _hull_ratio(A: HalfPlaneHull, cfg: VerifyConfig, seed: int):
-    res = hcap_mc(
-        A,
-        n_walks=cfg.n_walks,
-        eps_stop=cfg.eps_stop,
-        seed=seed,
-        threads=cfg.threads,
-    )
+    est = hcap_mc(A, cfg.n_walks, cfg.eps_stop, seed, cfg.threads)
     area = neighborhood_area(A, 1.0, cfg.tol_area, relative=True)
-    ratio = res.value / area.midpoint
+    ratio = est.mean / area.midpoint
     rel = math.hypot(
-        res.estimate.std_error / max(res.value, 1e-12),
+        est.std_error / max(est.mean, 1e-12),
         area.gap / max(area.midpoint, 1e-12),
     )
-    return ratio, ratio * rel, res, area
+    return ratio, ratio * rel, est, area
 
 
 def thm1_report(corpus: list[HalfPlaneHull], cfg: VerifyConfig) -> list[CheckResult]:
@@ -118,13 +124,13 @@ def thm1_report(corpus: list[HalfPlaneHull], cfg: VerifyConfig) -> list[CheckRes
     for i, A in enumerate(corpus):
         if A.is_empty:
             continue
-        ratio, sigma, res, area = _hull_ratio(A, cfg, cfg.seed + 1000 + i)
+        ratio, sigma, est, area = _hull_ratio(A, cfg, cfg.seed + 1000 + i)
         ratios.append(ratio)
         out.append(
             CheckResult(
                 "t1",
                 f"ratio[{i}]",
-                {"hcap": res.value, "area_n": area.midpoint, "ratio": ratio, "sigma": sigma},
+                {"hcap": est.mean, "area_n": area.midpoint, "ratio": ratio, "sigma": sigma},
                 fixtures.THM1_RATIO,
                 _verdict(_in_bracket(ratio, fixtures.THM1_RATIO)),
             )
@@ -557,7 +563,7 @@ def corollary_limit(
         raise ValueError("corollary_limit needs a nonempty hull")
     ys = tuple(y_list) if y_list else tuple(f * max(A.sup_abs, 1.0) for f in cfg.y_factors)
     if hcap_value is None:
-        hcap_value = hcap_mc(A, n_walks=cfg.n_walks, eps_stop=cfg.eps_stop, seed=cfg.seed + 9100, threads=cfg.threads).value
+        hcap_value = hcap_mc(A, cfg.n_walks, cfg.eps_stop, cfg.seed + 9100, cfg.threads).mean
     rows = []
     for i, y in enumerate(ys):
         est = dcap_transport(A, y, cfg.n_walks, cfg.eps_stop, cfg.seed + 9200 + i, cfg.threads)
@@ -573,7 +579,7 @@ def corollary_limit(
             f"limit{tag}[y={y_f:g}]",
             {"ratio": r_f, "sigma": s_f, "rows": [(y, r) for y, r, _ in rows]},
             (2.0 - delta, 2.0 + delta),
-            _verdict(2.0 - delta <= r_f <= 2.0 + delta),
+            *_limit_verdict(r_f, s_f, delta),
         )
     )
     for (y0, r0, s0), (y1, r1, s1) in zip(rows[:-1], rows[1:]):
@@ -604,7 +610,7 @@ def remark_expansion_check(
         raise ValueError("remark_expansion_check needs a nonempty hull")
     ys = tuple(y_list) if y_list else tuple(f * max(A.sup_abs, 1.0) for f in cfg.y_factors)
     if hcap_value is None:
-        hcap_value = hcap_mc(A, n_walks=cfg.n_walks, eps_stop=cfg.eps_stop, seed=cfg.seed + 9300, threads=cfg.threads).value
+        hcap_value = hcap_mc(A, cfg.n_walks, cfg.eps_stop, cfg.seed + 9300, cfg.threads).mean
     out = []
     rows = []
     for i, y in enumerate(ys):
@@ -646,7 +652,7 @@ def remark_expansion_check(
             f"limit{tag}[y={y_f:g}]",
             {"value": v_f, "sigma": s_f},
             (2.0 - delta, 2.0 + delta),
-            _verdict(2.0 - delta <= v_f <= 2.0 + delta),
+            *_limit_verdict(v_f, s_f, delta),
         )
     )
     return out
@@ -679,7 +685,7 @@ def run_claim(claim: str, cfg: VerifyConfig) -> list[CheckResult]:
     if claim == "prop1-induction":
         out = []
         out += prop1_induction_check([DyadicSquare(2, 1)], cfg, "[single]")
-        out += prop1_induction_check([DyadicSquare(2, 1), DyadicSquare(2, 5)], cfg, "[pair]")
+        out += prop1_induction_check([DyadicSquare(2, 1), DyadicSquare(2, 3)], cfg, "[pair]")
         out += prop1_induction_check(
             [DyadicSquare(2, 1), DyadicSquare(3, 3), DyadicSquare(4, 7)], cfg, "[nested]"
         )

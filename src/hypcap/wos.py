@@ -13,16 +13,18 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .geom import DiskCompact, HalfPlaneHull, _as_complex
+from .geom import HalfPlaneHull
 from .rng import uniform_angle
 
 LABEL_OUTER = -1
 DEFAULT_STEP_CAP = 100_000
+# substream counter for per-walk start draws; step k of a walk draws counter k
+START_COUNTER = 1 << 63
 MAX_FLAGGED_FRACTION = 1e-3
 _CHUNK = 16384
 
@@ -131,17 +133,6 @@ class DiskDomain:
 DomainOracle = HalfPlaneDomain | DiskDomain
 
 
-def domain_for(S) -> DomainOracle:
-    if isinstance(S, HalfPlaneHull):
-        return HalfPlaneDomain(S)
-    if isinstance(S, DiskCompact):
-        return DiskDomain(S)
-    space = getattr(S, "space", None)
-    if space == "disk":
-        return DiskDomain(S)
-    raise TypeError(f"no domain for {type(S).__name__}")
-
-
 def default_eps_stop(domain: DomainOracle) -> float:
     return 1e-4 * domain.scale
 
@@ -176,14 +167,15 @@ class WalkEnsemble:
             )
 
 
-def _simulate_chunk(domain, start, first_id, m, eps, seed, step_cap):
+def _simulate_chunk(domain, starts, first_id, eps, seed, step_cap):
+    m = starts.size
     term = np.empty(m, dtype=complex)
     labels = np.empty(m, dtype=np.int64)
     steps_out = np.zeros(m, dtype=np.int64)
     stopd = np.zeros(m, dtype=float)
     flagged = np.zeros(m, dtype=bool)
 
-    pos = np.full(m, complex(start), dtype=complex)
+    pos = np.asarray(starts, dtype=complex)
     ids = np.arange(first_id, first_id + m, dtype=np.uint64)
     local = np.arange(m)
     nstep = np.zeros(m, dtype=np.int64)
@@ -215,23 +207,31 @@ def _simulate_chunk(domain, start, first_id, m, eps, seed, step_cap):
 
 def run_walks(
     domain: DomainOracle,
-    start: complex,
+    start: complex | np.ndarray,
     n_walks: int,
     eps_stop: float | None = None,
     seed: int = 0,
     step_cap: int = DEFAULT_STEP_CAP,
     threads: int = 1,
 ) -> WalkEnsemble:
-    """Run n_walks independent walks from start; reproducible per (seed, index)."""
+    """Run n_walks independent walks; reproducible per (seed, index).
+
+    start is one point shared by every walk, or an array of n_walks
+    per-walk starts.  A shared start must lie strictly inside the domain; a
+    per-walk start within eps_stop of the boundary ends at step 0.
+    """
     if n_walks <= 0:
         raise ValueError("n_walks must be positive")
     eps = default_eps_stop(domain) if eps_stop is None else float(eps_stop)
     if eps <= 0:
         raise ValueError("eps_stop must be positive")
-    start = complex(start)
-    d0 = float(domain.dist(np.asarray([start]))[0])
-    if d0 <= eps:
-        raise ValueError("start point is not strictly inside the domain")
+    starts = np.asarray(start, dtype=complex)
+    if starts.ndim == 0:
+        if float(domain.dist(starts.reshape(1))[0]) <= eps:
+            raise ValueError("start point is not strictly inside the domain")
+        starts = np.broadcast_to(starts, (n_walks,))
+    elif starts.shape != (n_walks,):
+        raise ValueError(f"need one start per walk, got shape {starts.shape} for {n_walks} walks")
 
     term = np.empty(n_walks, dtype=complex)
     labels = np.empty(n_walks, dtype=np.int64)
@@ -239,11 +239,10 @@ def run_walks(
     stopd = np.zeros(n_walks, dtype=float)
     flagged = np.zeros(n_walks, dtype=bool)
 
-    chunks = [(i, min(_CHUNK, n_walks - i)) for i in range(0, n_walks, _CHUNK)]
+    chunks = [slice(i, min(i + _CHUNK, n_walks)) for i in range(0, n_walks, _CHUNK)]
 
-    def work(args):
-        first, m = args
-        return first, m, _simulate_chunk(domain, start, first, m, eps, seed, step_cap)
+    def work(sl):
+        return sl, _simulate_chunk(domain, starts[sl], sl.start, eps, seed, step_cap)
 
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -251,8 +250,7 @@ def run_walks(
     else:
         results = [work(c) for c in chunks]
 
-    for first, m, (t, l, s, sd, fl) in results:
-        sl = slice(first, first + m)
+    for sl, (t, l, s, sd, fl) in results:
         term[sl] = t
         labels[sl] = l
         steps[sl] = s
@@ -271,7 +269,7 @@ def wos_walk(
 ) -> WalkResult:
     """One walk, identified by its (seed, walk_index) substream."""
     eps = default_eps_stop(domain) if eps_stop is None else float(eps_stop)
-    t, l, s, sd, fl = _simulate_chunk(domain, complex(start), walk_index, 1, eps, seed, DEFAULT_STEP_CAP)
+    t, l, s, sd, fl = _simulate_chunk(domain, np.asarray([start]), walk_index, eps, seed, DEFAULT_STEP_CAP)
     return WalkResult(complex(t[0]), int(l[0]), int(s[0]), float(sd[0]), bool(fl[0]))
 
 
@@ -344,7 +342,7 @@ def expected_log_modulus(
 
 def expected_height(
     domain: HalfPlaneDomain,
-    start: complex,
+    start: complex | np.ndarray,
     n_walks: int,
     seed: int = 0,
     eps_stop: float | None = None,

@@ -5,7 +5,6 @@ import pytest
 
 from hypcap.capacity import (
     CanonicalHull,
-    HcapResult,
     crad_exact_at_i,
     crad_exact_at_iy,
     crad_halfplane,
@@ -13,7 +12,6 @@ from hypcap.capacity import (
     dcap_layer_sum,
     dcap_mc,
     dcap_transport,
-    default_y_grid,
     g_halfdisk,
     g_vslit,
     hcap_exact,
@@ -98,51 +96,34 @@ def test_layer_sandwich_pathwise():
     assert ls.estimate.mean <= ls.upper + 2 * eps + 1e-12
 
 
-def test_hcap_mc_halfdisk_exact_per_y():
-    A = HalfPlaneHull([HalfDisk(0, 1)])
-    res = hcap_mc(A, y_grid=[8, 16, 32], n_walks=30_000, seed=7)
-    # per-y values are unbiased (y * r^2/y = r^2)
-    for y, est in res.per_y:
-        assert est.within(1.0, sigmas=3.5, extra=2 * est.eps_stop * y)
-    assert abs(res.value - 1.0) < 0.05
-
-
-def test_hcap_mc_requires_grid():
-    A = HalfPlaneHull([HalfDisk(0, 1)])
-    with pytest.raises(ValueError):
-        hcap_mc(A, y_grid=[8, 16], n_walks=100, seed=0)
-    with pytest.raises(ValueError):
-        hcap_mc(A, y_grid=[1, 8, 16], n_walks=100, seed=0)
+def test_hcap_mc_closed_forms():
+    for A, exact in ((HalfPlaneHull([HalfDisk(0.3, 1)]), 1.0), (HalfPlaneHull([VSlit(0, 1)]), 0.5)):
+        est = hcap_mc(A, n_walks=30_000, seed=7)
+        assert est.std_error <= 1e-2 * exact
+        assert est.within(exact, sigmas=3.0, extra=2 * est.eps_stop)
 
 
 def test_hcap_empty_hull():
-    res = hcap_mc(HalfPlaneHull([]), y_grid=[8, 16, 32], n_walks=200, seed=8)
-    assert res.value == 0.0
+    est = hcap_mc(HalfPlaneHull([]), n_walks=200, seed=8)
+    assert est.mean == 0.0
 
 
 def test_hcap_scaling_law():
     A = HalfPlaneHull([VSlit(0, 0.5)])
-    r1 = hcap_mc(A, y_grid=[8, 16, 32], n_walks=20_000, seed=9)
-    r2 = hcap_mc(A.scale(2.0), y_grid=[16, 32, 64], n_walks=20_000, seed=9)
-    sigma = math.hypot(4 * r1.estimate.std_error, r2.estimate.std_error)
-    assert abs(r2.value - 4 * r1.value) <= 3 * sigma + 1e-3
+    r1 = hcap_mc(A, n_walks=20_000, seed=9)
+    r2 = hcap_mc(A.scale(2.0), n_walks=20_000, seed=9)
+    sigma = math.hypot(4 * r1.std_error, r2.std_error)
+    assert abs(r2.mean - 4 * r1.mean) <= 3 * sigma
 
 
 def test_hcap_translation_and_reflection():
     A = HalfPlaneHull([VSlit(0.3, 0.8), HalfDisk(2.0, 0.4)])
-    base = hcap_mc(A, y_grid=[16, 32, 64], n_walks=20_000, seed=10)
-    trans = hcap_mc(A.translate(3.0), y_grid=[16, 32, 64], n_walks=20_000, seed=11)
-    mirr = hcap_mc(A.mirror(), y_grid=[16, 32, 64], n_walks=20_000, seed=12)
+    base = hcap_mc(A, n_walks=20_000, seed=10)
+    trans = hcap_mc(A.translate(3.0), n_walks=20_000, seed=11)
+    mirr = hcap_mc(A.mirror(), n_walks=20_000, seed=12)
     for other in (trans, mirr):
-        sigma = math.hypot(base.estimate.std_error, other.estimate.std_error)
-        assert abs(base.value - other.value) <= 3.5 * sigma + 2e-3
-
-
-def test_default_y_grid_respects_bound():
-    A = HalfPlaneHull([HalfDisk(0, 1)])
-    ys = default_y_grid(A)
-    assert all(y > 2 * A.sup_abs for y in ys)
-    assert len(ys) == 4
+        sigma = math.hypot(base.std_error, other.std_error)
+        assert abs(base.mean - other.mean) <= 3.5 * sigma
 
 
 def test_dcap_transport_matches_closed_form():

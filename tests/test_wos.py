@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hypcap.capacity import ring
+from hypcap.capacity import hcap_mc, ring
 from hypcap.geom import DiskCompact, HalfDisk, HalfPlaneHull, RadialSlit, VSlit
 from hypcap.wos import (
     DiskDomain,
@@ -65,6 +65,22 @@ def test_worker_count_independence():
         expected_log_modulus(d, 40_000, seed=5, threads=t)[0].mean for t in (1, 2, 8)
     ]
     assert ests[0] == ests[1] == ests[2]
+    A = HalfPlaneHull([VSlit(0.3, 0.8), HalfDisk(2.0, 0.4)])
+    assert hcap_mc(A, n_walks=40_000, seed=5, threads=1) == hcap_mc(A, n_walks=40_000, seed=5, threads=2)
+
+
+def test_per_walk_starts():
+    d = HalfPlaneDomain(HalfPlaneHull([HalfDisk(0, 1)]))
+    shared = run_walks(d, 2j, 300, seed=3)
+    per_walk = run_walks(d, np.full(300, 2j), 300, seed=3)
+    assert np.array_equal(shared.terminals, per_walk.terminals)
+    # starts on the obstacle boundary end at step 0 on themselves
+    on_arc = np.exp(1j * np.linspace(0.5, 2.5, 7))
+    ens = run_walks(d, on_arc, 7, seed=3)
+    assert np.all(ens.steps == 0)
+    assert np.allclose(ens.terminals, on_arc, atol=1e-12)
+    with pytest.raises(ValueError):
+        run_walks(d, np.full(5, 2j), 6, seed=3)
 
 
 def test_harmonic_measure_semicircle():
