@@ -16,6 +16,7 @@ of points encoded as complex numbers.
 from __future__ import annotations
 
 import math
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -202,6 +203,19 @@ def _norm_angle(a) -> np.ndarray:
     return np.mod(a, TWO_PI)
 
 
+def _segment_dist(z: np.ndarray, theta: float, rho: float) -> np.ndarray:
+    """Distance to the radial segment from rho e^{i theta} to e^{i theta}."""
+    w = z * np.exp(-1j * theta)
+    dr = w.real - np.clip(w.real, rho, 1.0)
+    return np.hypot(dr, w.imag)
+
+
+def _segment_nearest(z: np.ndarray, theta: float, rho: float) -> np.ndarray:
+    w = z * np.exp(-1j * theta)
+    s = np.clip(w.real, rho, 1.0)
+    return s * np.exp(1j * theta) * np.ones_like(z)
+
+
 @dataclass(frozen=True)
 class RadialSlit:
     """Radial segment from rho*e^{i theta} out to the unit circle."""
@@ -216,16 +230,10 @@ class RadialSlit:
             raise InvalidShapeError("RadialSlit needs rho in (0, 1)")
 
     def dist(self, z) -> np.ndarray:
-        z = _as_complex(z)
-        w = z * np.exp(-1j * self.theta)
-        dr = w.real - np.clip(w.real, self.rho, 1.0)
-        return np.hypot(dr, w.imag)
+        return _segment_dist(_as_complex(z), self.theta, self.rho)
 
     def nearest(self, z) -> np.ndarray:
-        z = _as_complex(z)
-        w = z * np.exp(-1j * self.theta)
-        s = np.clip(w.real, self.rho, 1.0)
-        return s * np.exp(1j * self.theta) * np.ones_like(z)
+        return _segment_nearest(_as_complex(z), self.theta, self.rho)
 
     @property
     def rho_min(self) -> float:
@@ -281,8 +289,8 @@ class ArcBox:
         d_radial = np.maximum(np.maximum(self.rho - r, r - 1.0), 0.0)
         if self.width >= TWO_PI:
             return d_radial
-        e0 = RadialSlit(self.theta0, self.rho).dist(z)
-        e1 = RadialSlit(self.theta1, self.rho).dist(z)
+        e0 = _segment_dist(z, self.theta0, self.rho)
+        e1 = _segment_dist(z, self.theta1, self.rho)
         return np.where(inside_ang, d_radial, np.minimum(e0, e1))
 
     def nearest(self, z) -> np.ndarray:
@@ -294,10 +302,12 @@ class ArcBox:
         if self.width >= TWO_PI:
             return radial
         inside_ang = self._angle_in(z)
-        s0 = RadialSlit(self.theta0, self.rho)
-        s1 = RadialSlit(self.theta1, self.rho)
-        pick0 = s0.dist(z) <= s1.dist(z)
-        edge = np.where(pick0, s0.nearest(z), s1.nearest(z))
+        pick0 = _segment_dist(z, self.theta0, self.rho) <= _segment_dist(z, self.theta1, self.rho)
+        edge = np.where(
+            pick0,
+            _segment_nearest(z, self.theta0, self.rho),
+            _segment_nearest(z, self.theta1, self.rho),
+        )
         return np.where(inside_ang, radial, edge)
 
     @property
@@ -429,8 +439,44 @@ def validate_disk_shapes(shapes: Sequence[DiskShape], require_annulus: bool = Tr
     return None
 
 
-class _ShapeUnion:
-    """Shared implementation for finite unions of shapes."""
+class Obstacle(ABC):
+    """A closed set that walks and quadtree classifiers query.
+
+    Every obstacle has:
+
+    - ``space``: "halfplane" or "disk", the space it lives in;
+    - ``is_empty``;
+    - ``dist(z)``: the euclidean distance to the set, or a lower bound on it
+      that vanishes exactly on the set; inf on an empty set;
+    - ``ball_intersects(c, r)``: whether the closed disk of center c and
+      radius r meets the set.
+
+    Disk-space obstacles also have ``min_abs``, a lower bound on |z| over
+    the set.  The walkable ones (HalfPlaneHull, DiskCompact and RectSet)
+    have ``nearest(z) -> (dist, label, point)``: ``dist(z)`` itself, the
+    index of the first nearest part, and a nearest point of the set.
+    """
+
+    space: str
+    is_empty: bool
+
+    @abstractmethod
+    def dist(self, z) -> np.ndarray:
+        """Distance to the set (exact, or a lower bound vanishing on it)."""
+
+    def ball_intersects(self, c, r) -> np.ndarray:
+        return self.dist(c) <= r
+
+
+def require_obstacle(S, space: str | None = None) -> None:
+    """Raise TypeError unless S is an Obstacle living in space (any, if None)."""
+    if not isinstance(S, Obstacle) or space not in (None, S.space):
+        want = f"a {space} obstacle" if space else "an Obstacle"
+        raise TypeError(f"expected {want}, got {type(S).__name__}")
+
+
+class _ShapeUnion(Obstacle):
+    """Finite union of parametric shapes."""
 
     shapes: tuple
 
@@ -443,24 +489,19 @@ class _ShapeUnion:
             d = np.minimum(d, s.dist(z))
         return d
 
-    def dist_argmin(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """(min distance, index of the first nearest shape)."""
+    def nearest(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         z = _as_complex(z)
         if not self.shapes:
-            return np.full(z.shape, np.inf), np.full(z.shape, -1, dtype=int)
+            no_point = np.full(z.shape, complex(np.nan, np.nan))
+            return np.full(z.shape, np.inf), np.full(z.shape, -1, dtype=np.int64), no_point
         ds = np.stack([s.dist(z) for s in self.shapes])
-        idx = np.argmin(ds, axis=0)
-        return np.min(ds, axis=0), idx
-
-    def nearest(self, z) -> np.ndarray:
-        z = _as_complex(z)
-        _, idx = self.dist_argmin(z)
-        out = np.empty_like(z)
+        label = np.argmin(ds, axis=0)
+        point = np.empty_like(z)
         for k, s in enumerate(self.shapes):
-            m = idx == k
+            m = label == k
             if np.any(m):
-                out[m] = s.nearest(z[m])
-        return out
+                point[m] = s.nearest(z[m])
+        return np.min(ds, axis=0), label, point
 
     def member(self, z) -> np.ndarray:
         return self.dist(z) <= 0.0
@@ -475,6 +516,8 @@ class _ShapeUnion:
 
 class HalfPlaneHull(_ShapeUnion):
     """Bounded union of rooted shapes with simply connected complement in H."""
+
+    space = "halfplane"
 
     def __init__(self, shapes: Iterable[HalfPlaneShape] = (), validate: bool = True):
         self.shapes = tuple(shapes)
@@ -501,13 +544,15 @@ class HalfPlaneHull(_ShapeUnion):
         )
 
     def translate(self, t: float) -> "HalfPlaneHull":
-        return HalfPlaneHull([_translate(s, t) for s in self.shapes], validate=False)
+        return HalfPlaneHull([_affine(s, 1.0, t) for s in self.shapes], validate=False)
 
     def scale(self, s: float) -> "HalfPlaneHull":
-        return HalfPlaneHull([_scale(sh, s) for sh in self.shapes], validate=False)
+        if not s > 0:
+            raise ValueError("scale factor must be positive")
+        return HalfPlaneHull([_affine(sh, s, 0.0) for sh in self.shapes], validate=False)
 
     def mirror(self) -> "HalfPlaneHull":
-        return HalfPlaneHull([_mirror(sh) for sh in self.shapes], validate=False)
+        return HalfPlaneHull([_affine(s, -1.0, 0.0) for s in self.shapes], validate=False)
 
     def to_spec(self) -> dict:
         return {"space": "halfplane", "shapes": [s.to_spec() for s in self.shapes]}
@@ -515,6 +560,8 @@ class HalfPlaneHull(_ShapeUnion):
 
 class DiskCompact(_ShapeUnion):
     """Union of circle-rooted shapes inside the annulus 1/2 < |z| < 1."""
+
+    space = "disk"
 
     def __init__(
         self,
@@ -529,48 +576,25 @@ class DiskCompact(_ShapeUnion):
                 raise InvalidHullError(msg)
 
     @property
-    def rho_min(self) -> float:
+    def min_abs(self) -> float:
         return min((s.rho_min for s in self.shapes), default=1.0)
 
     def to_spec(self) -> dict:
         return {"space": "disk", "shapes": [s.to_spec() for s in self.shapes]}
 
 
-def _translate(s: HalfPlaneShape, t: float) -> HalfPlaneShape:
+def _affine(s: HalfPlaneShape, a: float, b: float) -> HalfPlaneShape:
+    """Image of s under x -> a x + b (a != 0); heights scale by |a|."""
+    k = abs(a)
     if isinstance(s, VSlit):
-        return VSlit(s.x + t, s.h)
+        return VSlit(a * s.x + b, k * s.h)
     if isinstance(s, BoxShape):
-        return BoxShape(s.x0 + t, s.x1 + t, s.y0, s.y1)
+        x0, x1 = sorted((a * s.x0 + b, a * s.x1 + b))
+        return BoxShape(x0, x1, k * s.y0, k * s.y1)
     if isinstance(s, HalfDisk):
-        return HalfDisk(s.c + t, s.r)
+        return HalfDisk(a * s.c + b, k * s.r)
     if isinstance(s, PointProbe):
-        return PointProbe(s.x + t, s.y)
-    raise TypeError(type(s).__name__)
-
-
-def _scale(s: HalfPlaneShape, k: float) -> HalfPlaneShape:
-    if k <= 0:
-        raise ValueError("scale factor must be positive")
-    if isinstance(s, VSlit):
-        return VSlit(s.x * k, s.h * k)
-    if isinstance(s, BoxShape):
-        return BoxShape(s.x0 * k, s.x1 * k, s.y0 * k, s.y1 * k)
-    if isinstance(s, HalfDisk):
-        return HalfDisk(s.c * k, s.r * k)
-    if isinstance(s, PointProbe):
-        return PointProbe(s.x * k, s.y * k)
-    raise TypeError(type(s).__name__)
-
-
-def _mirror(s: HalfPlaneShape) -> HalfPlaneShape:
-    if isinstance(s, VSlit):
-        return VSlit(-s.x, s.h)
-    if isinstance(s, BoxShape):
-        return BoxShape(-s.x1, -s.x0, s.y0, s.y1)
-    if isinstance(s, HalfDisk):
-        return HalfDisk(-s.c, s.r)
-    if isinstance(s, PointProbe):
-        return PointProbe(-s.x, s.y)
+        return PointProbe(a * s.x + b, k * s.y)
     raise TypeError(type(s).__name__)
 
 

@@ -24,7 +24,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from . import quadtree
-from .geom import DiskCompact, HalfPlaneHull, Point, _as_complex
+from .geom import Obstacle, Point, _as_complex, require_obstacle
 from .quadtree import INSIDE, OUTSIDE, UNKNOWN, AreaBounds, Leaves
 
 SQRT2 = math.sqrt(2.0)
@@ -101,40 +101,24 @@ def hyp_ball(space: str, center: Point | complex, rho: float) -> HypBall:
     return HypBall(Point.of(complex(c[0])), float(r[0]), Point.of(a), float(rho), space)
 
 
-def _space_of(S) -> str:
-    if isinstance(S, HalfPlaneHull):
-        return "halfplane"
-    if isinstance(S, DiskCompact):
-        return "disk"
-    space = getattr(S, "space", None)
-    if space in ("halfplane", "disk"):
-        return space
-    raise TypeError(f"cannot infer the ambient space of {type(S).__name__}")
+_BALLS = {"halfplane": _ball_halfplane, "disk": _ball_disk}
 
 
-def _member_mask(S, space: str, z: np.ndarray, rho) -> np.ndarray:
+def _member_mask(S: Obstacle, z: np.ndarray, rho) -> np.ndarray:
     """Exact N-membership for an array of points (rho may be per-point)."""
-    if getattr(S, "is_empty", False):
-        return np.zeros(z.shape, dtype=bool)
-    if space == "halfplane":
-        c, r = _ball_halfplane(z, rho)
-    else:
-        c, r = _ball_disk(z, rho)
-    ball_test = getattr(S, "ball_intersects", None)
-    if ball_test is not None:
-        return ball_test(c, r)
-    return S.dist(c) <= r
+    c, r = _BALLS[S.space](z, rho)
+    return S.ball_intersects(c, r)
 
 
-def neighborhood_member(z: Point | complex, S, rho: float = 1.0) -> bool:
+def neighborhood_member(z: Point | complex, S: Obstacle, rho: float = 1.0) -> bool:
     """True iff z lies in the closed hyperbolic rho-neighborhood of S."""
-    space = _space_of(S)
+    require_obstacle(S)
     a = z.z if isinstance(z, Point) else complex(z)
-    if space == "halfplane" and a.imag <= 0:
+    if S.space == "halfplane" and a.imag <= 0:
         raise DomainError("point must lie in the open half-plane")
-    if space == "disk" and abs(a) >= 1:
+    if S.space == "disk" and abs(a) >= 1:
         raise DomainError("point must lie in the open unit disk")
-    return bool(_member_mask(S, space, np.asarray([a]), rho)[0])
+    return bool(_member_mask(S, np.asarray([a]), rho)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +144,33 @@ def _reach_disk(rho: float, min_abs: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _classifier_halfplane(S, rho: float):
-    reach = _reach_halfplane(rho, S.y_max)
+def _settle_halfplane(z, half, halfdiag, out):
+    """(cells the ball tests can settle, bound on their hyperbolic radius)."""
+    ymin = z.imag - half
+    test = (out == UNKNOWN) & (ymin > 0)
+    return test, halfdiag[test] / ymin[test]
+
+
+def _settle_disk(z, half, halfdiag, out):
+    # cells fully outside the closed disk cannot meet N
+    out[(np.abs(z) - halfdiag) > 1.0] = OUTSIDE
+    maxabs = np.hypot(np.abs(z.real) + half, np.abs(z.imag) + half)
+    test = (out == UNKNOWN) & (maxabs < 1.0)
+    dens = 2.0 / (1.0 - maxabs[test] ** 2)
+    return test, halfdiag[test] * dens
+
+
+def _classifier(S: Obstacle, rho: float):
+    """Sound quadtree classifier for the rho-neighborhood of S.
+
+    A cell whose center c has hyperbolic radius at most rc over the cell is
+    OUTSIDE when the (rho + rc)-ball about c misses S, and INSIDE when the
+    (rho - rc)-ball meets it.
+    """
+    if S.space == "halfplane":
+        reach, settle = _reach_halfplane(rho, S.y_max), _settle_halfplane
+    else:
+        reach, settle = _reach_disk(rho, S.min_abs), _settle_disk
 
     def classify(cx, cy, half):
         z = cx + 1j * cy
@@ -169,49 +178,15 @@ def _classifier_halfplane(S, rho: float):
         out = np.full(cx.shape, UNKNOWN, dtype=np.int8)
         d = S.dist(z)
         out[d - halfdiag > reach] = OUTSIDE
-        ymin = cy - half
-        test = (out == UNKNOWN) & (ymin > 0)
+        test, rc = settle(z, half, halfdiag, out)
         if np.any(test):
-            rc = halfdiag[test] / ymin[test]
             zc = z[test]
             sub = np.full(zc.shape, UNKNOWN, dtype=np.int8)
-            grown = _member_mask(S, "halfplane", zc, rho + rc)
+            grown = _member_mask(S, zc, rho + rc)
             sub[~grown] = OUTSIDE
             can_in = (rc < rho) & (sub == UNKNOWN)
             if np.any(can_in):
-                shrunk = _member_mask(S, "halfplane", zc[can_in], rho - rc[can_in])
-                tmp = sub[can_in]
-                tmp[shrunk] = INSIDE
-                sub[can_in] = tmp
-            out[test] = sub
-        return out
-
-    return classify
-
-
-def _classifier_disk(S, rho: float):
-    reach = _reach_disk(rho, getattr(S, "min_abs", getattr(S, "rho_min", 0.0)))
-
-    def classify(cx, cy, half):
-        z = cx + 1j * cy
-        halfdiag = half * SQRT2
-        out = np.full(cx.shape, UNKNOWN, dtype=np.int8)
-        d = S.dist(z)
-        out[d - halfdiag > reach] = OUTSIDE
-        # cells fully outside the closed disk cannot meet N
-        out[(np.abs(z) - halfdiag) > 1.0] = OUTSIDE
-        maxabs = np.hypot(np.abs(z.real) + half, np.abs(z.imag) + half)
-        test = (out == UNKNOWN) & (maxabs < 1.0)
-        if np.any(test):
-            dens = 2.0 / (1.0 - maxabs[test] ** 2)
-            rc = halfdiag[test] * dens
-            zc = z[test]
-            sub = np.full(zc.shape, UNKNOWN, dtype=np.int8)
-            grown = _member_mask(S, "disk", zc, rho + rc)
-            sub[~grown] = OUTSIDE
-            can_in = (rc < rho) & (sub == UNKNOWN)
-            if np.any(can_in):
-                shrunk = _member_mask(S, "disk", zc[can_in], rho - rc[can_in])
+                shrunk = _member_mask(S, zc[can_in], rho - rc[can_in])
                 tmp = sub[can_in]
                 tmp[shrunk] = INSIDE
                 sub[can_in] = tmp
@@ -231,27 +206,29 @@ def _root_square_halfplane(S, rho: float) -> tuple[float, float, float]:
     return x_lo, 0.0, size
 
 
+def _check_rho_tol(rho: float, tol: float) -> None:
+    if not all(v > 0 and math.isfinite(v) for v in (rho, tol)):
+        raise ValueError("rho and tol must be positive and finite")
+
+
 def neighborhood_area(
-    S,
+    S: Obstacle,
     rho: float = 1.0,
     tol: float = 1e-3,
     relative: bool = False,
     max_depth: int = 24,
 ) -> AreaBounds:
     """Certified bounds on the euclidean area of the rho-neighborhood of S."""
-    if rho <= 0 or tol <= 0:
-        raise ValueError("rho and tol must be positive")
-    if getattr(S, "is_empty", False):
+    require_obstacle(S)
+    _check_rho_tol(rho, tol)
+    if S.is_empty:
         return AreaBounds(0.0, 0.0, 0, True)
-    space = _space_of(S)
-    if space == "halfplane":
+    if S.space == "halfplane":
         gx0, gy0, size = _root_square_halfplane(S, rho)
-        classify = _classifier_halfplane(S, rho)
     else:
         gx0, gy0, size = -1.05, -1.05, 2.10
-        classify = _classifier_disk(S, rho)
     goal = (lambda lo, up: tol * up) if relative else (lambda lo, up: tol)
-    _, bounds = quadtree.refine(gx0, gy0, size, classify, goal, max_depth)
+    _, bounds = quadtree.refine(gx0, gy0, size, _classifier(S, rho), goal, max_depth)
     return bounds
 
 
@@ -391,21 +368,18 @@ def _indisk_areas(leaves: Leaves) -> np.ndarray:
 
 
 def filled_region(
-    B,
+    B: Obstacle,
     rho: float = 1.0,
     tol: float = 1e-3,
     max_depth: int = 24,
 ) -> FilledRegion:
     """Refine until the filled-neighborhood area bracket is tol-tight."""
-    if rho <= 0 or tol <= 0:
-        raise ValueError("rho and tol must be positive")
-    space = _space_of(B)
-    if space != "disk":
-        raise ValueError("filled neighborhoods are defined in the disk")
+    require_obstacle(B, "disk")
+    _check_rho_tol(rho, tol)
     if neighborhood_member(0j, B, rho):
         raise DomainError("the origin lies in the rho-neighborhood; filling undefined")
 
-    classify = _classifier_disk(B, rho)
+    classify = _classifier(B, rho)
     goal = tol / 2.0
     prev_gap = math.inf
     while True:
@@ -434,13 +408,14 @@ def filled_region(
 
 
 def filled_neighborhood_area(
-    B,
+    B: Obstacle,
     rho: float = 1.0,
     tol: float = 1e-3,
     max_depth: int = 24,
 ) -> AreaBounds:
     """Certified bounds on the area of the filled rho-neighborhood of B."""
-    if getattr(B, "is_empty", False):
+    require_obstacle(B, "disk")
+    if B.is_empty:
         return AreaBounds(0.0, 0.0, 0, True)
     return filled_region(B, rho, tol, max_depth).bounds
 
@@ -450,10 +425,11 @@ def filled_neighborhood_area(
 # ---------------------------------------------------------------------------
 
 
-class RectSet:
+class RectSet(Obstacle):
     """Exact distance to a finite union of axis-aligned rectangles."""
 
     space = "disk"
+    is_empty = False
 
     def __init__(self, x0, x1, y0, y1):
         self.x0 = np.asarray(x0, dtype=float)
@@ -475,41 +451,12 @@ class RectSet:
                 )
             )
         )
-        self.is_empty = False
 
-    def _rect_dist(self, z: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        dx = np.maximum(np.maximum(self.x0[idx] - z.real[..., None], z.real[..., None] - self.x1[idx]), 0.0)
-        dy = np.maximum(np.maximum(self.y0[idx] - z.imag[..., None], z.imag[..., None] - self.y1[idx]), 0.0)
-        return np.hypot(dx, dy)
-
-    def dist(self, z) -> np.ndarray:
-        z = _as_complex(z)
-        flat = z.ravel()
+    def _query(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(distance, index of the nearest rectangle) per point, by k-NN on the centers."""
         pts = np.column_stack([flat.real, flat.imag])
         n_rect = self.x0.size
-        out = np.full(flat.shape, np.inf)
-        unresolved = np.arange(flat.size)
-        k = min(8, n_rect)
-        while unresolved.size:
-            d_center, idx = self._tree.query(pts[unresolved], k=k)
-            if k == 1:
-                d_center = d_center[:, None]
-                idx = idx[:, None]
-            exact = self._rect_dist(flat[unresolved], idx).min(axis=1)
-            # rects beyond the k-th center are at least d_k - maxhalf away
-            certified = (k >= n_rect) | (exact <= d_center[:, -1] - self._maxhalf)
-            out[unresolved[certified]] = exact[certified]
-            unresolved = unresolved[~certified]
-            if k >= n_rect:
-                break
-            k = min(k * 4, n_rect)
-        return out.reshape(z.shape)
-
-    def nearest(self, z) -> np.ndarray:
-        z = _as_complex(z)
-        flat = z.ravel()
-        pts = np.column_stack([flat.real, flat.imag])
-        n_rect = self.x0.size
+        dist = np.full(flat.shape, np.inf)
         best = np.zeros(flat.shape, dtype=np.int64)
         unresolved = np.arange(flat.size)
         k = min(8, n_rect)
@@ -518,15 +465,31 @@ class RectSet:
             if k == 1:
                 d_center = d_center[:, None]
                 idx = idx[:, None]
-            d = self._rect_dist(flat[unresolved], idx)
-            pick = np.argmin(d, axis=1)
-            exact = d[np.arange(unresolved.size), pick]
+            z = flat[unresolved]
+            dx = np.maximum(np.maximum(self.x0[idx] - z.real[:, None], z.real[:, None] - self.x1[idx]), 0.0)
+            dy = np.maximum(np.maximum(self.y0[idx] - z.imag[:, None], z.imag[:, None] - self.y1[idx]), 0.0)
+            d = np.hypot(dx, dy)
+            pick = np.argmin(d, axis=1)[:, None]
+            exact = np.take_along_axis(d, pick, axis=1)[:, 0]
+            # rects beyond the k-th center are at least d_k - maxhalf away
             certified = (k >= n_rect) | (exact <= d_center[:, -1] - self._maxhalf)
-            best[unresolved[certified]] = idx[np.arange(unresolved.size), pick][certified]
+            done = unresolved[certified]
+            dist[done] = exact[certified]
+            best[done] = np.take_along_axis(idx, pick, axis=1)[certified, 0]
             unresolved = unresolved[~certified]
             if k >= n_rect:
                 break
             k = min(k * 4, n_rect)
+        return dist, best
+
+    def dist(self, z) -> np.ndarray:
+        z = _as_complex(z)
+        return self._query(z.ravel())[0].reshape(z.shape)
+
+    def nearest(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        z = _as_complex(z)
+        flat = z.ravel()
+        dist, best = self._query(flat)
         nx = np.clip(flat.real, self.x0[best], self.x1[best])
         ny = np.clip(flat.imag, self.y0[best], self.y1[best])
-        return (nx + 1j * ny).reshape(z.shape)
+        return dist.reshape(z.shape), best.reshape(z.shape), (nx + 1j * ny).reshape(z.shape)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import BoxShape, HalfDisk, HalfPlaneHull, VSlit, _as_complex
-from .quadtree import AreaBounds
+from .geom import BoxShape, HalfDisk, HalfPlaneHull, Obstacle, VSlit, _as_complex
+from .quadtree import AreaBounds, _split4
 
 SQRT2 = math.sqrt(2.0)
 
@@ -92,8 +92,8 @@ def image_area(
     max_depth: int = 24,
 ) -> AreaBounds:
     """Certified bounds on |T_y(S)| for a box or a half-plane hull."""
-    if y <= 0 or tol <= 0:
-        raise ValueError("y and tol must be positive")
+    if not all(v > 0 and math.isfinite(v) for v in (y, tol)):
+        raise ValueError("y and tol must be positive and finite")
     shapes = S.shapes if isinstance(S, HalfPlaneHull) else (S,)
     if not shapes:
         return AreaBounds(0.0, 0.0, 0, True)
@@ -147,10 +147,7 @@ def image_area(
         inside = np.zeros(cx.shape, dtype=bool)
         for s in shapes:
             inside |= _cell_inside_shape(s, x0c, x1c, y0c, y1c)
-        z = cx + 1j * cy
-        dist = shapes[0].dist(z)
-        for s in shapes[1:]:
-            dist = np.minimum(dist, s.dist(z))
+        dist = S.dist(cx + 1j * cy)
         outside = (~inside) & (dist > halfdiag)
         boundary = ~(inside | outside)
 
@@ -182,14 +179,7 @@ def image_area(
             retired_gap = total_gap
             met = True
             break
-        kx, ky, kd = ix[keep], iy_[keep], depth[keep]
-        n = kx.size
-        ix = np.empty(4 * n, dtype=np.int64)
-        iy_ = np.empty(4 * n, dtype=np.int64)
-        for t, (dx_, dy_) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
-            ix[t::4] = 2 * kx + dx_
-            iy_[t::4] = 2 * ky + dy_
-        depth = np.repeat(kd, 4) + 1
+        ix, iy_, depth = _split4(ix[keep], iy_[keep], depth[keep])
 
     return AreaBounds(lower, lower + retired_gap, cells, met)
 
@@ -200,7 +190,7 @@ def image_area(
 
 
 @dataclass
-class PushforwardSet:
+class PushforwardSet(Obstacle):
     """Membership oracle for B_y = T_y(A), living in the unit disk.
 
     Exact queries go through preimages: a point is in B_y iff its inverse
@@ -211,7 +201,7 @@ class PushforwardSet:
 
     hull: HalfPlaneHull
     y: float
-    space: str = "disk"
+    space = "disk"
 
     def __post_init__(self):
         self.sup_abs_src = self.hull.sup_abs

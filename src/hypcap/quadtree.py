@@ -37,9 +37,6 @@ class AreaBounds:
     def gap(self) -> float:
         return self.upper - self.lower
 
-    def __contains__(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
-
 
 @dataclass
 class Leaves:
@@ -60,15 +57,6 @@ class Leaves:
 
     def cell_side(self) -> np.ndarray:
         return self.size * np.ldexp(1.0, -self.depth.astype(np.int64))
-
-    def centers(self) -> np.ndarray:
-        side = self.cell_side()
-        cx = self.gx0 + (self.ix + 0.5) * side
-        cy = self.gy0 + (self.iy + 0.5) * side
-        return cx + 1j * cy
-
-    def halves(self) -> np.ndarray:
-        return 0.5 * self.cell_side()
 
     def areas(self) -> np.ndarray:
         side = self.cell_side()

@@ -36,7 +36,7 @@ from .dyadic import (
 )
 from .geom import ArcBox, DiskCompact, HalfDisk, HalfPlaneHull, VSlit
 from .hyperbolic import RectSet, filled_region, neighborhood_area
-from .wos import DiskDomain, Estimate, estimate_from_values, run_walks
+from .wos import DiskDomain, expected_log_modulus
 
 CLAIMS = (
     "t1",
@@ -370,37 +370,25 @@ def prop1_induction_check(
 # ---------------------------------------------------------------------------
 
 
-def _filled_dcap(B, rho: float, cfg: VerifyConfig, seed: int, tol: float = 2e-3):
-    region = filled_region(B, rho, tol)
-    rects = RectSet(*region.blocked_rects())
-    domain = DiskDomain(rects)
-    ens = run_walks(domain, 0j, cfg.n_walks, cfg.eps_stop, seed, threads=cfg.threads)
-    ens.check_flagged()
-    vals = np.where(ens.labels >= 0, np.log(np.abs(ens.terminals)), 0.0)
-    est = estimate_from_values(
-        vals, ens.eps_stop, seed, f"grid-domain walk, area gap {region.bounds.gap:.2e}"
-    )
-    est = Estimate(-est.mean, est.std_error, est.n_walks, est.eps_stop, seed, est.bias_note)
-    return est, region, ens
-
-
 def fattening_check(B: DiskCompact, cfg: VerifyConfig, tag: str = "", iterated: bool = False) -> list[CheckResult]:
     est_b = dcap_mc(B, cfg.n_walks, cfg.eps_stop, cfg.seed + 7001, cfg.threads)
-    est_hat, region, _ = _filled_dcap(B, 1.0, cfg, cfg.seed + 7002)
+    region = filled_region(B, 1.0, 2e-3)
+    est_hat = dcap_mc(RectSet(*region.blocked_rects()), cfg.n_walks, cfg.eps_stop, cfg.seed + 7002, cfg.threads)
     sigma = math.hypot(est_b.std_error, est_hat.std_error)
     ratio = est_hat.mean / est_b.mean
+    area_gap = region.bounds.gap
     out = [
         CheckResult(
             "fattening",
             f"ratio{tag}",
-            {"dcap_hat": est_hat.mean, "dcap_b": est_b.mean, "ratio": ratio},
+            {"dcap_hat": est_hat.mean, "dcap_b": est_b.mean, "ratio": ratio, "area_gap": area_gap},
             (0.0, fixtures.FATTEN_C),
             _verdict(ratio <= fixtures.FATTEN_C),
         ),
         CheckResult(
             "fattening",
             f"schwarz{tag}",
-            {"dcap_b": est_b.mean, "dcap_hat": est_hat.mean, "sigma": sigma},
+            {"dcap_b": est_b.mean, "dcap_hat": est_hat.mean, "sigma": sigma, "area_gap": area_gap},
             None,
             _verdict(est_b.mean <= est_hat.mean + 3 * sigma),
             "reverse inequality dcap(B) <= dcap(filled(B))",
@@ -408,21 +396,15 @@ def fattening_check(B: DiskCompact, cfg: VerifyConfig, tag: str = "", iterated: 
     ]
     if iterated:
         obstacle = B
-        region_i = None
-        for k in range(4):
-            region_i = filled_region(obstacle, 0.25, 4e-3)
-            obstacle = RectSet(*region_i.blocked_rects())
-        domain = DiskDomain(obstacle)
-        ens = run_walks(domain, 0j, cfg.n_walks, cfg.eps_stop, cfg.seed + 7003, threads=cfg.threads)
-        ens.check_flagged()
-        vals = np.where(ens.labels >= 0, np.log(np.abs(ens.terminals)), 0.0)
-        est_iter = estimate_from_values(vals, ens.eps_stop, cfg.seed + 7003)
-        ratio_iter = -est_iter.mean / est_hat.mean
+        for _ in range(4):
+            obstacle = RectSet(*filled_region(obstacle, 0.25, 4e-3).blocked_rects())
+        est_iter = dcap_mc(obstacle, cfg.n_walks, cfg.eps_stop, cfg.seed + 7003, cfg.threads)
+        ratio_iter = est_iter.mean / est_hat.mean
         out.append(
             CheckResult(
                 "fattening",
                 f"iterated{tag}",
-                {"dcap_iter": -est_iter.mean, "dcap_hat": est_hat.mean, "ratio": ratio_iter},
+                {"dcap_iter": est_iter.mean, "dcap_hat": est_hat.mean, "ratio": ratio_iter},
                 fixtures.FATTEN_ITER,
                 _verdict(_in_bracket(ratio_iter, fixtures.FATTEN_ITER)),
                 "four quarter-radius fattenings vs one radius-1 fattening",
@@ -447,10 +429,8 @@ def _layer_freqs(terminals: np.ndarray, labels: np.ndarray) -> dict[int, float]:
 def smoothed_omega_check(B: DiskCompact, cfg: VerifyConfig, tag: str = "") -> list[CheckResult]:
     eps = 0.125  # keeps radius-2*eps balls within adjacent layers
     ls = dcap_layer_sum(B, cfg.n_walks, cfg.eps_stop, cfg.seed + 8001, cfg.threads)
-    region = filled_region(B, eps, 2e-3)
-    rects = RectSet(*region.blocked_rects())
-    ens = run_walks(DiskDomain(rects), 0j, cfg.n_walks, cfg.eps_stop, cfg.seed + 8002, threads=cfg.threads)
-    ens.check_flagged()
+    rects = RectSet(*filled_region(B, eps, 2e-3).blocked_rects())
+    _, ens = expected_log_modulus(DiskDomain(rects), cfg.n_walks, cfg.seed + 8002, cfg.eps_stop, cfg.threads)
     omega_hat = _layer_freqs(ens.terminals, ens.labels)
     out = []
     n_tot = cfg.n_walks

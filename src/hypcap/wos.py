@@ -1,9 +1,14 @@
 """Walk-on-spheres sampling of Brownian exit points.
 
-Domains are "half-plane minus hull" and "disk minus compact".  A walk
-jumps from z to a uniform point on the circle of radius dist(z, boundary)
-until that distance drops below eps_stop, then reports the nearest
-boundary point as its terminal.  Angles come from counter-based substreams
+A domain is the half-plane or the unit disk with one walkable
+geom.Obstacle of the same space removed: a HalfPlaneHull, or a DiskCompact
+or hyperbolic.RectSet.  A walk jumps from z to a uniform point on the
+circle of radius dist(z, boundary), the smaller of the obstacle's dist(z)
+and the distance to the outer boundary (real axis or unit circle), until
+that distance drops below eps_stop.  Its terminal is then the obstacle's
+nearest(z) point, labelled with the index of the nearest part, or, when
+the outer boundary is closer, the nearest point there, labelled
+LABEL_OUTER.  Angles come from counter-based substreams
 keyed by (seed, global walk index, step), and aggregation uses a
 fixed-order pairwise tree, so estimates are bit-identical for any worker
 count.
@@ -18,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geom import HalfPlaneHull
+from .geom import HalfPlaneHull, Obstacle, require_obstacle
 from .rng import uniform_angle
 
 LABEL_OUTER = -1
@@ -69,65 +74,71 @@ class Estimate:
 # ---------------------------------------------------------------------------
 
 
-class HalfPlaneDomain:
+class _Domain:
+    """The space of the obstacle with the obstacle removed.
+
+    The two domains differ only in their outer boundary: the real axis or
+    the unit circle.  The obstacle is a walkable geom.Obstacle of the same
+    space: dist(z) bounds the step radius, and nearest(z) gives the
+    terminal and its label at the end of a walk.
+    """
+
+    space: str
+
+    def __init__(self, obstacle: Obstacle):
+        require_obstacle(obstacle, self.space)
+        self.obstacle = obstacle
+
+    def dist(self, z: np.ndarray) -> np.ndarray:
+        return np.minimum(self._outer_dist(z), self.obstacle.dist(z))
+
+    def terminal(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        d_obs, label, point = self.obstacle.nearest(z)
+        on_obstacle = d_obs <= self._outer_dist(z)
+        term = np.where(on_obstacle, point, self._outer_point(z))
+        return term, np.where(on_obstacle, label, LABEL_OUTER)
+
+
+class HalfPlaneDomain(_Domain):
     """The region above the real axis with a hull removed."""
 
     space = "halfplane"
 
     def __init__(self, hull: HalfPlaneHull):
-        self.hull = hull
+        super().__init__(hull)
         x_lo, x_hi = hull.x_bounds
         self.scale = max(x_hi - x_lo, hull.y_max) + 1.0
 
-    def dist(self, z: np.ndarray) -> np.ndarray:
-        d = z.imag
-        if not self.hull.is_empty:
-            d = np.minimum(d, self.hull.dist(z))
-        return d
+    @staticmethod
+    def _outer_dist(z: np.ndarray) -> np.ndarray:
+        return z.imag
 
-    def terminal(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.hull.is_empty:
-            return z.real + 0j, np.full(z.shape, LABEL_OUTER, dtype=np.int64)
-        d_obs, idx = self.hull.dist_argmin(z)
-        on_obstacle = d_obs <= z.imag
-        term = np.where(on_obstacle, self.hull.nearest(z), z.real + 0j)
-        labels = np.where(on_obstacle, idx, LABEL_OUTER)
-        return term, labels
+    @staticmethod
+    def _outer_point(z: np.ndarray) -> np.ndarray:
+        return z.real + 0j
 
 
-class DiskDomain:
-    """The unit disk with an obstacle removed.
+class DiskDomain(_Domain):
+    """The unit disk with a walkable disk-space obstacle removed.
 
-    The obstacle must expose dist(z) (a lower bound vanishing exactly on
-    the set; exact for the primitive families) and nearest(z).
+    The obstacle is a DiskCompact or the RectSet of a filled region.  Its
+    dist(z) vanishes exactly on the set and never exceeds the distance to
+    it, so every jump stays in the domain; nearest(z) returns (dist(z),
+    label, point).  A PushforwardSet has no nearest(z): dcap of T_y(A) is
+    sampled with half-plane walks instead (capacity.dcap_transport).
     """
 
     space = "disk"
     scale = 1.0
 
-    def __init__(self, obstacle):
-        self.obstacle = obstacle
+    @staticmethod
+    def _outer_dist(z: np.ndarray) -> np.ndarray:
+        return 1.0 - np.abs(z)
 
-    def dist(self, z: np.ndarray) -> np.ndarray:
-        d = 1.0 - np.abs(z)
-        if not getattr(self.obstacle, "is_empty", False):
-            d = np.minimum(d, self.obstacle.dist(z))
-        return d
-
-    def terminal(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def _outer_point(z: np.ndarray) -> np.ndarray:
         az = np.abs(z)
-        circle = np.where(az > 0, z / np.where(az == 0, 1.0, az), 1.0 + 0j)
-        if getattr(self.obstacle, "is_empty", False):
-            return circle, np.full(z.shape, LABEL_OUTER, dtype=np.int64)
-        if hasattr(self.obstacle, "dist_argmin"):
-            d_obs, idx = self.obstacle.dist_argmin(z)
-        else:
-            d_obs = self.obstacle.dist(z)
-            idx = np.zeros(z.shape, dtype=np.int64)
-        on_obstacle = d_obs <= (1.0 - az)
-        term = np.where(on_obstacle, self.obstacle.nearest(z), circle)
-        labels = np.where(on_obstacle, idx, LABEL_OUTER)
-        return term, labels
+        return np.where(az > 0, z / np.where(az == 0, 1.0, az), 1.0 + 0j)
 
 
 DomainOracle = HalfPlaneDomain | DiskDomain
@@ -205,6 +216,18 @@ def _simulate_chunk(domain, starts, first_id, eps, seed, step_cap):
     return term, labels, steps_out, stopd, flagged
 
 
+def _stop_distance(domain: DomainOracle, eps_stop: float | None) -> float:
+    eps = default_eps_stop(domain) if eps_stop is None else float(eps_stop)
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError("eps_stop must be positive and finite")
+    return eps
+
+
+def _require_inside(domain: DomainOracle, start: np.ndarray, eps: float) -> None:
+    if not float(domain.dist(start.reshape(1))[0]) > eps:
+        raise ValueError("start point is not strictly inside the domain")
+
+
 def run_walks(
     domain: DomainOracle,
     start: complex | np.ndarray,
@@ -222,13 +245,10 @@ def run_walks(
     """
     if n_walks <= 0:
         raise ValueError("n_walks must be positive")
-    eps = default_eps_stop(domain) if eps_stop is None else float(eps_stop)
-    if eps <= 0:
-        raise ValueError("eps_stop must be positive")
+    eps = _stop_distance(domain, eps_stop)
     starts = np.asarray(start, dtype=complex)
     if starts.ndim == 0:
-        if float(domain.dist(starts.reshape(1))[0]) <= eps:
-            raise ValueError("start point is not strictly inside the domain")
+        _require_inside(domain, starts, eps)
         starts = np.broadcast_to(starts, (n_walks,))
     elif starts.shape != (n_walks,):
         raise ValueError(f"need one start per walk, got shape {starts.shape} for {n_walks} walks")
@@ -268,7 +288,8 @@ def wos_walk(
     walk_index: int = 0,
 ) -> WalkResult:
     """One walk, identified by its (seed, walk_index) substream."""
-    eps = default_eps_stop(domain) if eps_stop is None else float(eps_stop)
+    eps = _stop_distance(domain, eps_stop)
+    _require_inside(domain, np.asarray(start, dtype=complex), eps)
     t, l, s, sd, fl = _simulate_chunk(domain, np.asarray([start]), walk_index, eps, seed, DEFAULT_STEP_CAP)
     return WalkResult(complex(t[0]), int(l[0]), int(s[0]), float(sd[0]), bool(fl[0]))
 

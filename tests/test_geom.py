@@ -100,13 +100,13 @@ def test_metric_projection_property():
 def test_translation_equivariance():
     rng = np.random.default_rng(6)
     s = HalfDisk(0.5, 0.7)
-    from hypcap.geom import _translate
+    from hypcap.geom import _affine
 
     for _ in range(50):
         p = complex(rng.uniform(-2, 2), rng.uniform(0, 2))
         t = rng.uniform(-5, 5)
         d0 = euclid_dist(p, s)
-        d1 = euclid_dist(p + t, _translate(s, t))
+        d1 = euclid_dist(p + t, _affine(s, 1.0, t))
         assert d1 == pytest.approx(d0, rel=1e-12, abs=1e-12)
 
 

@@ -25,27 +25,6 @@ from hypcap.hyperbolic import (
 from hypcap.mobius import t_y
 
 
-class _ProbeSet:
-    """Degenerate one-point obstacle for closed-form area checks."""
-
-    space = "halfplane"
-    is_empty = False
-
-    def __init__(self, x, y):
-        self.p = PointProbe(x, y)
-
-    def dist(self, z):
-        return self.p.dist(z)
-
-    @property
-    def y_max(self):
-        return self.p.y
-
-    @property
-    def x_bounds(self):
-        return (self.p.x, self.p.x)
-
-
 def test_hyp_dist_h_closed_forms():
     assert hyp_dist_h(1j, 1j) == 0.0
     # vertical geodesic integral of dy/y
@@ -133,7 +112,7 @@ def test_neighborhood_member_monotone_in_set():
 
 def test_neighborhood_area_point_ball():
     # neighborhood of a single point is one hyperbolic ball
-    S = _ProbeSet(0, 1)
+    S = HalfPlaneHull([PointProbe(0, 1)], validate=False)
     ab = neighborhood_area(S, 1.0, 1e-3)
     true = math.pi * math.sinh(1.0) ** 2
     assert ab.tolerance_met
@@ -186,7 +165,7 @@ def _grid_fill_oracle(B, rho, n=600):
     Z = (X + 1j * Y).ravel()
     inside_disk = np.abs(Z) < 1.0
     in_n = np.zeros(Z.shape, dtype=bool)
-    in_n[inside_disk] = _member_mask(B, "disk", Z[inside_disk], rho)
+    in_n[inside_disk] = _member_mask(B, Z[inside_disk], rho)
     free = (inside_disk & ~in_n).reshape(n, n)
     lab, _ = label(free)
     i0 = n // 2
@@ -246,5 +225,5 @@ def test_filled_region_walk_surface():
     z = np.array([0j, 0.1 + 0.1j])
     d = rs.dist(z)
     assert np.all(d > 0)
-    near = rs.nearest(z)
+    _, _, near = rs.nearest(z)
     assert np.allclose(np.abs(near - z), d)
