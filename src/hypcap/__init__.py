@@ -32,14 +32,13 @@ from .hyperbolic import (
 from .quadtree import AreaBounds
 from .dyadic import (
     DyadicSquare,
-    WhitneySquare,
     layer_of,
     dyadic_cover,
     whitney_cover_area,
     lipschitz_majorant_area,
 )
 from .mobius import t_y, t_y_inv, t_y_jacobian, image_area, pushforward_set
-from .wos import DomainOracle, WalkResult, Estimate, wos_walk, harmonic_measure
+from .wos import DomainOracle, Estimate, walk_mean
 from .capacity import dcap_mc, hcap_mc, hcap_exact, crad_halfplane, dcap_layer_sum
 
 __version__ = "0.1.0"
@@ -64,7 +63,6 @@ __all__ = [
     "filled_neighborhood_area",
     "AreaBounds",
     "DyadicSquare",
-    "WhitneySquare",
     "layer_of",
     "dyadic_cover",
     "whitney_cover_area",
@@ -75,10 +73,8 @@ __all__ = [
     "image_area",
     "pushforward_set",
     "DomainOracle",
-    "WalkResult",
     "Estimate",
-    "wos_walk",
-    "harmonic_measure",
+    "walk_mean",
     "dcap_mc",
     "hcap_mc",
     "hcap_exact",

@@ -16,6 +16,9 @@ only bias is the O(eps_stop) projection at the stopping distance.
 Transport: crad(H \\ A, iy) = 2 y exp(-dcap(T_y(A))), and dcap of the
 pushforward is sampled with half-plane walks, using conformal invariance
 of the exit distribution: -E_{iy}[ log |T_y(W_exit)| ].
+
+Each estimator is one wos.walk_mean call with its own functional of the
+exit point w: -log|w| on obstacle hits, Im w, or -log|T_y(w)|.
 """
 
 from __future__ import annotations
@@ -29,16 +32,7 @@ from .dyadic import layer_of_radius
 from .geom import ArcBox, DiskCompact, HalfDisk, HalfPlaneHull, VSlit
 from .mobius import pushforward_set, t_y
 from .rng import uniform01
-from .wos import (
-    START_COUNTER,
-    DiskDomain,
-    Estimate,
-    HalfPlaneDomain,
-    estimate_from_values,
-    expected_height,
-    expected_log_modulus,
-    run_walks,
-)
+from .wos import START_COUNTER, DiskDomain, Estimate, HalfPlaneDomain, WalkEnsemble, walk_mean
 
 TWO_PI = 2.0 * math.pi
 LN2 = math.log(2.0)
@@ -135,6 +129,13 @@ def crad_exact_at_iy(kind: str, size: float, y: float) -> float:
 # disk capacity
 # ---------------------------------------------------------------------------
 
+_PROJECTION_NOTE = "projection bias O(eps_stop)"
+
+
+def _minus_log_modulus(ens: WalkEnsemble) -> np.ndarray:
+    """-log|w| on obstacle hits; circle exits contribute -log 1 = 0 exactly."""
+    return np.where(ens.labels >= 0, -np.log(np.abs(ens.terminals)), 0.0)
+
 
 def dcap_mc(
     B,
@@ -144,9 +145,8 @@ def dcap_mc(
     threads: int = 1,
 ) -> Estimate:
     """Monte Carlo estimate of dcap(B) = -E_0[log |W_exit|]."""
-    domain = DiskDomain(B)
-    est, _ = expected_log_modulus(domain, n_walks, seed, eps_stop, threads)
-    return Estimate(-est.mean, est.std_error, est.n_walks, est.eps_stop, seed, est.bias_note)
+    est, _ = walk_mean(DiskDomain(B), 0j, n_walks, _minus_log_modulus, seed, eps_stop, threads, _PROJECTION_NOTE)
+    return est
 
 
 @dataclass
@@ -168,12 +168,15 @@ def dcap_layer_sum(
 ) -> LayerSum:
     """dcap estimate plus layer frequencies and the pathwise sandwich.
 
-    A terminal at depth 1 - |u| in layer n contributes a value -log|u| in
-    [2^-(n+1), 2 log 2 * 2^-n), so the sandwich holds walk by walk, not
-    just in expectation.
+    B is a DiskCompact or the RectSet of a filled region; omega[n] is the
+    fraction of walks from 0 that end on B in layer n, with every depth in
+    [1/2, 1) binned to layer 0.  A terminal at depth 1 - |u| in layer n
+    contributes a value -log|u| in [2^-(n+1), 2 log 2 * 2^-n), so the
+    sandwich holds walk by walk, not just in expectation, as long as
+    B.min_abs >= 1/4: layer 0's upper bound 2 log 2 = -log(1/4) holds only
+    for depths up to 3/4.
     """
-    domain = DiskDomain(B)
-    est, ens = expected_log_modulus(domain, n_walks, seed, eps_stop, threads)
+    est, ens = walk_mean(DiskDomain(B), 0j, n_walks, _minus_log_modulus, seed, eps_stop, threads, _PROJECTION_NOTE)
     hits = ens.labels >= 0
     omega: dict[int, float] = {}
     lower = 0.0
@@ -186,8 +189,7 @@ def dcap_layer_sum(
             omega[int(n)] = w
             lower += w * 2.0 ** -(int(n) + 1)
             upper += 2.0 * LN2 * w * 2.0 ** -int(n)
-    dcap_est = Estimate(-est.mean, est.std_error, est.n_walks, est.eps_stop, seed, est.bias_note)
-    return LayerSum(dcap_est, omega, lower, upper)
+    return LayerSum(est, omega, lower, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +217,16 @@ def hcap_mc(
     R = A.translate(-x_c).sup_abs
     u = uniform01(seed, np.arange(n_walks, dtype=np.uint64), START_COUNTER)
     starts = x_c + R * np.exp(1j * np.arccos(1.0 - 2.0 * u))
-    est = expected_height(HalfPlaneDomain(A), starts, n_walks, seed, eps_stop, threads)
+    est, _ = walk_mean(
+        HalfPlaneDomain(A),
+        starts,
+        n_walks,
+        lambda ens: ens.terminals.imag,
+        seed,
+        eps_stop,
+        threads,
+        _PROJECTION_NOTE,
+    )
     k = 4.0 * R / math.pi
     return Estimate(k * est.mean, k * est.std_error, est.n_walks, est.eps_stop, seed, est.bias_note)
 
@@ -232,7 +243,6 @@ def dcap_transport(
     eps_stop: float | None = None,
     seed: int = 0,
     threads: int = 1,
-    require_annulus: bool = True,
 ) -> Estimate:
     """dcap(T_y(A)) sampled with half-plane walks from iy.
 
@@ -240,15 +250,19 @@ def dcap_transport(
     under T_y of the exit point in H \\ A from iy, so the disk functional
     -log|w| pulls back to -log|T_y(z)|; real-axis exits contribute exactly 0.
     """
-    pf = pushforward_set(A, y)
-    if require_annulus:
-        pf.require_annulus()
-    domain = HalfPlaneDomain(A)
-    ens = run_walks(domain, 1j * y, n_walks, eps_stop, seed, threads=threads)
-    ens.check_flagged()
-    # real-axis exits map onto the unit circle: contribution exactly 0
-    vals = np.where(ens.labels >= 0, -np.log(np.abs(t_y(y, ens.terminals))), 0.0)
-    return estimate_from_values(vals, ens.eps_stop, seed, "transported log-modulus; O(eps_stop) bias")
+    pushforward_set(A, y).require_annulus()
+    est, _ = walk_mean(
+        HalfPlaneDomain(A),
+        1j * y,
+        n_walks,
+        # real-axis exits map onto the unit circle: contribution exactly 0
+        lambda ens: np.where(ens.labels >= 0, -np.log(np.abs(t_y(y, ens.terminals))), 0.0),
+        seed,
+        eps_stop,
+        threads,
+        "transported log-modulus; O(eps_stop) bias",
+    )
+    return est
 
 
 def crad_halfplane(
@@ -260,8 +274,5 @@ def crad_halfplane(
     threads: int = 1,
 ) -> tuple[float, Estimate]:
     """crad(H \\ A, iy) = 2 y exp(-dcap(T_y(A))); returns (crad, dcap estimate)."""
-    if A.is_empty:
-        zero = Estimate(0.0, 0.0, 0, 0.0, seed, "empty hull")
-        return 2.0 * y, zero
     d = dcap_transport(A, y, n_walks, eps_stop, seed, threads)
     return 2.0 * y * math.exp(-d.mean), d

@@ -95,7 +95,7 @@ def layer_of(z: Point | complex) -> int:
 
 
 def layer_of_radius(u: np.ndarray) -> np.ndarray:
-    """Vectorized layer index for depths u = 1 - |z| in (0, 1/2)."""
+    """Vectorized layer index for depths u = 1 - |z| in (0, 1); [1/2, 1) is layer 0."""
     u = np.asarray(u, dtype=float)
     n = np.floor(-np.log2(u)).astype(np.int64)
     too_deep = np.ldexp(1.0, -n) <= u
@@ -196,22 +196,6 @@ def dyadic_cover(B: DiskCompact, n_max: int = 20) -> tuple[list[DyadicSquare], A
 # ---------------------------------------------------------------------------
 # Whitney covers in the half-plane
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WhitneySquare:
-    """The square [j 2^k, (j+1) 2^k] x [2^k, 2^{k+1}]."""
-
-    k: int
-    j: int
-
-    @property
-    def side(self) -> float:
-        return 2.0**self.k
-
-    @property
-    def area(self) -> float:
-        return 4.0**self.k
 
 
 def _band_cross_section(s, k: int) -> tuple[float, float] | None:

@@ -426,11 +426,11 @@ def validate_halfplane_shapes(shapes: Sequence[HalfPlaneShape]) -> str | None:
     return None
 
 
-def validate_disk_shapes(shapes: Sequence[DiskShape], require_annulus: bool = True) -> str | None:
+def validate_disk_shapes(shapes: Sequence[DiskShape]) -> str | None:
     for i, s in enumerate(shapes):
         if not isinstance(s, (RadialSlit, ArcBox)):
             return f"shape {i}: {type(s).__name__} is not a disk family"
-        if require_annulus and not (s.rho_min > 0.5):
+        if not (s.rho_min > 0.5):
             return f"shape {i}: not contained in the annulus 1/2 < |z| < 1 (rho = {s.rho_min})"
     for i in range(len(shapes)):
         for j in range(i + 1, len(shapes)):
@@ -563,15 +563,10 @@ class DiskCompact(_ShapeUnion):
 
     space = "disk"
 
-    def __init__(
-        self,
-        shapes: Iterable[DiskShape] = (),
-        validate: bool = True,
-        require_annulus: bool = True,
-    ):
+    def __init__(self, shapes: Iterable[DiskShape] = (), validate: bool = True):
         self.shapes = tuple(shapes)
         if validate:
-            msg = validate_disk_shapes(self.shapes, require_annulus=require_annulus)
+            msg = validate_disk_shapes(self.shapes)
             if msg is not None:
                 raise InvalidHullError(msg)
 

@@ -2,7 +2,8 @@
 
 Every check emits (claim id, computed values, bracket, verdict): verdicts
 are "pass", "fail" or "inconclusive", the last reserved for Monte Carlo
-signals below their own noise.  Universal constants are represented by the
+signals below their own noise and for checks on filled regions whose area
+bracket missed its tolerance.  Universal constants are represented by the
 pilot-run fixtures; a default run over the shipped corpora must produce
 zero failures.
 """
@@ -11,8 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import fixtures
 from .capacity import (
@@ -30,13 +29,11 @@ from .corpus import generate_element, mixed_disk_corpus, mixed_halfplane_corpus
 from .dyadic import (
     DyadicSquare,
     dyadic_cover,
-    layer_of_radius,
     lipschitz_majorant_area,
     whitney_cover_area,
 )
 from .geom import ArcBox, DiskCompact, HalfDisk, HalfPlaneHull, VSlit
 from .hyperbolic import RectSet, filled_region, neighborhood_area
-from .wos import DiskDomain, expected_log_modulus
 
 CLAIMS = (
     "t1",
@@ -370,68 +367,80 @@ def prop1_induction_check(
 # ---------------------------------------------------------------------------
 
 
+def _filled_verdict(ok: bool, regions: list, note: str) -> tuple[str, str, float]:
+    """(verdict, note, area_gap) for a check that consumes filled regions.
+
+    A region whose area bracket stopped short of its tolerance (the plateau
+    rule of filled_region) cannot decide the check: the row is
+    "inconclusive" and area_gap is the widest gap among the regions.
+    """
+    area_gap = max(r.bounds.gap for r in regions)
+    if all(r.bounds.tolerance_met for r in regions):
+        return _verdict(ok), note, area_gap
+    return "inconclusive", f"filled-area tolerance not met (gap {area_gap:.3g})", area_gap
+
+
 def fattening_check(B: DiskCompact, cfg: VerifyConfig, tag: str = "", iterated: bool = False) -> list[CheckResult]:
     est_b = dcap_mc(B, cfg.n_walks, cfg.eps_stop, cfg.seed + 7001, cfg.threads)
     region = filled_region(B, 1.0, 2e-3)
     est_hat = dcap_mc(RectSet(*region.blocked_rects()), cfg.n_walks, cfg.eps_stop, cfg.seed + 7002, cfg.threads)
     sigma = math.hypot(est_b.std_error, est_hat.std_error)
     ratio = est_hat.mean / est_b.mean
-    area_gap = region.bounds.gap
+    ratio_verdict, ratio_note, area_gap = _filled_verdict(ratio <= fixtures.FATTEN_C, [region], "")
+    schwarz_verdict, schwarz_note, _ = _filled_verdict(
+        est_b.mean <= est_hat.mean + 3 * sigma, [region], "reverse inequality dcap(B) <= dcap(filled(B))"
+    )
     out = [
         CheckResult(
             "fattening",
             f"ratio{tag}",
             {"dcap_hat": est_hat.mean, "dcap_b": est_b.mean, "ratio": ratio, "area_gap": area_gap},
             (0.0, fixtures.FATTEN_C),
-            _verdict(ratio <= fixtures.FATTEN_C),
+            ratio_verdict,
+            ratio_note,
         ),
         CheckResult(
             "fattening",
             f"schwarz{tag}",
             {"dcap_b": est_b.mean, "dcap_hat": est_hat.mean, "sigma": sigma, "area_gap": area_gap},
             None,
-            _verdict(est_b.mean <= est_hat.mean + 3 * sigma),
-            "reverse inequality dcap(B) <= dcap(filled(B))",
+            schwarz_verdict,
+            schwarz_note,
         ),
     ]
     if iterated:
         obstacle = B
+        regions = [region]
         for _ in range(4):
-            obstacle = RectSet(*filled_region(obstacle, 0.25, 4e-3).blocked_rects())
+            regions.append(filled_region(obstacle, 0.25, 4e-3))
+            obstacle = RectSet(*regions[-1].blocked_rects())
         est_iter = dcap_mc(obstacle, cfg.n_walks, cfg.eps_stop, cfg.seed + 7003, cfg.threads)
         ratio_iter = est_iter.mean / est_hat.mean
+        verdict, note, iter_gap = _filled_verdict(
+            _in_bracket(ratio_iter, fixtures.FATTEN_ITER),
+            regions,
+            "four quarter-radius fattenings vs one radius-1 fattening",
+        )
         out.append(
             CheckResult(
                 "fattening",
                 f"iterated{tag}",
-                {"dcap_iter": est_iter.mean, "dcap_hat": est_hat.mean, "ratio": ratio_iter},
+                {"dcap_iter": est_iter.mean, "dcap_hat": est_hat.mean, "ratio": ratio_iter, "area_gap": iter_gap},
                 fixtures.FATTEN_ITER,
-                _verdict(_in_bracket(ratio_iter, fixtures.FATTEN_ITER)),
-                "four quarter-radius fattenings vs one radius-1 fattening",
+                verdict,
+                note,
             )
         )
     return out
 
 
-def _layer_freqs(terminals: np.ndarray, labels: np.ndarray) -> dict[int, float]:
-    hits = labels >= 0
-    freqs: dict[int, float] = {}
-    if np.any(hits):
-        depth = 1.0 - np.abs(terminals[hits])
-        shallow = depth >= 0.5
-        layers = np.zeros(depth.shape, dtype=np.int64)
-        layers[~shallow] = layer_of_radius(depth[~shallow])
-        for n in np.unique(layers):
-            freqs[int(n)] = float(np.sum(layers == n)) / labels.size
-    return freqs
-
-
 def smoothed_omega_check(B: DiskCompact, cfg: VerifyConfig, tag: str = "") -> list[CheckResult]:
     eps = 0.125  # keeps radius-2*eps balls within adjacent layers
     ls = dcap_layer_sum(B, cfg.n_walks, cfg.eps_stop, cfg.seed + 8001, cfg.threads)
-    rects = RectSet(*filled_region(B, eps, 2e-3).blocked_rects())
-    _, ens = expected_log_modulus(DiskDomain(rects), cfg.n_walks, cfg.seed + 8002, cfg.eps_stop, cfg.threads)
-    omega_hat = _layer_freqs(ens.terminals, ens.labels)
+    region = filled_region(B, eps, 2e-3)
+    omega_hat = dcap_layer_sum(
+        RectSet(*region.blocked_rects()), cfg.n_walks, cfg.eps_stop, cfg.seed + 8002, cfg.threads
+    ).omega
     out = []
     n_tot = cfg.n_walks
     for n, w_hat in sorted(omega_hat.items()):
@@ -441,16 +450,19 @@ def smoothed_omega_check(B: DiskCompact, cfg: VerifyConfig, tag: str = "") -> li
         if w_hat < 10 * sigma:
             continue
         smooth = ls.omega.get(n - 1, 0.0) + ls.omega.get(n, 0.0) + ls.omega.get(n + 1, 0.0)
-        values = {"n": n, "omega_hat": w_hat, "three_layer_sum": smooth}
-        ok = w_hat <= fixtures.OMEGA_C * smooth
+        verdict, note, area_gap = _filled_verdict(
+            w_hat <= fixtures.OMEGA_C * smooth,
+            [region],
+            "smoothed vs adjacent plain layers; one-layer bound not asserted",
+        )
         out.append(
             CheckResult(
                 "omega",
                 f"layer{tag}[{n}]",
-                values,
+                {"n": n, "omega_hat": w_hat, "three_layer_sum": smooth, "area_gap": area_gap},
                 (0.0, fixtures.OMEGA_C),
-                _verdict(ok),
-                "smoothed vs adjacent plain layers; one-layer bound not asserted",
+                verdict,
+                note,
             )
         )
     if not out:

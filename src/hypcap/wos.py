@@ -12,6 +12,10 @@ LABEL_OUTER.  Angles come from counter-based substreams
 keyed by (seed, global walk index, step), and aggregation uses a
 fixed-order pairwise tree, so estimates are bit-identical for any worker
 count.
+
+walk_mean is the only route from walks to an Estimate: every estimator
+passes it a functional of the exit point and gets back the pairwise mean,
+its standard error and the ensemble.
 """
 
 from __future__ import annotations
@@ -36,22 +40,6 @@ _CHUNK = 16384
 
 class EstimatorError(RuntimeError):
     """Raised when too many walks fail to terminate within the step cap."""
-
-
-@dataclass(frozen=True)
-class WalkResult:
-    """Outcome of one walk."""
-
-    terminal: complex
-    label: int
-    steps: int
-    stop_dist: float
-    flagged: bool = False
-
-    def label_name(self, space: str) -> str:
-        if self.label == LABEL_OUTER:
-            return "real-axis" if space == "halfplane" else "unit-circle"
-        return f"obstacle-{self.label}"
 
 
 @dataclass(frozen=True)
@@ -223,11 +211,6 @@ def _stop_distance(domain: DomainOracle, eps_stop: float | None) -> float:
     return eps
 
 
-def _require_inside(domain: DomainOracle, start: np.ndarray, eps: float) -> None:
-    if not float(domain.dist(start.reshape(1))[0]) > eps:
-        raise ValueError("start point is not strictly inside the domain")
-
-
 def run_walks(
     domain: DomainOracle,
     start: complex | np.ndarray,
@@ -240,18 +223,22 @@ def run_walks(
     """Run n_walks independent walks; reproducible per (seed, index).
 
     start is one point shared by every walk, or an array of n_walks
-    per-walk starts.  A shared start must lie strictly inside the domain; a
-    per-walk start within eps_stop of the boundary ends at step 0.
+    per-walk starts.  A shared start must lie strictly inside the domain.
+    Per-walk starts must be finite and inside the closed outer boundary; one
+    within eps_stop of the boundary ends at step 0.
     """
     if n_walks <= 0:
         raise ValueError("n_walks must be positive")
     eps = _stop_distance(domain, eps_stop)
     starts = np.asarray(start, dtype=complex)
     if starts.ndim == 0:
-        _require_inside(domain, starts, eps)
+        if not float(domain.dist(starts.reshape(1))[0]) > eps:
+            raise ValueError("start point is not strictly inside the domain")
         starts = np.broadcast_to(starts, (n_walks,))
     elif starts.shape != (n_walks,):
         raise ValueError(f"need one start per walk, got shape {starts.shape} for {n_walks} walks")
+    elif not np.all(np.isfinite(starts) & (domain._outer_dist(starts) >= 0)):
+        raise ValueError("per-walk starts must be finite and inside the outer boundary")
 
     term = np.empty(n_walks, dtype=complex)
     labels = np.empty(n_walks, dtype=np.int64)
@@ -280,20 +267,6 @@ def run_walks(
     return WalkEnsemble(term, labels, steps, stopd, flagged, eps, seed, domain.space)
 
 
-def wos_walk(
-    domain: DomainOracle,
-    start: complex,
-    eps_stop: float | None = None,
-    seed: int = 0,
-    walk_index: int = 0,
-) -> WalkResult:
-    """One walk, identified by its (seed, walk_index) substream."""
-    eps = _stop_distance(domain, eps_stop)
-    _require_inside(domain, np.asarray(start, dtype=complex), eps)
-    t, l, s, sd, fl = _simulate_chunk(domain, np.asarray([start]), walk_index, eps, seed, DEFAULT_STEP_CAP)
-    return WalkResult(complex(t[0]), int(l[0]), int(s[0]), float(sd[0]), bool(fl[0]))
-
-
 # ---------------------------------------------------------------------------
 # reduction and estimators
 # ---------------------------------------------------------------------------
@@ -316,61 +289,27 @@ def pairwise_sum(values: np.ndarray) -> float:
     return float(a[0])
 
 
-def estimate_from_values(
-    values: np.ndarray, eps_stop: float, seed: int, bias_note: str = ""
-) -> Estimate:
-    n = values.size
-    mean = pairwise_sum(values) / n
-    if n > 1:
-        var = pairwise_sum((values - mean) ** 2) / (n - 1)
-    else:
-        var = 0.0
-    return Estimate(mean, math.sqrt(var / n), n, eps_stop, seed, bias_note)
-
-
-def harmonic_measure(
+def walk_mean(
     domain: DomainOracle,
-    start: complex,
-    target: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    n_walks: int,
-    seed: int = 0,
-    eps_stop: float | None = None,
-    threads: int = 1,
-) -> Estimate:
-    """Probability that the exit point satisfies target(labels, terminals)."""
-    ens = run_walks(domain, start, n_walks, eps_stop, seed, threads=threads)
-    ens.check_flagged()
-    hits = np.asarray(target(ens.labels, ens.terminals), dtype=float)
-    return estimate_from_values(hits, ens.eps_stop, seed, "hit fraction; O(eps_stop) labeling bias")
-
-
-def expected_log_modulus(
-    domain: DiskDomain,
-    n_walks: int,
-    seed: int = 0,
-    eps_stop: float | None = None,
-    threads: int = 1,
-    start: complex = 0j,
-) -> tuple[Estimate, WalkEnsemble]:
-    """Mean of log|terminal| for walks from the origin of a disk domain."""
-    ens = run_walks(domain, start, n_walks, eps_stop, seed, threads=threads)
-    ens.check_flagged()
-    # circle exits contribute log 1 = 0 exactly
-    vals = np.where(ens.labels >= 0, np.log(np.abs(ens.terminals)), 0.0)
-    est = estimate_from_values(vals, ens.eps_stop, seed, "projection bias O(eps_stop)")
-    return est, ens
-
-
-def expected_height(
-    domain: HalfPlaneDomain,
     start: complex | np.ndarray,
     n_walks: int,
+    value: Callable[[WalkEnsemble], np.ndarray],
     seed: int = 0,
     eps_stop: float | None = None,
     threads: int = 1,
-) -> Estimate:
-    """Mean of Im(terminal); exits through the real axis contribute zero."""
+    bias_note: str = "",
+) -> tuple[Estimate, WalkEnsemble]:
+    """Mean of the per-walk values value(ensemble) over n_walks walks.
+
+    This is the one route from walks to an Estimate: it runs the walks,
+    rejects an ensemble with too many step-capped walks, and reduces the
+    values with the fixed-order pairwise sum, so the mean and its standard
+    error are bit-identical for any worker count.
+    """
     ens = run_walks(domain, start, n_walks, eps_stop, seed, threads=threads)
     ens.check_flagged()
-    vals = ens.terminals.imag
-    return estimate_from_values(vals, ens.eps_stop, seed, "projection bias O(eps_stop)")
+    values = np.asarray(value(ens), dtype=float)
+    n = values.size
+    mean = pairwise_sum(values) / n
+    var = pairwise_sum((values - mean) ** 2) / (n - 1) if n > 1 else 0.0
+    return Estimate(mean, math.sqrt(var / n), n, ens.eps_stop, seed, bias_note), ens

@@ -9,7 +9,7 @@ from hypcap.capacity import ring
 from hypcap.geom import ArcBox, BoxShape, DiskCompact, HalfDisk, HalfPlaneHull, RadialSlit, VSlit
 from hypcap.hyperbolic import RectSet, filled_region, neighborhood_area
 from hypcap.mobius import image_area
-from hypcap.wos import DiskDomain, run_walks, wos_walk
+from hypcap.wos import DiskDomain, run_walks
 
 NAN = float("nan")
 SLIT_HULL = HalfPlaneHull([VSlit(0, 1)])
@@ -66,7 +66,7 @@ def test_non_obstacles_rejected():
         lambda: filled_region(SLIT_DISK, tol=NAN, max_depth=6),
         lambda: filled_region(SLIT_DISK, rho=NAN, max_depth=6),
         lambda: image_area(SLIT_HULL, 5.0, tol=NAN, max_depth=6),
-        lambda: wos_walk(DiskDomain(SLIT_DISK), 2 + 0j),
+        lambda: run_walks(DiskDomain(SLIT_DISK), 2 + 0j, 4),
     ],
     ids=[
         "eps_stop-nan",
@@ -75,7 +75,7 @@ def test_non_obstacles_rejected():
         "filled-tol-nan",
         "filled-rho-nan",
         "image-tol-nan",
-        "wos_walk-outside",
+        "start-outside",
     ],
 )
 def test_invalid_inputs_raise(call):

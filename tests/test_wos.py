@@ -3,20 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from hypcap.capacity import hcap_mc, ring
+from hypcap.capacity import dcap_layer_sum, dcap_transport, hcap_mc, ring
 from hypcap.geom import DiskCompact, HalfDisk, HalfPlaneHull, RadialSlit, VSlit
 from hypcap.wos import (
     DiskDomain,
     EstimatorError,
     HalfPlaneDomain,
     LABEL_OUTER,
-    expected_height,
-    expected_log_modulus,
-    harmonic_measure,
     pairwise_sum,
     run_walks,
-    wos_walk,
+    walk_mean,
 )
+
+
+def _log_modulus(ens):
+    # circle exits contribute log 1 = 0 exactly
+    return np.where(ens.labels >= 0, np.log(np.abs(ens.terminals)), 0.0)
+
+
+def _height(ens):
+    return ens.terminals.imag
 
 
 def test_pairwise_sum_matches_fsum():
@@ -44,14 +50,15 @@ def test_empty_hull_exits_on_axis():
 
 
 def test_walk_reproducibility():
+    # walk 17 of seed 9 is the same walk whatever the ensemble size
     d = DiskDomain(DiskCompact([RadialSlit(0.3, 0.7)]))
-    w1 = wos_walk(d, 0j, eps_stop=1e-4, seed=9, walk_index=17)
-    w2 = wos_walk(d, 0j, eps_stop=1e-4, seed=9, walk_index=17)
-    assert w1 == w2
-    w3 = wos_walk(d, 0j, eps_stop=1e-4, seed=9, walk_index=18)
-    assert w3.terminal != w1.terminal
-    assert w1.stop_dist <= 1e-4
-    assert w1.label_name("disk") in ("unit-circle", "obstacle-0")
+    e18 = run_walks(d, 0j, 18, eps_stop=1e-4, seed=9)
+    e19 = run_walks(d, 0j, 19, eps_stop=1e-4, seed=9)
+    for field in ("terminals", "labels", "steps", "stop_dists", "flagged"):
+        assert getattr(e18, field)[17] == getattr(e19, field)[17]
+    assert e19.terminals[18] != e19.terminals[17]
+    assert e18.stop_dists[17] <= 1e-4
+    assert e18.labels[17] in (LABEL_OUTER, 0)
 
 
 def test_worker_count_independence():
@@ -61,12 +68,13 @@ def test_worker_count_independence():
     for other in runs[1:]:
         assert np.array_equal(base.terminals, other.terminals)
         assert np.array_equal(base.labels, other.labels)
-    ests = [
-        expected_log_modulus(d, 40_000, seed=5, threads=t)[0].mean for t in (1, 2, 8)
-    ]
+    ests = [walk_mean(d, 0j, 40_000, _log_modulus, seed=5, threads=t)[0].mean for t in (1, 2, 8)]
     assert ests[0] == ests[1] == ests[2]
+    B = d.obstacle
+    assert dcap_layer_sum(B, 40_000, seed=5, threads=1) == dcap_layer_sum(B, 40_000, seed=5, threads=2)
     A = HalfPlaneHull([VSlit(0.3, 0.8), HalfDisk(2.0, 0.4)])
     assert hcap_mc(A, n_walks=40_000, seed=5, threads=1) == hcap_mc(A, n_walks=40_000, seed=5, threads=2)
+    assert dcap_transport(A, 8.0, 40_000, seed=5, threads=1) == dcap_transport(A, 8.0, 40_000, seed=5, threads=2)
 
 
 def test_per_walk_starts():
@@ -83,11 +91,23 @@ def test_per_walk_starts():
         run_walks(d, np.full(5, 2j), 6, seed=3)
 
 
+def test_per_walk_starts_outside_rejected():
+    # a NaN start used to walk to the step cap, and one below the axis to
+    # end at step 0 as a real-axis exit
+    hp = HalfPlaneDomain(HalfPlaneHull([HalfDisk(0, 1)]))
+    disk = DiskDomain(ring(0.7))
+    cases = [(hp, 2j, 0.5 - 1j), (hp, 2j, complex("nan")), (hp, 2j, complex(0.0, math.inf)), (disk, 0j, 1.5 + 0j)]
+    for d, good, bad in cases:
+        with pytest.raises(ValueError):
+            run_walks(d, np.array([good, bad]), 2, seed=3, step_cap=2000)
+    # the closed outer boundary is allowed, as for hcap_mc's starts at theta = 0
+    ens = run_walks(hp, np.array([2j, 3 + 0j]), 2, seed=3)
+    assert ens.labels[1] == LABEL_OUTER and ens.steps[1] == 0
+
+
 def test_harmonic_measure_semicircle():
     d = DiskDomain(DiskCompact([]))
-    est = harmonic_measure(
-        d, 0j, lambda labels, terms: terms.imag > 0, n_walks=50_000, seed=3
-    )
+    est, _ = walk_mean(d, 0j, 50_000, lambda ens: ens.terminals.imag > 0, seed=3)
     assert est.within(0.5, sigmas=3.0)
 
 
@@ -95,39 +115,39 @@ def test_harmonic_measure_arc_fraction():
     d = DiskDomain(DiskCompact([]))
     theta0 = 1.2
 
-    def target(labels, terms):
-        ang = np.angle(terms) % (2 * math.pi)
+    def target(ens):
+        ang = np.angle(ens.terminals) % (2 * math.pi)
         return ang < theta0
 
-    est = harmonic_measure(d, 0j, target, n_walks=50_000, seed=4)
+    est, _ = walk_mean(d, 0j, 50_000, target, seed=4)
     assert est.within(theta0 / (2 * math.pi), sigmas=3.0)
 
 
 def test_harmonic_measure_ring_is_certain():
     d = DiskDomain(ring(0.7))
-    est = harmonic_measure(d, 0j, lambda labels, terms: labels >= 0, n_walks=2000, seed=5)
+    est, _ = walk_mean(d, 0j, 2000, lambda ens: ens.labels >= 0, seed=5)
     assert est.mean == 1.0
 
 
 def test_expected_log_modulus_ring_values():
     for rho in (0.6, 0.7, 0.8):
         d = DiskDomain(ring(rho))
-        est, ens = expected_log_modulus(d, 5000, seed=6, eps_stop=1e-4)
+        est, _ = walk_mean(d, 0j, 5000, _log_modulus, seed=6, eps_stop=1e-4)
         assert abs(est.mean - math.log(rho)) <= 3 * est.std_error + 2e-4
 
 
 def test_eps_stop_bias_bounded():
     for eps in (1e-3, 1e-4):
         d = DiskDomain(ring(0.7))
-        est, _ = expected_log_modulus(d, 2000, seed=7, eps_stop=eps)
+        est, _ = walk_mean(d, 0j, 2000, _log_modulus, seed=7, eps_stop=eps)
         assert abs(est.mean - math.log(0.7)) <= 2 * eps
 
 
 def test_log_modulus_monotone_in_obstacle():
     B1 = DiskCompact([RadialSlit(0.0, 0.8)])
     B2 = DiskCompact([RadialSlit(0.0, 0.8), RadialSlit(2.0, 0.7)])
-    e1, _ = expected_log_modulus(DiskDomain(B1), 30_000, seed=8)
-    e2, _ = expected_log_modulus(DiskDomain(B2), 30_000, seed=8)
+    e1, _ = walk_mean(DiskDomain(B1), 0j, 30_000, _log_modulus, seed=8)
+    e2, _ = walk_mean(DiskDomain(B2), 0j, 30_000, _log_modulus, seed=8)
     sigma = math.hypot(e1.std_error, e2.std_error)
     assert e2.mean <= e1.mean + 3 * sigma
 
@@ -135,20 +155,20 @@ def test_log_modulus_monotone_in_obstacle():
 def test_expected_height_halfdisk():
     for y in (4.0, 8.0):
         d = HalfPlaneDomain(HalfPlaneHull([HalfDisk(0, 1)]))
-        est = expected_height(d, 1j * y, 40_000, seed=9)
+        est, _ = walk_mean(d, 1j * y, 40_000, _height, seed=9)
         assert est.within(1.0 / y, sigmas=3.0, extra=2 * est.eps_stop)
 
 
 def test_expected_height_vslit_y4():
     d = HalfPlaneDomain(HalfPlaneHull([VSlit(0, 1)]))
-    est = expected_height(d, 4j, 60_000, seed=10)
+    est, _ = walk_mean(d, 4j, 60_000, _height, seed=10)
     assert est.within(4.0 - math.sqrt(15.0), sigmas=3.0, extra=2 * est.eps_stop)
 
 
 def test_variance_scaling():
     d = HalfPlaneDomain(HalfPlaneHull([HalfDisk(0, 1)]))
-    e1 = expected_height(d, 8j, 10_000, seed=11)
-    e2 = expected_height(d, 8j, 40_000, seed=11)
+    e1, _ = walk_mean(d, 8j, 10_000, _height, seed=11)
+    e2, _ = walk_mean(d, 8j, 40_000, _height, seed=11)
     ratio = e1.std_error / e2.std_error
     assert 2.0 * 0.8 <= ratio <= 2.0 * 1.2
 
