@@ -253,17 +253,23 @@ class FilledRegion:
     rho: float
 
     def blocked_rects(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Geometric rects of blocked cells adjacent to the passable region."""
+        """Geometric rects of blocked cells adjacent to the passable region.
+
+        Only cells meeting the closed bounding box of the passable cells can
+        touch one, so the adjacency runs over those alone; the box is taken
+        in the exact integer coordinates of the quadtree.
+        """
+        frontier = np.zeros(self.passable.shape, dtype=bool)
+        if self.passable.any():
+            X0, X1, Y0, Y1 = self.leaves.int_rects()
+            p = self.passable
+            near = (X1 >= X0[p].min()) & (X0 <= X1[p].max()) & (Y1 >= Y0[p].min()) & (Y0 <= Y1[p].max())
+            pi, pj = quadtree.adjacency_pairs(self.leaves, near, corners=True)
+            blocked = ~p
+            frontier[pj[p[pi] & blocked[pj]]] = True
+            frontier[pi[p[pj] & blocked[pi]]] = True
         x0, x1, y0, y1 = self.leaves.rects()
-        blocked = ~self.passable
-        pi, pj = quadtree.adjacency_pairs(self.leaves, np.ones_like(blocked), corners=True)
-        frontier = np.zeros(blocked.shape, dtype=bool)
-        mask = self.passable[pi] & blocked[pj]
-        frontier[pj[mask]] = True
-        mask = self.passable[pj] & blocked[pi]
-        frontier[pi[mask]] = True
-        keep = frontier
-        return x0[keep], x1[keep], y0[keep], y1[keep]
+        return x0[frontier], x1[frontier], y0[frontier], y1[frontier]
 
 
 def _segment_reaches_disk(p0x, p0y, p1x, p1y) -> np.ndarray:
@@ -354,6 +360,30 @@ def circle_rect_area(a: float, b: float, c: float, d: float) -> float:
     return total
 
 
+def _disk_rect_areas(a, b, c, d) -> np.ndarray:
+    """Area of [a, b] x [c, d] intersected with the unit disk, elementwise.
+
+    The area is P(b, d) - P(a, d) - P(b, c) + P(a, c), where P(x, y) is the
+    integral over u in [-1, x] of clip(y, -s(u), s(u)), s(u) = sqrt(1 - u^2).
+    For |y| = h the integrand is h where |u| < t = sqrt(1 - h^2) and s(u)
+    beyond, so P splits at -t and t into closed forms.  circle_rect_area is
+    the scalar reference.
+    """
+
+    def chord(u):
+        # antiderivative of s(u)
+        return 0.5 * (u * np.sqrt(np.maximum(1.0 - u * u, 0.0)) + np.arcsin(u))
+
+    def P(x, y):
+        x = np.clip(x, -1.0, 1.0)
+        h = np.minimum(np.abs(y), 1.0)
+        t = np.sqrt(1.0 - h * h)
+        ends = chord(np.minimum(x, -t)) + math.pi / 4.0 + chord(np.maximum(x, t)) - chord(t)
+        return np.sign(y) * (ends + h * (np.clip(x, -t, t) + t))
+
+    return P(b, d) - P(a, d) - P(b, c) + P(a, c)
+
+
 def _indisk_areas(leaves: Leaves) -> np.ndarray:
     """Exact area of each cell's intersection with the closed unit disk."""
     x0, x1, y0, y1 = leaves.rects()
@@ -361,9 +391,8 @@ def _indisk_areas(leaves: Leaves) -> np.ndarray:
     far = np.hypot(np.maximum(np.abs(x0), np.abs(x1)), np.maximum(np.abs(y0), np.abs(y1)))
     near = np.hypot(np.clip(0.0, x0, x1), np.clip(0.0, y0, y1))
     out = np.where(far <= 1.0, areas, 0.0)
-    crossing = np.flatnonzero((far > 1.0) & (near < 1.0))
-    for i in crossing:
-        out[i] = circle_rect_area(x0[i], x1[i], y0[i], y1[i])
+    i = np.flatnonzero((far > 1.0) & (near < 1.0))
+    out[i] = _disk_rect_areas(x0[i], x1[i], y0[i], y1[i])
     return out
 
 
@@ -425,8 +454,36 @@ def filled_neighborhood_area(
 # ---------------------------------------------------------------------------
 
 
+# a RectSet query holds at most this many (point, rectangle) entries at once
+_QUERY_BLOCK = 1 << 18
+# octaves with at most this many rectangles share one brute-force block
+_TREE_MIN = 256
+# margin on the certification bound: far above the rounding of coordinates
+# in [-1.05, 1.05], far below any cell size
+_CERT_SLACK = 1e-12
+
+
 class RectSet(Obstacle):
-    """Exact distance to a finite union of axis-aligned rectangles."""
+    """Exact distance to a finite union of axis-aligned rectangles.
+
+    The rectangles are grouped by octave of half-diagonal h.  An octave
+    with more than _TREE_MIN rectangles gets a cKDTree on their centers;
+    the others share one block that every query scans by brute force.  A
+    k-NN pass on an octave's tree is certified for a point once the best
+    distance found so far, over all groups, is below d_k - h_max (less
+    _CERT_SLACK): d_k is the k-th center distance and h_max the octave's
+    largest half-diagonal, so every rectangle past the k-th center is at
+    least that far away.  Open points retry with 4k neighbours and scan the
+    whole octave once 16k reaches its size.  Like-sized octaves keep k
+    small where one global h_max drove it toward the number of rectangles.
+
+    Each pass runs in blocks of at most _QUERY_BLOCK (point, rectangle)
+    entries, so a query allocates O(points) plus a constant, whatever the
+    number of rectangles and however high k climbs.  dist is the exact
+    minimum over all rectangles, bit-identical to a brute-force scan; the
+    label of nearest is the lowest index among the rectangles at exactly
+    that distance.
+    """
 
     space = "disk"
     is_empty = False
@@ -440,9 +497,19 @@ class RectSet(Obstacle):
             raise ValueError("RectSet needs at least one rectangle")
         cx = 0.5 * (self.x0 + self.x1)
         cy = 0.5 * (self.y0 + self.y1)
-        self._half = 0.5 * np.hypot(self.x1 - self.x0, self.y1 - self.y0)
-        self._maxhalf = float(self._half.max())
-        self._tree = cKDTree(np.column_stack([cx, cy]))
+        half = 0.5 * np.hypot(self.x1 - self.x0, self.y1 - self.y0)
+        octave = np.frexp(half)[1]
+        # (tree on the centers, rectangle indices, largest half-diagonal)
+        self._trees = []
+        small = []
+        for e in np.unique(octave):
+            idx = np.flatnonzero(octave == e)
+            if idx.size <= _TREE_MIN:
+                small.append(idx)
+            else:
+                tree = cKDTree(np.column_stack([cx[idx], cy[idx]]))
+                self._trees.append((tree, idx, float(half[idx].max())))
+        self._small = np.sort(np.concatenate(small)) if small else np.empty(0, dtype=np.int64)
         self.min_abs = float(
             np.min(
                 np.hypot(
@@ -452,34 +519,66 @@ class RectSet(Obstacle):
             )
         )
 
-    def _query(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(distance, index of the nearest rectangle) per point, by k-NN on the centers."""
-        pts = np.column_stack([flat.real, flat.imag])
-        n_rect = self.x0.size
-        dist = np.full(flat.shape, np.inf)
-        best = np.zeros(flat.shape, dtype=np.int64)
-        unresolved = np.arange(flat.size)
-        k = min(8, n_rect)
-        while unresolved.size:
-            d_center, idx = self._tree.query(pts[unresolved], k=k)
-            if k == 1:
-                d_center = d_center[:, None]
-                idx = idx[:, None]
-            z = flat[unresolved]
-            dx = np.maximum(np.maximum(self.x0[idx] - z.real[:, None], z.real[:, None] - self.x1[idx]), 0.0)
-            dy = np.maximum(np.maximum(self.y0[idx] - z.imag[:, None], z.imag[:, None] - self.y1[idx]), 0.0)
-            d = np.hypot(dx, dy)
-            pick = np.argmin(d, axis=1)[:, None]
-            exact = np.take_along_axis(d, pick, axis=1)[:, 0]
-            # rects beyond the k-th center are at least d_k - maxhalf away
-            certified = (k >= n_rect) | (exact <= d_center[:, -1] - self._maxhalf)
-            done = unresolved[certified]
-            dist[done] = exact[certified]
-            best[done] = np.take_along_axis(idx, pick, axis=1)[certified, 0]
-            unresolved = unresolved[~certified]
-            if k >= n_rect:
-                break
-            k = min(k * 4, n_rect)
+    def _merge(self, z, rows, cand, dist, best) -> None:
+        """Fold the exact distances from z[rows] to the rectangles cand into (dist, best).
+
+        cand holds one row of rectangle indices per point, or a single row
+        shared by all of them.
+        """
+        zr = z.real[rows, None]
+        zi = z.imag[rows, None]
+        dx = np.maximum(np.maximum(self.x0[cand] - zr, zr - self.x1[cand]), 0.0)
+        dy = np.maximum(np.maximum(self.y0[cand] - zi, zi - self.y1[cand]), 0.0)
+        d = np.hypot(dx, dy)
+        m = d.min(axis=1)
+        label = np.where(d == m[:, None], cand, self.x0.size).min(axis=1)
+        cur = dist[rows]
+        better = (m < cur) | ((m == cur) & (label < best[rows]))
+        dist[rows[better]] = m[better]
+        best[rows[better]] = label[better]
+
+    def _scan(self, z, rows, cols, dist, best) -> None:
+        """Brute force from z[rows] over the rectangles cols, block by block."""
+        width = min(cols.size, _QUERY_BLOCK)
+        height = max(1, _QUERY_BLOCK // width)
+        for j in range(0, cols.size, width):
+            c = cols[None, j : j + width]
+            for i in range(0, rows.size, height):
+                self._merge(z, rows[i : i + height], c, dist, best)
+
+    def _query(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(distance, index of the nearest rectangle) per point of the 1-D array z."""
+        dist = np.full(z.shape, np.inf)
+        best = np.zeros(z.shape, dtype=np.int64)
+        every = np.arange(z.size)
+        if self._small.size:
+            self._scan(z, every, self._small, dist, best)
+        pts = np.column_stack([z.real, z.imag])
+        # (tree group, points it has not certified, k): one pass per group and
+        # round, then certify against the best distance over all groups
+        state = [(group, every, 8) for group in self._trees]
+        while state:
+            kth = []
+            for (tree, idx, _), rows, k in state:
+                d_k = np.empty(rows.size)
+                height = max(1, _QUERY_BLOCK // k)
+                for i in range(0, rows.size, height):
+                    r = rows[i : i + height]
+                    d_center, near = tree.query(pts[r], k=k)
+                    self._merge(z, r, idx[near.reshape(r.size, k)], dist, best)
+                    d_k[i : i + height] = d_center.reshape(r.size, k)[:, -1]
+                kth.append(d_k)
+            pending = []
+            for (group, rows, k), d_k in zip(state, kth):
+                _, idx, h_max = group
+                rows = rows[~(dist[rows] < d_k - h_max - _CERT_SLACK)]
+                if rows.size == 0:
+                    continue
+                if 16 * k >= idx.size or 4 * k > _QUERY_BLOCK:
+                    self._scan(z, rows, idx, dist, best)
+                else:
+                    pending.append((group, rows, 4 * k))
+            state = pending
         return dist, best
 
     def dist(self, z) -> np.ndarray:

@@ -411,26 +411,28 @@ def fattening_check(B: DiskCompact, cfg: VerifyConfig, tag: str = "", iterated: 
     if iterated:
         obstacle = B
         regions = [region]
-        for _ in range(4):
+        for k in range(1, 5):
             regions.append(filled_region(obstacle, 0.25, 4e-3))
-            obstacle = RectSet(*regions[-1].blocked_rects())
-        est_iter = dcap_mc(obstacle, cfg.n_walks, cfg.eps_stop, cfg.seed + 7003, cfg.threads)
-        ratio_iter = est_iter.mean / est_hat.mean
-        verdict, note, iter_gap = _filled_verdict(
-            _in_bracket(ratio_iter, fixtures.FATTEN_ITER),
-            regions,
-            "four quarter-radius fattenings vs one radius-1 fattening",
-        )
-        out.append(
-            CheckResult(
-                "fattening",
-                f"iterated{tag}",
-                {"dcap_iter": est_iter.mean, "dcap_hat": est_hat.mean, "ratio": ratio_iter, "area_gap": iter_gap},
-                fixtures.FATTEN_ITER,
-                verdict,
-                note,
+            rects = regions[-1].blocked_rects()
+            if rects[0].size == 0:
+                break
+            obstacle = RectSet(*rects)
+        if rects[0].size == 0:
+            # no cell was certified free and connected to 0: nothing to walk against
+            iter_gap = max(r.bounds.gap for r in regions)
+            values = {"dcap_hat": est_hat.mean, "area_gap": iter_gap}
+            verdict = "inconclusive"
+            note = f"quarter-radius fattening {k} has no passable cell (area gap {iter_gap:.3g})"
+        else:
+            est_iter = dcap_mc(obstacle, cfg.n_walks, cfg.eps_stop, cfg.seed + 7003, cfg.threads)
+            ratio_iter = est_iter.mean / est_hat.mean
+            verdict, note, iter_gap = _filled_verdict(
+                _in_bracket(ratio_iter, fixtures.FATTEN_ITER),
+                regions,
+                "four quarter-radius fattenings vs one radius-1 fattening",
             )
-        )
+            values = {"dcap_iter": est_iter.mean, "dcap_hat": est_hat.mean, "ratio": ratio_iter, "area_gap": iter_gap}
+        out.append(CheckResult("fattening", f"iterated{tag}", values, fixtures.FATTEN_ITER, verdict, note))
     return out
 
 

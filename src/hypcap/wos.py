@@ -13,6 +13,13 @@ keyed by (seed, global walk index, step), and aggregation uses a
 fixed-order pairwise tree, so estimates are bit-identical for any worker
 count.
 
+The walks of a shared start all take the one distance run_walks computes
+to check that start as their step-0 distance, so the start is queried once
+per call, not once per walk; walks from per-walk starts query each start
+once.  Either way the ensemble is the same.  This matters for a RectSet
+whose cells are all nearly equidistant from the start (the origin inside a
+filled ring), where one query scans every cell.
+
 walk_mean is the only route from walks to an Estimate: every estimator
 passes it a functional of the exit point and gets back the pairwise mean,
 its standard error and the ensemble.
@@ -166,7 +173,8 @@ class WalkEnsemble:
             )
 
 
-def _simulate_chunk(domain, starts, first_id, eps, seed, step_cap):
+def _simulate_chunk(domain, starts, d, first_id, eps, seed, step_cap):
+    """Walk from starts, whose boundary distances d are already known."""
     m = starts.size
     term = np.empty(m, dtype=complex)
     labels = np.empty(m, dtype=np.int64)
@@ -180,7 +188,6 @@ def _simulate_chunk(domain, starts, first_id, eps, seed, step_cap):
     nstep = np.zeros(m, dtype=np.int64)
 
     while local.size:
-        d = domain.dist(pos)
         fin = d <= eps
         capped = (~fin) & (nstep >= step_cap)
         done = fin | capped
@@ -200,6 +207,7 @@ def _simulate_chunk(domain, starts, first_id, eps, seed, step_cap):
         ids = ids[cont]
         local = local[cont]
         nstep = nstep[cont] + 1
+        d = domain.dist(pos)
 
     return term, labels, steps_out, stopd, flagged
 
@@ -231,8 +239,11 @@ def run_walks(
         raise ValueError("n_walks must be positive")
     eps = _stop_distance(domain, eps_stop)
     starts = np.asarray(start, dtype=complex)
+    shared_d = None
     if starts.ndim == 0:
-        if not float(domain.dist(starts.reshape(1))[0]) > eps:
+        # every walk of a shared start reuses this distance as its step 0
+        shared_d = float(domain.dist(starts.reshape(1))[0])
+        if not shared_d > eps:
             raise ValueError("start point is not strictly inside the domain")
         starts = np.broadcast_to(starts, (n_walks,))
     elif starts.shape != (n_walks,):
@@ -249,7 +260,9 @@ def run_walks(
     chunks = [slice(i, min(i + _CHUNK, n_walks)) for i in range(0, n_walks, _CHUNK)]
 
     def work(sl):
-        return sl, _simulate_chunk(domain, starts[sl], sl.start, eps, seed, step_cap)
+        chunk = starts[sl]
+        d = domain.dist(chunk) if shared_d is None else np.full(chunk.size, shared_d)
+        return sl, _simulate_chunk(domain, chunk, d, sl.start, eps, seed, step_cap)
 
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hypcap.capacity import ring
 from hypcap.geom import (
     ArcBox,
     DiskCompact,
@@ -13,6 +14,8 @@ from hypcap.geom import (
 )
 from hypcap.hyperbolic import (
     DomainError,
+    _disk_rect_areas,
+    _indisk_areas,
     circle_rect_area,
     filled_neighborhood_area,
     filled_region,
@@ -153,6 +156,32 @@ def test_circle_rect_area_closed_forms():
     frac = np.mean(pts[:, 0] ** 2 + pts[:, 1] ** 2 <= 1.0)
     mc = frac * (b - a) * (d - c)
     assert circle_rect_area(a, b, c, d) == pytest.approx(mc, abs=3e-3)
+
+
+# the closed form sums four terms of size up to pi / 2 where the scalar
+# reference integrates piece by piece: a few ulps of 1 apart
+AREA_ATOL = 16 * np.finfo(float).eps
+
+
+def test_disk_rect_areas_match_scalar_reference():
+    rng = np.random.default_rng(8)
+    a = rng.uniform(-1.3, 1.3, 4000)
+    c = rng.uniform(-1.3, 1.3, 4000)
+    b = a + 10.0 ** rng.uniform(-5, 0.5, 4000)
+    d = c + 10.0 ** rng.uniform(-5, 0.5, 4000)
+    ref = [circle_rect_area(*r) for r in zip(a, b, c, d)]
+    assert np.allclose(_disk_rect_areas(a, b, c, d), ref, rtol=0.0, atol=AREA_ATOL)
+
+
+def test_indisk_areas_match_scalar_reference_on_ring_cells():
+    leaves = filled_region(ring(0.7), 1.0, 1e-2).leaves
+    x0, x1, y0, y1 = leaves.rects()
+    far = np.hypot(np.maximum(np.abs(x0), np.abs(x1)), np.maximum(np.abs(y0), np.abs(y1)))
+    near = np.hypot(np.clip(0.0, x0, x1), np.clip(0.0, y0, y1))
+    crossing = np.flatnonzero((far > 1.0) & (near < 1.0))
+    assert crossing.size > 1000
+    ref = [circle_rect_area(x0[i], x1[i], y0[i], y1[i]) for i in crossing]
+    assert np.allclose(_indisk_areas(leaves)[crossing], ref, rtol=0.0, atol=AREA_ATOL)
 
 
 def _grid_fill_oracle(B, rho, n=600):

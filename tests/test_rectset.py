@@ -1,0 +1,96 @@
+"""RectSet distance queries: a brute-force oracle and a memory bound."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from hypcap.capacity import ring
+from hypcap.geom import ArcBox, DiskCompact
+from hypcap.hyperbolic import RectSet, filled_region
+
+
+def _brute(S, z):
+    """(distance, lowest index at that distance) by scanning every rectangle."""
+    x, y = z.real[:, None], z.imag[:, None]
+    dx = np.maximum(np.maximum(S.x0[None, :] - x, x - S.x1[None, :]), 0.0)
+    dy = np.maximum(np.maximum(S.y0[None, :] - y, y - S.y1[None, :]), 0.0)
+    d = np.hypot(dx, dy)
+    return d.min(axis=1), np.argmin(d, axis=1)
+
+
+def _mixed_union(seed):
+    """Random rectangles with sides from 1e-4 to 0.05, a dyadic grid and a ring of cells."""
+    rng = np.random.default_rng(seed)
+    n = 2500
+    w = 10.0 ** rng.uniform(-4.0, np.log10(0.05), n)
+    h = w * rng.uniform(0.5, 2.0, n)
+    cx, cy = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    rects = [np.stack([cx - w / 2, cx + w / 2, cy - h / 2, cy + h / 2], axis=1)]
+    # 20 x 20 cells sharing edges and corners: exact ties at zero and positive distance
+    s = 2.0**-8
+    gx, gy = np.meshgrid(np.arange(20) * s + 0.25, np.arange(20) * s - 0.5)
+    gx, gy = gx.ravel(), gy.ravel()
+    rects.append(np.stack([gx, gx + s, gy, gy + s], axis=1))
+    # 400 cells centered on a circle about 1.6 + 1.6j, clear of the others:
+    # from its center no k-NN pass can certify, so the octave is scanned
+    t = np.linspace(0.0, 2 * np.pi, 400, endpoint=False)
+    rx, ry = 1.6 + 0.4 * np.cos(t), 1.6 + 0.4 * np.sin(t)
+    rects.append(np.stack([rx - 1e-3, rx + 1e-3, ry - 1e-3, ry + 1e-3], axis=1))
+    rects = np.concatenate(rects)
+    # every tenth rectangle again, shuffled: exact ties between identical rectangles
+    rects = np.concatenate([rects, rects[::10]])
+    rects = rects[rng.permutation(len(rects))]
+    return RectSet(*rects.T), rng
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_rectset_matches_brute_force(seed):
+    S, rng = _mixed_union(seed)
+    sides = np.maximum(S.x1 - S.x0, S.y1 - S.y0)
+    assert sides.max() / sides.min() >= 256
+    i = rng.integers(0, S.x0.size, 300)
+    u = rng.uniform(0.0, 1.0, 300)
+    z = np.concatenate(
+        [
+            rng.uniform(-1.2, 1.2, 1500) + 1j * rng.uniform(-1.2, 1.2, 1500),
+            S.x0[i] + u * (S.x1[i] - S.x0[i]) + 1j * (S.y0[i] + u * (S.y1[i] - S.y0[i])),  # inside
+            S.x0[i] + 1j * (S.y0[i] + u * (S.y1[i] - S.y0[i])),  # on a left edge
+            S.x1[i] + 1j * S.y1[i],  # on a corner
+            S.x0[i] - 0.01 + 1j * S.y0[i],  # level with a corner
+            np.full(50, 1.6 + 1.6j),  # coincident points at the ring's center
+            np.full(50, 0.25 - 0.5j),  # coincident points on the grid's corner
+        ]
+    )
+    dist, label, point = S.nearest(z)
+    want_dist, want_label = _brute(S, z)
+    assert np.array_equal(dist, want_dist)
+    assert np.array_equal(label, want_label)
+    assert np.array_equal(S.dist(z), want_dist)
+    assert np.allclose(np.abs(point - z), dist, rtol=0.0, atol=1e-12)
+
+
+def test_rectset_ring_walk_points_match_brute_force():
+    S = RectSet(*filled_region(ring(0.7), 1.0, 1e-2).blocked_rects())
+    rng = np.random.default_rng(5)
+    z = np.concatenate([[0j], 0.3 * np.sqrt(rng.uniform(0.0, 1.0, 200)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 200))])
+    dist, label, _ = S.nearest(z)
+    want_dist, want_label = _brute(S, z)
+    assert np.array_equal(dist, want_dist)
+    assert np.array_equal(label, want_label)
+
+
+def test_rectset_query_memory_is_bounded():
+    # the frontier's inner edge is an arc about 0: thousands of its 26,641
+    # cells lie within the largest cell's half-diagonal of the nearest
+    # distance, so a query's memory must not grow with the k it reaches
+    S = RectSet(*filled_region(DiskCompact([ArcBox(0.4, 1.2, 0.75)]), 1, 2e-3).blocked_rects())
+    z = np.zeros(4096, complex)
+    tracemalloc.start()
+    try:
+        d = S.dist(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
+    assert np.all(d == _brute(S, z[:1])[0][0])

@@ -1,7 +1,12 @@
 """Smoke tier for the claim harness: small walk counts, coarse areas, tiny corpora.
 
-"fattening" and "omega" are left out: their RectSet distance queries
-exhaust memory (ROADMAP item 4).
+"fattening" and "omega" are left out, though their RectSet distance
+queries are cheap and bounded in memory (ROADMAP item 4).  At this config, on a
+2-core x86 VM, "fattening" takes about 226 s: 155 s go to filled_region on
+the RectSet obstacles of the iterated arcbox fattenings, and the radial-slit
+corpus element peaks at 2.5 GB RSS (7.7M leaves, 1.6M frontier cells).
+"omega" takes 17 s and peaks at 1.4 GB RSS in filled_region on the ring at
+rho = 0.125 (9.3M leaves).
 """
 
 import pytest
@@ -43,3 +48,15 @@ def test_unmet_area_tolerance_is_inconclusive(monkeypatch):
         assert r.verdict == "inconclusive"
         assert "tolerance not met" in r.note
         assert r.values["area_gap"] > 2e-3
+
+
+def test_iterated_fattening_without_passable_cell_is_inconclusive(monkeypatch):
+    # at depth 5 the fourth quarter-radius fattening of the ring certifies no
+    # cell free and connected to 0, so there is no frontier to walk against
+    monkeypatch.setattr(verify, "filled_region", lambda B, rho, tol: filled_region(B, rho, tol, max_depth=5))
+    rows = verify.fattening_check(ring(0.7), VerifyConfig(n_walks=128), iterated=True)
+    assert [r.name for r in rows] == ["ratio", "schwarz", "iterated"]
+    it = rows[-1]
+    assert it.verdict == "inconclusive"
+    assert "fattening 4 has no passable cell" in it.note
+    assert it.values["area_gap"] > 4e-3

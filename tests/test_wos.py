@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hypcap.capacity import dcap_layer_sum, dcap_transport, hcap_mc, ring
-from hypcap.geom import DiskCompact, HalfDisk, HalfPlaneHull, RadialSlit, VSlit
+from hypcap.geom import ArcBox, DiskCompact, HalfDisk, HalfPlaneHull, RadialSlit, VSlit
+from hypcap.hyperbolic import RectSet, filled_region
 from hypcap.wos import (
     DiskDomain,
     EstimatorError,
@@ -89,6 +90,28 @@ def test_per_walk_starts():
     assert np.allclose(ens.terminals, on_arc, atol=1e-12)
     with pytest.raises(ValueError):
         run_walks(d, np.full(5, 2j), 6, seed=3)
+
+
+def _same_ensemble(a, b):
+    return all(
+        np.array_equal(getattr(a, f), getattr(b, f)) for f in ("terminals", "labels", "steps", "stop_dists", "flagged")
+    )
+
+
+def test_shared_start_matches_per_walk_starts():
+    # a shared start's distance is computed once and reused as every walk's
+    # step 0; per-walk starts compute it per walk
+    rects = RectSet(*filled_region(ring(0.7), 1.0, 1e-2).blocked_rects())
+    cases = [
+        (DiskDomain(rects), 0j, 256),
+        (DiskDomain(rects), 0.1 - 0.2j, 256),
+        (DiskDomain(DiskCompact([ArcBox(0.4, 1.2, 0.75), RadialSlit(3.0, 0.6)])), 0.2j, 17_000),
+        (HalfPlaneDomain(HalfPlaneHull([VSlit(0.3, 0.8), HalfDisk(2.0, 0.4)])), 1 + 1j, 512),
+    ]
+    for d, z, n in cases:
+        shared = run_walks(d, z, n, seed=11, threads=2)
+        per_walk = run_walks(d, np.full(n, z), n, seed=11)
+        assert _same_ensemble(shared, per_walk)
 
 
 def test_per_walk_starts_outside_rejected():
