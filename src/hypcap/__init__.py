@@ -17,17 +17,12 @@ from .geom import (
     ArcBox,
     HalfPlaneHull,
     DiskCompact,
-    euclid_dist,
-    shape_intersects_disk,
-    validate_hull,
 )
 from .hyperbolic import (
     hyp_dist_h,
     hyp_dist_d,
-    hyp_ball,
     neighborhood_member,
     neighborhood_area,
-    filled_neighborhood_area,
 )
 from .quadtree import AreaBounds
 from .dyadic import (
@@ -37,7 +32,7 @@ from .dyadic import (
     whitney_cover_area,
     lipschitz_majorant_area,
 )
-from .mobius import t_y, t_y_inv, t_y_jacobian, image_area, pushforward_set
+from .mobius import t_y
 from .wos import DomainOracle, Estimate, walk_mean
 from .capacity import dcap_mc, hcap_mc, hcap_exact, crad_halfplane, dcap_layer_sum
 
@@ -52,15 +47,10 @@ __all__ = [
     "ArcBox",
     "HalfPlaneHull",
     "DiskCompact",
-    "euclid_dist",
-    "shape_intersects_disk",
-    "validate_hull",
     "hyp_dist_h",
     "hyp_dist_d",
-    "hyp_ball",
     "neighborhood_member",
     "neighborhood_area",
-    "filled_neighborhood_area",
     "AreaBounds",
     "DyadicSquare",
     "layer_of",
@@ -68,10 +58,6 @@ __all__ = [
     "whitney_cover_area",
     "lipschitz_majorant_area",
     "t_y",
-    "t_y_inv",
-    "t_y_jacobian",
-    "image_area",
-    "pushforward_set",
     "DomainOracle",
     "Estimate",
     "walk_mean",

@@ -30,7 +30,7 @@ import numpy as np
 
 from .dyadic import layer_of_radius
 from .geom import ArcBox, DiskCompact, HalfDisk, HalfPlaneHull, VSlit
-from .mobius import pushforward_set, t_y
+from .mobius import require_annulus, t_y
 from .rng import uniform01
 from .wos import START_COUNTER, DiskDomain, Estimate, HalfPlaneDomain, WalkEnsemble, walk_mean
 
@@ -250,7 +250,7 @@ def dcap_transport(
     under T_y of the exit point in H \\ A from iy, so the disk functional
     -log|w| pulls back to -log|T_y(z)|; real-axis exits contribute exactly 0.
     """
-    pushforward_set(A, y).require_annulus()
+    require_annulus(A, y)
     est, _ = walk_mean(
         HalfPlaneDomain(A),
         1j * y,

@@ -63,14 +63,6 @@ class DyadicSquare:
         lo, hi = self.angle_fraction
         return ArcBox(TWO_PI * lo, TWO_PI * hi, 1.0 - self.depth)
 
-    def top_half_contains(self, z: complex) -> bool:
-        u = 1.0 - abs(z)
-        if not (0.5 ** (self.n + 1) < u <= 0.5**self.n):
-            return False
-        frac = (math.atan2(z.imag, z.real) / TWO_PI) % 1.0
-        lo, hi = self.angle_fraction
-        return lo <= frac < hi
-
     def contains(self, z: complex) -> bool:
         u = 1.0 - abs(z)
         if not (0.0 <= u <= 0.5**self.n):
@@ -103,20 +95,6 @@ def layer_of_radius(u: np.ndarray) -> np.ndarray:
     too_shallow = u < np.ldexp(1.0, -(n + 1))
     n[too_shallow] += 1
     return n
-
-
-def dyadic_square_of(z: Point | complex) -> DyadicSquare:
-    """The unique square whose top half contains z."""
-    a = z.z if isinstance(z, Point) else complex(z)
-    u = 1.0 - abs(a)
-    if not (0.0 < u <= 0.5):
-        raise ValueError("point must satisfy 0 < 1 - |z| <= 1/2")
-    n = 1
-    while not (0.5 ** (n + 1) < u):
-        n += 1
-    frac = (math.atan2(a.imag, a.real) / TWO_PI) % 1.0
-    k = int(math.floor(frac * 2**n)) + 1
-    return DyadicSquare(n, min(k, 2**n))
 
 
 def _shape_min_scale(max_depth_from_circle: float, n_max: int) -> int:

@@ -48,10 +48,6 @@ class Point:
     def z(self) -> complex:
         return complex(self.x, self.y)
 
-    @staticmethod
-    def of(z: complex) -> "Point":
-        return Point(z.real, z.imag)
-
 
 def _as_complex(z) -> np.ndarray:
     if isinstance(z, Point):
@@ -96,9 +92,6 @@ class VSlit:
     def x_range(self) -> tuple[float, float]:
         return (self.x, self.x)
 
-    def to_spec(self) -> dict:
-        return {"type": "vslit", "x": self.x, "h": self.h}
-
 
 @dataclass(frozen=True)
 class BoxShape:
@@ -141,9 +134,6 @@ class BoxShape:
     @property
     def area(self) -> float:
         return (self.x1 - self.x0) * (self.y1 - self.y0)
-
-    def to_spec(self) -> dict:
-        return {"type": "box", "x0": self.x0, "x1": self.x1, "y0": self.y0, "y1": self.y1}
 
 
 @dataclass(frozen=True)
@@ -194,9 +184,6 @@ class HalfDisk:
     def area(self) -> float:
         return 0.5 * math.pi * self.r * self.r
 
-    def to_spec(self) -> dict:
-        return {"type": "halfdisk", "c": self.c, "r": self.r}
-
 
 def _norm_angle(a) -> np.ndarray:
     """Reduce angles to [0, 2*pi)."""
@@ -242,9 +229,6 @@ class RadialSlit:
     def angle_interval(self) -> tuple[float, float]:
         a = float(_norm_angle(self.theta))
         return (a, 0.0)
-
-    def to_spec(self) -> dict:
-        return {"type": "rslit", "theta": self.theta, "rho": self.rho}
 
 
 @dataclass(frozen=True)
@@ -321,9 +305,6 @@ class ArcBox:
     def angle_interval(self) -> tuple[float, float]:
         return (float(_norm_angle(self.theta0)), float(self.width))
 
-    def to_spec(self) -> dict:
-        return {"type": "arcbox", "theta0": self.theta0, "theta1": self.theta1, "rho": self.rho}
-
 
 @dataclass(frozen=True)
 class PointProbe:
@@ -352,13 +333,9 @@ class PointProbe:
     def x_range(self) -> tuple[float, float]:
         return (self.x, self.x)
 
-    def to_spec(self) -> dict:
-        return {"type": "point", "x": self.x, "y": self.y}
-
 
 HalfPlaneShape = Union[VSlit, BoxShape, HalfDisk, PointProbe]
 DiskShape = Union[RadialSlit, ArcBox]
-Shape = Union[HalfPlaneShape, DiskShape]
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +423,9 @@ class Obstacle(ABC):
 
     - ``space``: "halfplane" or "disk", the space it lives in;
     - ``is_empty``;
-    - ``dist(z)``: the euclidean distance to the set, or a lower bound on it
-      that vanishes exactly on the set; inf on an empty set;
-    - ``ball_intersects(c, r)``: whether the closed disk of center c and
-      radius r meets the set.
+    - ``dist(z)``: the exact euclidean distance to the set, 0 on it and inf
+      on an empty set.  The closed disk of center c and radius r meets the
+      set iff ``dist(c) <= r``.
 
     Disk-space obstacles also have ``min_abs``, a lower bound on |z| over
     the set.  The walkable ones (HalfPlaneHull, DiskCompact and RectSet)
@@ -462,10 +438,7 @@ class Obstacle(ABC):
 
     @abstractmethod
     def dist(self, z) -> np.ndarray:
-        """Distance to the set (exact, or a lower bound vanishing on it)."""
-
-    def ball_intersects(self, c, r) -> np.ndarray:
-        return self.dist(c) <= r
+        """Exact euclidean distance to the set."""
 
 
 def require_obstacle(S, space: str | None = None) -> None:
@@ -554,9 +527,6 @@ class HalfPlaneHull(_ShapeUnion):
     def mirror(self) -> "HalfPlaneHull":
         return HalfPlaneHull([_affine(s, -1.0, 0.0) for s in self.shapes], validate=False)
 
-    def to_spec(self) -> dict:
-        return {"space": "halfplane", "shapes": [s.to_spec() for s in self.shapes]}
-
 
 class DiskCompact(_ShapeUnion):
     """Union of circle-rooted shapes inside the annulus 1/2 < |z| < 1."""
@@ -574,9 +544,6 @@ class DiskCompact(_ShapeUnion):
     def min_abs(self) -> float:
         return min((s.rho_min for s in self.shapes), default=1.0)
 
-    def to_spec(self) -> dict:
-        return {"space": "disk", "shapes": [s.to_spec() for s in self.shapes]}
-
 
 def _affine(s: HalfPlaneShape, a: float, b: float) -> HalfPlaneShape:
     """Image of s under x -> a x + b (a != 0); heights scale by |a|."""
@@ -591,80 +558,3 @@ def _affine(s: HalfPlaneShape, a: float, b: float) -> HalfPlaneShape:
     if isinstance(s, PointProbe):
         return PointProbe(a * s.x + b, k * s.y)
     raise TypeError(type(s).__name__)
-
-
-# ---------------------------------------------------------------------------
-# module-level operations
-# ---------------------------------------------------------------------------
-
-
-def euclid_dist(p: Point | complex, s) -> float:
-    """Exact euclidean distance from a point to a shape (0 if inside)."""
-    z = p.z if isinstance(p, Point) else complex(p)
-    return float(s.dist(np.asarray([z]))[0])
-
-
-def shape_intersects_disk(s, center: Point | complex, radius: float) -> bool:
-    """True iff the closed disk of given center/radius meets the shape."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    return euclid_dist(center, s) <= radius
-
-
-def validate_hull(hull_or_shapes) -> str | None:
-    """Validate a hull (or raw shape list); None means ok."""
-    if isinstance(hull_or_shapes, HalfPlaneHull):
-        return validate_halfplane_shapes(hull_or_shapes.shapes)
-    if isinstance(hull_or_shapes, DiskCompact):
-        return validate_disk_shapes(hull_or_shapes.shapes)
-    shapes = tuple(hull_or_shapes)
-    if shapes and isinstance(shapes[0], (RadialSlit, ArcBox)):
-        return validate_disk_shapes(shapes)
-    return validate_halfplane_shapes(shapes)
-
-
-# ---------------------------------------------------------------------------
-# shape specification files
-# ---------------------------------------------------------------------------
-
-_SHAPE_PARSERS = {
-    "vslit": (VSlit, ("x", "h")),
-    "box": (BoxShape, ("x0", "x1", "y0", "y1")),
-    "halfdisk": (HalfDisk, ("c", "r")),
-    "rslit": (RadialSlit, ("theta", "rho")),
-    "arcbox": (ArcBox, ("theta0", "theta1", "rho")),
-}
-
-
-def shape_from_spec(doc: dict):
-    try:
-        kind = doc["type"]
-    except (TypeError, KeyError):
-        raise InvalidShapeError("shape entry missing 'type'") from None
-    if kind not in _SHAPE_PARSERS:
-        raise InvalidShapeError(f"unknown shape type {kind!r}")
-    cls, fields = _SHAPE_PARSERS[kind]
-    missing = [f for f in fields if f not in doc]
-    if missing:
-        raise InvalidShapeError(f"shape {kind!r} missing field {missing[0]!r}")
-    kwargs = {}
-    for f in fields:
-        v = doc[f]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise InvalidShapeError(f"shape {kind!r} field {f!r} must be a number")
-        kwargs[f] = float(v)
-    return cls(**kwargs)
-
-
-def set_from_spec(doc: dict) -> HalfPlaneHull | DiskCompact:
-    """Parse the JSON shape-file document into a hull or disk compact."""
-    space = doc.get("space")
-    if space not in ("halfplane", "disk"):
-        raise InvalidShapeError("top-level 'space' must be 'halfplane' or 'disk'")
-    raw = doc.get("shapes")
-    if not isinstance(raw, list):
-        raise InvalidShapeError("top-level 'shapes' must be an array")
-    shapes = [shape_from_spec(d) for d in raw]
-    if space == "halfplane":
-        return HalfPlaneHull(shapes)
-    return DiskCompact(shapes)

@@ -5,12 +5,12 @@ disk, so the Moebius transport maps between the two spaces are isometries
 and "radius one" means the same thing on both sides.
 
 Hyperbolic balls are euclidean disks with closed-form center and radius,
-which lets neighborhood membership be decided exactly by one disk-shape
-intersection test per primitive shape: no iterative minimization of the
-hyperbolic distance enters the certification chain.  Neighborhood areas
-are bracketed by an adaptive quadtree whose cell tests use the exact ball
-membership at radii shrunk/grown by a certified bound on the cell's
-hyperbolic radius.
+so z lies in the rho-neighborhood of S exactly when the euclidean distance
+from S to the center of the rho-ball about z is at most its radius: one
+distance test, and no iterative minimization of the hyperbolic distance
+enters the certification chain.  Neighborhood areas are bracketed by an
+adaptive quadtree whose cell tests use the exact ball membership at radii
+shrunk/grown by a certified bound on the cell's hyperbolic radius.
 """
 
 from __future__ import annotations
@@ -59,17 +59,6 @@ def hyp_dist_d(z: Point | complex, w: Point | complex) -> float:
     return 2.0 * math.atanh(p)
 
 
-@dataclass(frozen=True)
-class HypBall:
-    """A closed hyperbolic ball, stored with its euclidean realization."""
-
-    euclidean_center: Point
-    euclidean_radius: float
-    hyp_center: Point
-    hyp_radius: float
-    space: str
-
-
 def _ball_halfplane(z: np.ndarray, rho) -> tuple[np.ndarray, np.ndarray]:
     y = z.imag
     c = z.real + 1j * (y * np.cosh(rho))
@@ -83,36 +72,20 @@ def _ball_disk(z: np.ndarray, rho) -> tuple[np.ndarray, np.ndarray]:
     return z * (1.0 - t * t) / den, t * (1.0 - a2) / den
 
 
-def hyp_ball(space: str, center: Point | complex, rho: float) -> HypBall:
-    """The euclidean disk equal to the closed hyperbolic ball."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    a = center.z if isinstance(center, Point) else complex(center)
-    if space == "halfplane":
-        if a.imag <= 0:
-            raise DomainError("ball center must lie in the open half-plane")
-        c, r = _ball_halfplane(np.asarray([a]), rho)
-    elif space == "disk":
-        if abs(a) >= 1:
-            raise DomainError("ball center must lie in the open disk")
-        c, r = _ball_disk(np.asarray([a]), rho)
-    else:
-        raise ValueError("space must be 'halfplane' or 'disk'")
-    return HypBall(Point.of(complex(c[0])), float(r[0]), Point.of(a), float(rho), space)
-
-
 _BALLS = {"halfplane": _ball_halfplane, "disk": _ball_disk}
 
 
 def _member_mask(S: Obstacle, z: np.ndarray, rho) -> np.ndarray:
     """Exact N-membership for an array of points (rho may be per-point)."""
     c, r = _BALLS[S.space](z, rho)
-    return S.ball_intersects(c, r)
+    return S.dist(c) <= r
 
 
 def neighborhood_member(z: Point | complex, S: Obstacle, rho: float = 1.0) -> bool:
     """True iff z lies in the closed hyperbolic rho-neighborhood of S."""
     require_obstacle(S)
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError("rho must be positive and finite")
     a = z.z if isinstance(z, Point) else complex(z)
     if S.space == "halfplane" and a.imag <= 0:
         raise DomainError("point must lie in the open half-plane")
@@ -434,19 +407,6 @@ def filled_region(
             return FilledRegion(leaves, n_bounds, bounds, passable, rho)
         prev_gap = gap
         goal /= 4.0
-
-
-def filled_neighborhood_area(
-    B: Obstacle,
-    rho: float = 1.0,
-    tol: float = 1e-3,
-    max_depth: int = 24,
-) -> AreaBounds:
-    """Certified bounds on the area of the filled rho-neighborhood of B."""
-    require_obstacle(B, "disk")
-    if B.is_empty:
-        return AreaBounds(0.0, 0.0, 0, True)
-    return filled_region(B, rho, tol, max_depth).bounds
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from .capacity import (
     CanonicalHull,
     crad_exact_at_i,
     crad_exact_at_iy,
+    crad_halfplane,
     dcap_layer_sum,
     dcap_mc,
     dcap_transport,
@@ -510,10 +511,9 @@ def hcap_crad_residual(
         )
         # Monte Carlo path through the transport estimator
         A = CanonicalHull(kind, eps).hull()
-        est = dcap_transport(A, 1.0, cfg.n_walks, cfg.eps_stop, cfg.seed + 9000, cfg.threads)
-        crad_mc = 2.0 * math.exp(-est.mean)
+        crad_mc, est = crad_halfplane(A, 1.0, cfg.n_walks, cfg.eps_stop, cfg.seed + 9000, cfg.threads)
         residual_mc = abs((2.0 - crad_mc) / h - 4.0)
-        slope = 2.0 * math.exp(-est.mean) / h
+        slope = crad_mc / h
         sigma_res = 3.0 * slope * est.std_error
         values = {
             "residual_mc": residual_mc,
@@ -608,8 +608,7 @@ def remark_expansion_check(
     out = []
     rows = []
     for i, y in enumerate(ys):
-        est = dcap_transport(A, y, cfg.n_walks, cfg.eps_stop, cfg.seed + 9400 + i, cfg.threads)
-        crad = 2.0 * y * math.exp(-est.mean)
+        crad, est = crad_halfplane(A, y, cfg.n_walks, cfg.eps_stop, cfg.seed + 9400 + i, cfg.threads)
         value = y * y * (1.0 - crad / (2.0 * y)) / hcap_value
         ratio_cor = y * y * est.mean / hcap_value
         sigma = y * y * est.std_error / hcap_value

@@ -117,10 +117,8 @@ class DiskDomain(_Domain):
     """The unit disk with a walkable disk-space obstacle removed.
 
     The obstacle is a DiskCompact or the RectSet of a filled region.  Its
-    dist(z) vanishes exactly on the set and never exceeds the distance to
-    it, so every jump stays in the domain; nearest(z) returns (dist(z),
-    label, point).  A PushforwardSet has no nearest(z): dcap of T_y(A) is
-    sampled with half-plane walks instead (capacity.dcap_transport).
+    dist(z) is the exact distance to the set, so every jump stays in the
+    domain; nearest(z) returns (dist(z), label, point).
     """
 
     space = "disk"

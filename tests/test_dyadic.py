@@ -6,7 +6,6 @@ import pytest
 from hypcap.dyadic import (
     DyadicSquare,
     dyadic_cover,
-    dyadic_square_of,
     layer_of,
     layer_of_radius,
     lipschitz_majorant_area,
@@ -69,13 +68,6 @@ def test_dyadic_square_geometry():
     assert ab.rho == 1 - d
     with pytest.raises(ValueError):
         DyadicSquare(1, 3)
-
-
-def test_dyadic_square_of_point():
-    # 1 - 0.8 = 0.2 lies in (1/8, 1/4], angle 0 -> first square of scale 2
-    q = dyadic_square_of(0.8 + 0j)
-    assert (q.n, q.k) == (2, 1)
-    assert q.top_half_contains(0.8 + 0j)
 
 
 def test_dyadic_cover_empty():

@@ -14,10 +14,8 @@ from hypcap.geom import (
     Point,
     RadialSlit,
     VSlit,
-    euclid_dist,
-    set_from_spec,
-    shape_intersects_disk,
-    validate_hull,
+    validate_disk_shapes,
+    validate_halfplane_shapes,
 )
 
 
@@ -28,13 +26,13 @@ def test_point_requires_finite():
 
 def test_vslit_distances():
     s = VSlit(0, 1)
-    assert euclid_dist(Point(0, 2), s) == 1.0
-    assert euclid_dist(Point(0, 1), s) == 0.0
-    assert euclid_dist(Point(3, 0), s) == 3.0
+    assert s.dist(Point(0, 2)) == 1.0
+    assert s.dist(Point(0, 1)) == 0.0
+    assert s.dist(Point(3, 0)) == 3.0
 
 
 def test_halfdisk_distance_radial():
-    assert euclid_dist(Point(3, 4), HalfDisk(0, 1)) == pytest.approx(4.0, abs=1e-15)
+    assert HalfDisk(0, 1).dist(Point(3, 4)) == pytest.approx(4.0, abs=1e-15)
 
 
 def test_halfdisk_distance_by_boundary_sampling():
@@ -46,14 +44,14 @@ def test_halfdisk_distance_by_boundary_sampling():
     border = np.concatenate([arc, diam])
     for p in (4 + 5j, -3 + 0.5j, 0.5 + 9j):
         oracle = np.min(np.abs(border - p))
-        assert euclid_dist(p, s) == pytest.approx(oracle, abs=1e-6)
+        assert s.dist(p) == pytest.approx(oracle, abs=1e-6)
 
 
 def test_arcbox_distance_from_origin():
     b = ArcBox(0, math.pi / 2, 0.8)
-    assert euclid_dist(0j, b) == pytest.approx(0.8, abs=1e-15)
-    assert not shape_intersects_disk(b, 0j, 0.79)
-    assert shape_intersects_disk(b, 0j, 0.8)
+    assert b.dist(0j) == pytest.approx(0.8, abs=1e-15)
+    assert not b.dist(0j) <= 0.79
+    assert b.dist(0j) <= 0.8
 
 
 def test_arcbox_distance_by_sampling():
@@ -63,24 +61,22 @@ def test_arcbox_distance_by_sampling():
     pts = (ss[:, None] * np.exp(1j * tt[None, :])).ravel()
     for p in (-0.5 + 0.2j, 0.9j, 0.95 + 0.0j, 0.5 * np.exp(1j * 0.9)):
         oracle = np.min(np.abs(pts - p))
-        got = euclid_dist(p, b)
+        got = b.dist(p)
         assert got <= oracle + 1e-12
         assert got == pytest.approx(oracle, abs=2e-3)
 
 
 def test_radial_slit_distance():
     s = RadialSlit(math.pi / 2, 0.6)
-    assert euclid_dist(0.6j, s) == pytest.approx(0.0, abs=1e-15)
-    assert euclid_dist(0.3j, s) == pytest.approx(0.3, abs=1e-15)
-    assert euclid_dist(0.0j, s) == pytest.approx(0.6, abs=1e-15)
+    assert s.dist(0.6j) == pytest.approx(0.0, abs=1e-15)
+    assert s.dist(0.3j) == pytest.approx(0.3, abs=1e-15)
+    assert s.dist(0.0j) == pytest.approx(0.6, abs=1e-15)
 
 
 def test_intersects_disk_closed():
     s = VSlit(0, 1)
-    assert shape_intersects_disk(s, Point(0, 2), 1.0)
-    assert not shape_intersects_disk(s, Point(0, 2), 0.5)
-    with pytest.raises(ValueError):
-        shape_intersects_disk(s, Point(0, 2), 0.0)
+    assert s.dist(Point(0, 2)) <= 1.0
+    assert not s.dist(Point(0, 2)) <= 0.5
 
 
 def test_metric_projection_property():
@@ -90,11 +86,11 @@ def test_metric_projection_property():
     for s in shapes:
         for _ in range(50):
             p = complex(rng.uniform(-3, 3), rng.uniform(0, 3))
-            d = euclid_dist(p, s)
+            d = s.dist(p)
             if d == 0:
                 continue
-            assert shape_intersects_disk(s, p, d * (1 + 1e-12) + 1e-300)
-            assert not shape_intersects_disk(s, p, d * (1 - 1e-9))
+            assert s.dist(p) <= d * (1 + 1e-12) + 1e-300
+            assert not s.dist(p) <= d * (1 - 1e-9)
 
 
 def test_translation_equivariance():
@@ -105,29 +101,29 @@ def test_translation_equivariance():
     for _ in range(50):
         p = complex(rng.uniform(-2, 2), rng.uniform(0, 2))
         t = rng.uniform(-5, 5)
-        d0 = euclid_dist(p, s)
-        d1 = euclid_dist(p + t, _affine(s, 1.0, t))
+        d0 = s.dist(p)
+        d1 = _affine(s, 1.0, t).dist(p + t)
         assert d1 == pytest.approx(d0, rel=1e-12, abs=1e-12)
 
 
 def test_validate_hull_cases():
-    assert validate_hull([VSlit(0, 1), VSlit(1, 1)]) is None
-    msg = validate_hull([HalfDisk(0, 1), HalfDisk(1, 1)])
+    assert validate_halfplane_shapes([VSlit(0, 1), VSlit(1, 1)]) is None
+    msg = validate_halfplane_shapes([HalfDisk(0, 1), HalfDisk(1, 1)])
     assert msg is not None and "overlap" in msg
-    assert validate_hull([]) is None
+    assert validate_halfplane_shapes([]) is None
     # tangent half-disks touch only on the axis: allowed
-    assert validate_hull([HalfDisk(0, 1), HalfDisk(2, 1)]) is None
+    assert validate_halfplane_shapes([HalfDisk(0, 1), HalfDisk(2, 1)]) is None
     # box touching a slit shares a vertical segment: rejected
-    assert validate_hull([VSlit(0, 1), BoxShape(0, 1, 0, 0.5)]) is not None
+    assert validate_halfplane_shapes([VSlit(0, 1), BoxShape(0, 1, 0, 0.5)]) is not None
     # unrooted box rejected at hull level
-    assert validate_hull([BoxShape(0, 1, 0.1, 0.5)]) is not None
+    assert validate_halfplane_shapes([BoxShape(0, 1, 0.1, 0.5)]) is not None
 
 
 def test_validate_disk_cases():
-    assert validate_hull([RadialSlit(0, 0.7), RadialSlit(1, 0.7)]) is None
-    assert validate_hull([RadialSlit(0, 0.7), RadialSlit(0, 0.8)]) is not None
-    assert validate_hull([ArcBox(0, 0.5, 0.8), RadialSlit(0.25, 0.9)]) is not None
-    assert validate_hull([ArcBox(0, 0.5, 0.8), ArcBox(0.6, 1.0, 0.9)]) is None
+    assert validate_disk_shapes([RadialSlit(0, 0.7), RadialSlit(1, 0.7)]) is None
+    assert validate_disk_shapes([RadialSlit(0, 0.7), RadialSlit(0, 0.8)]) is not None
+    assert validate_disk_shapes([ArcBox(0, 0.5, 0.8), RadialSlit(0.25, 0.9)]) is not None
+    assert validate_disk_shapes([ArcBox(0, 0.5, 0.8), ArcBox(0.6, 1.0, 0.9)]) is None
     # annulus constraint
     with pytest.raises(InvalidHullError):
         DiskCompact([RadialSlit(0, 0.4)])
@@ -136,7 +132,7 @@ def test_validate_disk_cases():
 def test_arcbox_wraparound_overlap():
     a = ArcBox(-0.2, 0.2, 0.8)
     b = RadialSlit(2 * math.pi - 0.1, 0.9)  # angle equivalent to -0.1
-    assert validate_hull([a, b]) is not None
+    assert validate_disk_shapes([a, b]) is not None
 
 
 def test_hull_construction_validates():
@@ -156,33 +152,6 @@ def test_union_dist_and_member():
     assert d[1] == 0.0
     assert d[2] == pytest.approx(3.0)
     assert list(h.member(z)) == [False, True, False]
-
-
-def test_shape_file_round_trip():
-    doc = {
-        "space": "halfplane",
-        "shapes": [
-            {"type": "vslit", "x": 0.0, "h": 1.0},
-            {"type": "halfdisk", "c": 3.0, "r": 0.5},
-            {"type": "box", "x0": -2.0, "x1": -1.0, "y0": 0.0, "y1": 0.25},
-        ],
-    }
-    h = set_from_spec(doc)
-    assert isinstance(h, HalfPlaneHull)
-    assert h.to_spec() == doc
-    d = {"space": "disk", "shapes": [{"type": "rslit", "theta": 0.5, "rho": 0.7}]}
-    b = set_from_spec(d)
-    assert isinstance(b, DiskCompact)
-    assert b.to_spec() == d
-
-
-def test_shape_file_errors():
-    with pytest.raises(InvalidShapeError):
-        set_from_spec({"space": "plane", "shapes": []})
-    with pytest.raises(InvalidShapeError):
-        set_from_spec({"space": "disk", "shapes": [{"type": "rslit", "theta": 0.5}]})
-    with pytest.raises(InvalidShapeError):
-        set_from_spec({"space": "disk", "shapes": [{"type": "rslit", "theta": "x", "rho": 0.7}]})
 
 
 def test_scale_and_mirror():

@@ -14,12 +14,12 @@ from hypcap.geom import (
 )
 from hypcap.hyperbolic import (
     DomainError,
+    _ball_disk,
+    _ball_halfplane,
     _disk_rect_areas,
     _indisk_areas,
     circle_rect_area,
-    filled_neighborhood_area,
     filled_region,
-    hyp_ball,
     hyp_dist_d,
     hyp_dist_h,
     neighborhood_area,
@@ -48,23 +48,29 @@ def test_hyp_dist_d_closed_forms():
         hyp_dist_d(0j, 1.0 + 0j)
 
 
+def _ball(ball, center, rho):
+    """(euclidean center, euclidean radius) of one closed hyperbolic ball."""
+    c, r = ball(np.asarray([complex(center)]), rho)
+    return complex(c[0]), float(r[0])
+
+
 def test_hyp_ball_halfplane():
-    b = hyp_ball("halfplane", 1j, 1.0)
-    assert b.euclidean_center.y == pytest.approx(math.cosh(1.0), abs=1e-12)
-    assert b.euclidean_radius == pytest.approx(math.sinh(1.0), abs=1e-12)
-    b2 = hyp_ball("halfplane", 2j, 1.0)
-    assert b2.euclidean_center.y == pytest.approx(2 * math.cosh(1.0), abs=1e-12)
-    assert b2.euclidean_radius == pytest.approx(2 * math.sinh(1.0), abs=1e-12)
+    c, r = _ball(_ball_halfplane, 1j, 1.0)
+    assert c.imag == pytest.approx(math.cosh(1.0), abs=1e-12)
+    assert r == pytest.approx(math.sinh(1.0), abs=1e-12)
+    c2, r2 = _ball(_ball_halfplane, 2j, 1.0)
+    assert c2.imag == pytest.approx(2 * math.cosh(1.0), abs=1e-12)
+    assert r2 == pytest.approx(2 * math.sinh(1.0), abs=1e-12)
 
 
 def test_hyp_ball_disk():
-    b = hyp_ball("disk", 0j, 1.0)
-    assert b.euclidean_center.x == 0.0
-    assert b.euclidean_radius == pytest.approx(math.tanh(0.5), abs=1e-12)
+    c, r = _ball(_ball_disk, 0j, 1.0)
+    assert c.real == 0.0
+    assert r == pytest.approx(math.tanh(0.5), abs=1e-12)
     # points on the euclidean circle are at hyperbolic distance 1
-    c = hyp_ball("disk", 0.4 + 0.2j, 1.0)
+    c, r = _ball(_ball_disk, 0.4 + 0.2j, 1.0)
     for t in np.linspace(0, 2 * math.pi, 7):
-        w = c.euclidean_center.z + c.euclidean_radius * np.exp(1j * t)
+        w = c + r * np.exp(1j * t)
         assert hyp_dist_d(0.4 + 0.2j, complex(w)) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -86,10 +92,10 @@ def test_ball_transport_membership():
         c = complex(rng.uniform(-2, 2), rng.uniform(0.1, 3))
         p = complex(rng.uniform(-2, 2), rng.uniform(0.1, 3))
         rho = rng.uniform(0.2, 1.5)
-        bh = hyp_ball("halfplane", c, rho)
-        bd = hyp_ball("disk", complex(t_y(y, c)), rho)
-        in_h = abs(p - bh.euclidean_center.z) <= bh.euclidean_radius
-        in_d = abs(complex(t_y(y, p)) - bd.euclidean_center.z) <= bd.euclidean_radius
+        ch, rh = _ball(_ball_halfplane, c, rho)
+        cd, rd = _ball(_ball_disk, t_y(y, c), rho)
+        in_h = abs(p - ch) <= rh
+        in_d = abs(complex(t_y(y, p)) - cd) <= rd
         if abs(hyp_dist_h(c, p) - rho) > 1e-9:
             assert in_h == in_d
 
@@ -207,13 +213,13 @@ def _grid_fill_oracle(B, rho, n=600):
 def test_filled_equals_plain_for_single_slit():
     B = DiskCompact([RadialSlit(0.5, 0.7)])
     nb = neighborhood_area(B, 1.0, 2e-3)
-    fb = filled_neighborhood_area(B, 1.0, 2e-3)
+    fb = filled_region(B, 1.0, 2e-3).bounds
     assert fb.tolerance_met
     assert abs(fb.midpoint - nb.midpoint) <= 2 * 2e-3
 
 
 def test_filled_empty():
-    fb = filled_neighborhood_area(DiskCompact([]), 1.0, 1e-3)
+    fb = filled_region(DiskCompact([]), 1.0, 1e-3).bounds
     assert fb.lower == fb.upper == 0.0
 
 
@@ -223,7 +229,7 @@ def test_filled_nearly_closed_ring_traps_pocket():
     B = DiskCompact([ArcBox(0, 2 * math.pi - 0.01, 0.9)])
     n_oracle, nhat_oracle = _grid_fill_oracle(B, 1.0, n=900)
     assert nhat_oracle > n_oracle
-    fb = filled_neighborhood_area(B, 1.0, 1e-3)
+    fb = filled_region(B, 1.0, 1e-3).bounds
     nb = neighborhood_area(B, 1.0, 1e-3)
     # certified brackets agree with the oracle on both quantities
     assert fb.lower - 3e-2 <= nhat_oracle <= fb.upper + 3e-2

@@ -1,18 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
-from hypcap.geom import BoxShape, HalfDisk, HalfPlaneHull, VSlit
-from hypcap.mobius import (
-    AnnulusError,
-    image_area,
-    map_disk_inverse,
-    pushforward_set,
-    t_y,
-    t_y_inv,
-    t_y_jacobian,
-)
+from hypcap.geom import HalfDisk, HalfPlaneHull
+from hypcap.mobius import AnnulusError, require_annulus, t_y
 
 
 def test_t_y_special_points():
@@ -25,7 +15,8 @@ def test_round_trip():
     rng = np.random.default_rng(0)
     for y in (1.0, 10.0, 100.0):
         z = rng.uniform(-5, 5, 50) + 1j * rng.uniform(0.01, 10, 50)
-        back = t_y_inv(y, t_y(y, z))
+        w = t_y(y, z)
+        back = 1j * y * (1.0 + w) / (1.0 - w)
         assert np.max(np.abs(back - z) / np.abs(z)) < 1e-12
 
 
@@ -34,148 +25,17 @@ def test_boundary_to_boundary():
     assert np.allclose(np.abs(w), 1.0, atol=1e-12)
 
 
-def test_jacobian_values():
-    assert t_y_jacobian(1.0, 1j) == pytest.approx(0.25, abs=1e-15)
-    assert t_y_jacobian(2.0, 0j) == pytest.approx(4.0 / 4.0, abs=1e-15)
-    # fixed z, growing y: ratio to 4/y^2 tends to 1
-    z = 0.3 + 0.7j
-    for y in (10.0, 100.0, 1000.0):
-        ratio = t_y_jacobian(y, z) / (4.0 / y**2)
-        assert abs(ratio - 1.0) < 5.0 / y
-    r1 = t_y_jacobian(100.0, z) / (4.0 / 100.0**2)
-    r2 = t_y_jacobian(1000.0, z) / (4.0 / 1000.0**2)
-    assert abs(r2 - 1.0) < abs(r1 - 1.0)
-
-
-def test_jacobian_is_local_area_factor():
-    # finite-difference oracle: area scale of a tiny square under T_y
-    y, z, h = 3.0, 0.4 + 1.2j, 1e-6
-    corners = np.array([z, z + h, z + h + 1j * h, z + 1j * h])
-    img = t_y(y, corners)
-    # shoelace area of the image quadrilateral over h^2
-    x, v = img.real, img.imag
-    area = 0.5 * abs(
-        sum(x[i] * v[(i + 1) % 4] - x[(i + 1) % 4] * v[i] for i in range(4))
-    )
-    assert area / h**2 == pytest.approx(t_y_jacobian(y, z), rel=1e-4)
-
-
-def test_map_disk_inverse_roundtrip():
-    # images of disk boundary points land on the computed circle
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        y = rng.uniform(0.5, 20)
-        c = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-        r = rng.uniform(0.05, 0.3)
-        if abs(c) + r >= 0.95:
-            continue
-        m, rr = map_disk_inverse(y, np.asarray([c]), np.asarray([r]))
-        for t in np.linspace(0, 2 * math.pi, 9):
-            w = c + r * np.exp(1j * t)
-            zz = t_y_inv(y, w)
-            assert abs(abs(zz - m[0]) - rr[0]) < 1e-9 * max(1.0, abs(rr[0]))
-
-
-def test_image_area_box_asymptotic():
-    # unit-area box at heights <= 2
-    S = BoxShape(-0.5, 0.5, 1.0, 2.0)
-    for y in (100.0, 200.0, 400.0):
-        ab = image_area(S, y, tol=1e-3)
-        assert ab.tolerance_met
-        lo = y * y * ab.lower / 4.0
-        hi = y * y * ab.upper / 4.0
-        assert hi <= 1.0 + 1e-9
-        assert lo >= 1.0 - 12.0 / y
-    a1 = image_area(S, 100.0, tol=1e-4)
-    a2 = image_area(S, 200.0, tol=1e-4)
-    r1 = 100.0**2 * a1.midpoint / 4.0
-    r2 = 200.0**2 * a2.midpoint / 4.0
-    assert abs(r2 - 1.0) < abs(r1 - 1.0)
-
-
-def test_image_area_quadrature_oracle():
-    # fine-grid jacobian quadrature over the box
-    S = BoxShape(0.0, 1.0, 0.5, 1.5)
-    y = 7.0
-    xs = np.linspace(0.0, 1.0, 401)
-    ys = np.linspace(0.5, 1.5, 401)
-    X, Y = np.meshgrid(0.5 * (xs[1:] + xs[:-1]), 0.5 * (ys[1:] + ys[:-1]))
-    J = t_y_jacobian(y, X + 1j * Y)
-    oracle = J.mean() * 1.0
-    ab = image_area(S, y, tol=1e-4)
-    assert ab.lower - 1e-4 <= oracle <= ab.upper + 1e-4
-
-
-def test_image_area_hull_and_empty():
-    assert image_area(HalfPlaneHull([]), 5.0).upper == 0.0
-    # slits carry no area
-    ab = image_area(HalfPlaneHull([VSlit(0, 1)]), 5.0, tol=1e-5, tol_is_relative=False)
-    assert ab.upper <= 1e-4
-    # half-disk image area roughly 4/y^2 times source area
-    A = HalfPlaneHull([HalfDisk(0, 1)])
-    y = 50.0
-    ab = image_area(A, y, tol=1e-3)
-    src = 0.5 * math.pi
-    assert ab.midpoint == pytest.approx(4.0 / y**2 * src, rel=0.1)
-
-
-def test_pushforward_membership_consistency():
-    A = HalfPlaneHull([HalfDisk(0, 1), VSlit(3, 0.5)])
-    pf = pushforward_set(A, 20.0)
-    rng = np.random.default_rng(2)
-    w = rng.uniform(-0.9, 0.9, 500) + 1j * rng.uniform(-0.9, 0.9, 500)
-    w = w[np.abs(w) < 0.98]
-    member = pf.member(w)
-    back = t_y_inv(20.0, w)
-    oracle = A.member(back)
-    assert np.array_equal(member, oracle)
-
-
 def test_pushforward_annulus_check():
     A = HalfPlaneHull([HalfDisk(0, 1)])
-    assert not pushforward_set(A, 1.0).annulus_ok
-    assert pushforward_set(A, 8.0).annulus_ok
     with pytest.raises(AnnulusError):
-        pushforward_set(A, 1.0).require_annulus()
-    assert pushforward_set(HalfPlaneHull([]), 1.0).annulus_ok
-
-
-def test_pushforward_ball_test_matches_membership_sampling():
-    A = HalfPlaneHull([VSlit(0, 1)])
-    y = 10.0
-    pf = pushforward_set(A, y)
-    rng = np.random.default_rng(3)
-    for _ in range(40):
-        c = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
-        if abs(c) > 0.85:
-            continue
-        r = rng.uniform(0.01, 0.1)
-        hit = bool(pf.ball_intersects(np.asarray([c]), np.asarray([r]))[0])
-        # sampling oracle on the disk
-        t = rng.uniform(0, 2 * math.pi, 4000)
-        s = np.sqrt(rng.uniform(0, 1, 4000))
-        pts = c + r * s * np.exp(1j * t)
-        pts = pts[np.abs(pts) < 1.0]
-        sampled = bool(np.any(pf.member(pts)))
-        if sampled:
-            assert hit
-        if not hit:
-            # distance bound must also exclude the ball
-            assert pf.dist(np.asarray([c]))[0] >= 0.0
-
-
-def test_pushforward_dist_lower_bound():
-    A = HalfPlaneHull([HalfDisk(0, 1)])
-    y = 10.0
-    pf = pushforward_set(A, y)
-    rng = np.random.default_rng(4)
-    w = rng.uniform(-0.9, 0.9, 300) + 1j * rng.uniform(-0.9, 0.9, 300)
-    w = w[(np.abs(w) < 0.98) & ~pf.member(w)]
-    d = pf.dist(w)
-    # oracle: distance to a dense sample of the true image set
-    t = np.linspace(0, math.pi, 4000)
-    boundary = np.concatenate([np.exp(1j * t), np.linspace(-1, 1, 2000) + 0j])
-    img = np.asarray(t_y(y, boundary))
-    real_d = np.min(np.abs(w[:, None] - img[None, :]), axis=1)
-    assert np.all(d <= real_d + 1e-9)
-    assert np.all(d >= 0)
+        require_annulus(A, 1.0)
+    # (3 - 1)/(3 + 1) = 1/2 exactly: the image may touch |w| = 1/2
+    with pytest.raises(AnnulusError):
+        require_annulus(A, 3.0)
+    require_annulus(A, 3.0001)
+    require_annulus(A, 8.0)
+    require_annulus(HalfPlaneHull([]), 1.0)
+    # a bad y is a plain ValueError, not an AnnulusError naming a bound
+    for S, y in ((A, float("nan")), (A, float("inf")), (A, 0.0), (HalfPlaneHull([]), -1.0)):
+        with pytest.raises(ValueError, match="y must be positive and finite"):
+            require_annulus(S, y)

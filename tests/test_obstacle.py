@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from hypcap.capacity import ring
+from hypcap.capacity import dcap_transport, ring
 from hypcap.geom import ArcBox, BoxShape, DiskCompact, HalfDisk, HalfPlaneHull, RadialSlit, VSlit
-from hypcap.hyperbolic import RectSet, filled_region, neighborhood_area
-from hypcap.mobius import image_area
+from hypcap.hyperbolic import RectSet, filled_region, neighborhood_area, neighborhood_member
 from hypcap.wos import DiskDomain, run_walks
 
 NAN = float("nan")
@@ -65,7 +64,11 @@ def test_non_obstacles_rejected():
         lambda: neighborhood_area(SLIT_HULL, rho=NAN, max_depth=6),
         lambda: filled_region(SLIT_DISK, tol=NAN, max_depth=6),
         lambda: filled_region(SLIT_DISK, rho=NAN, max_depth=6),
-        lambda: image_area(SLIT_HULL, 5.0, tol=NAN, max_depth=6),
+        lambda: neighborhood_member(2j, SLIT_HULL, NAN),
+        lambda: neighborhood_member(2j, SLIT_HULL, math.inf),
+        lambda: neighborhood_member(2j, SLIT_HULL, -1.0),
+        lambda: dcap_transport(SLIT_HULL, NAN, n_walks=4),
+        lambda: dcap_transport(SLIT_HULL, 0.0, n_walks=4),
         lambda: run_walks(DiskDomain(SLIT_DISK), 2 + 0j, 4),
     ],
     ids=[
@@ -74,7 +77,11 @@ def test_non_obstacles_rejected():
         "area-rho-nan",
         "filled-tol-nan",
         "filled-rho-nan",
-        "image-tol-nan",
+        "member-rho-nan",
+        "member-rho-inf",
+        "member-rho-negative",
+        "transport-y-nan",
+        "transport-y-zero",
         "start-outside",
     ],
 )

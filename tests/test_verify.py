@@ -1,12 +1,13 @@
 """Smoke tier for the claim harness: small walk counts, coarse areas, tiny corpora.
 
-"fattening" and "omega" are left out, though their RectSet distance
-queries are cheap and bounded in memory (ROADMAP item 4).  At this config, on a
-2-core x86 VM, "fattening" takes about 226 s: 155 s go to filled_region on
-the RectSet obstacles of the iterated arcbox fattenings, and the radial-slit
-corpus element peaks at 2.5 GB RSS (7.7M leaves, 1.6M frontier cells).
-"omega" takes 17 s and peaks at 1.4 GB RSS in filled_region on the ring at
-rho = 0.125 (9.3M leaves).
+"fattening" and "omega" are left out until their filled regions certify in
+bounded memory (ROADMAP item 1); their RectSet distance queries are already
+cheap and bounded.  At this config, on a 2-core x86 VM, "fattening" takes
+about 226 s: 155 s go to filled_region on the RectSet obstacles of the
+iterated arcbox fattenings, and the radial-slit corpus element peaks at
+2.5 GB RSS (7.7M leaves, 1.6M frontier cells).  "omega" takes 17 s and
+peaks at 1.4 GB RSS in filled_region on the ring at rho = 0.125 (9.3M
+leaves).
 """
 
 import pytest
