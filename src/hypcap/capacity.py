@@ -24,7 +24,7 @@ exit point w: -log|w| on obstacle hits, Im w, or -log|T_y(w)|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,22 +49,20 @@ class CanonicalHull:
 
     kind: str  # "halfdisk" | "vslit" | "ring"
     param: float
-    shift: float = 0.0
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("halfdisk", "vslit", "ring"):
             raise ValueError(f"unknown canonical kind {self.kind!r}")
-        if self.param <= 0 or self.scale <= 0:
-            raise ValueError("param and scale must be positive")
+        if self.param <= 0:
+            raise ValueError("param must be positive")
         if self.kind == "ring" and not (0.5 < self.param < 1.0):
             raise ValueError("ring needs rho in (1/2, 1)")
 
     def hull(self) -> HalfPlaneHull:
         if self.kind == "halfdisk":
-            return HalfPlaneHull([HalfDisk(self.shift, self.param * self.scale)])
+            return HalfPlaneHull([HalfDisk(0.0, self.param)])
         if self.kind == "vslit":
-            return HalfPlaneHull([VSlit(self.shift, self.param * self.scale)])
+            return HalfPlaneHull([VSlit(0.0, self.param)])
         raise ValueError("ring is a disk-space obstacle")
 
     def compact(self) -> DiskCompact:
@@ -78,11 +76,11 @@ def ring(rho: float) -> DiskCompact:
 
 
 def hcap_exact(C: CanonicalHull) -> float:
-    """HalfDisk(r) -> r^2, VSlit(h) -> h^2/2; translation invariant, scales as s^2."""
+    """HalfDisk(r) -> r^2, VSlit(h) -> h^2/2."""
     if C.kind == "halfdisk":
-        return (C.param * C.scale) ** 2
+        return C.param**2
     if C.kind == "vslit":
-        return 0.5 * (C.param * C.scale) ** 2
+        return 0.5 * C.param**2
     raise ValueError("hcap is undefined for disk obstacles")
 
 
@@ -154,9 +152,9 @@ class LayerSum:
     """Per-layer hitting frequencies with the deterministic dcap sandwich."""
 
     estimate: Estimate
-    omega: dict[int, float] = field(default_factory=dict)
-    lower: float = 0.0
-    upper: float = 0.0
+    omega: dict[int, float]
+    lower: float
+    upper: float
 
 
 def dcap_layer_sum(
@@ -174,8 +172,10 @@ def dcap_layer_sum(
     contributes a value -log|u| in [2^-(n+1), 2 log 2 * 2^-n), so the
     sandwich holds walk by walk, not just in expectation, as long as
     B.min_abs >= 1/4: layer 0's upper bound 2 log 2 = -log(1/4) holds only
-    for depths up to 3/4.
+    for depths up to 3/4, so a B reaching below |z| = 1/4 raises ValueError.
     """
+    if B.min_abs < 0.25:
+        raise ValueError(f"dcap_layer_sum needs B.min_abs >= 1/4, got {B.min_abs:g}")
     est, ens = walk_mean(DiskDomain(B), 0j, n_walks, _minus_log_modulus, seed, eps_stop, threads, _PROJECTION_NOTE)
     hits = ens.labels >= 0
     omega: dict[int, float] = {}

@@ -32,6 +32,10 @@ from .geom import (
 from .quadtree import AreaBounds
 
 TWO_PI = 2.0 * math.pi
+# the finest dyadic scale a cover may reach: deeper sets are rejected
+N_MAX = 20
+# the finest Whitney level enumerated exactly; the tail below is bracketed
+K_CUT = -16
 
 
 @dataclass(frozen=True)
@@ -97,15 +101,15 @@ def layer_of_radius(u: np.ndarray) -> np.ndarray:
     return n
 
 
-def _shape_min_scale(max_depth_from_circle: float, n_max: int) -> int:
+def _shape_min_scale(max_depth_from_circle: float) -> int:
     """Smallest n whose top-half band (2^-(n+1), 2^-n] meets (0, u]."""
     u = max_depth_from_circle
     n = 1
     while 0.5 ** (n + 1) >= u:
         n += 1
-        if n > n_max:
+        if n > N_MAX:
             raise ValueError(
-                f"set reaches deeper than scale n_max={n_max}; cover would be incomplete"
+                f"set reaches deeper than scale N_MAX={N_MAX}; cover would be incomplete"
             )
     return n
 
@@ -138,7 +142,7 @@ def _squares_for_footprint(n: int, start: float, width: float) -> list[int]:
     return sorted(ks)
 
 
-def dyadic_cover(B: DiskCompact, n_max: int = 20) -> tuple[list[DyadicSquare], AreaBounds]:
+def dyadic_cover(B: DiskCompact) -> tuple[list[DyadicSquare], AreaBounds]:
     """Maximal squares of the cover Q(B) and the exact area of their union.
 
     The union is {1 - |z| <= f(angle)} for a piecewise-constant dyadic depth
@@ -149,7 +153,7 @@ def dyadic_cover(B: DiskCompact, n_max: int = 20) -> tuple[list[DyadicSquare], A
     squares: list[DyadicSquare] = []
     for s in B.shapes:
         u = 1.0 - s.rho_min
-        n0 = _shape_min_scale(u, n_max)
+        n0 = _shape_min_scale(u)
         start, width = _angle_footprint(s)
         for k in _squares_for_footprint(n0, start, width):
             squares.append(DyadicSquare(n0, k))
@@ -224,12 +228,12 @@ def whitney_ranges(A: HalfPlaneHull, k: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def whitney_cover_area(A: HalfPlaneHull, k_cut: int = -16) -> AreaBounds:
+def whitney_cover_area(A: HalfPlaneHull) -> AreaBounds:
     """Total area of the distinct Whitney squares meeting A.
 
-    Levels down to k_cut are enumerated exactly through integer ranges; the
-    geometric tail below k_cut is bracketed analytically, so the returned
-    gap is of order 4^k_cut.
+    Levels down to K_CUT are enumerated exactly through integer ranges; the
+    geometric tail below K_CUT is bracketed analytically, so the returned
+    gap is of order 4^K_CUT.
     """
     if A.is_empty:
         return AreaBounds(0.0, 0.0, 0, True)
@@ -242,16 +246,16 @@ def whitney_cover_area(A: HalfPlaneHull, k_cut: int = -16) -> AreaBounds:
 
     area = 0.0
     levels = 0
-    for k in range(k_top, k_cut - 1, -1):
+    for k in range(k_top, K_CUT - 1, -1):
         ranges = whitney_ranges(A, k)
         area += _merged_count(ranges) * 4.0**k
         levels += 1
 
-    # tail bracket for levels below k_cut
+    # tail bracket for levels below K_CUT
     tail_lo = 0.0
     tail_hi = 0.0
-    s4 = 4.0**k_cut / 3.0  # sum of 4^k over k < k_cut
-    s2 = 2.0**k_cut  # sum of 2^k over k < k_cut
+    s4 = 4.0**K_CUT / 3.0  # sum of 4^k over k < K_CUT
+    s2 = 2.0**K_CUT  # sum of 2^k over k < K_CUT
     rooted = [s for s in A.shapes if s.y_range[0] == 0.0]
     for s in rooted:
         if isinstance(s, VSlit):
@@ -262,7 +266,7 @@ def whitney_cover_area(A: HalfPlaneHull, k_cut: int = -16) -> AreaBounds:
             tail_lo += w * s2
             tail_hi += w * s2 + 2.0 * s4
         elif isinstance(s, HalfDisk):
-            w_lo = 2.0 * math.sqrt(max(s.r * s.r - 4.0**k_cut, 0.0))
+            w_lo = 2.0 * math.sqrt(max(s.r * s.r - 4.0**K_CUT, 0.0))
             tail_lo += w_lo * s2
             tail_hi += 2.0 * s.r * s2 + 2.0 * s4
     # squares shared between touching feet are double counted in tail_lo

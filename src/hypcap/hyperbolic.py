@@ -39,10 +39,16 @@ class DomainError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _finite_point(z: Point | complex) -> complex:
+    a = z.z if isinstance(z, Point) else complex(z)
+    if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+        raise DomainError(f"point must be finite, got {a!r}")
+    return a
+
+
 def hyp_dist_h(z: Point | complex, w: Point | complex) -> float:
     """Hyperbolic distance in the upper half-plane."""
-    a = z.z if isinstance(z, Point) else complex(z)
-    b = w.z if isinstance(w, Point) else complex(w)
+    a, b = _finite_point(z), _finite_point(w)
     if a.imag <= 0 or b.imag <= 0:
         raise DomainError("hyp_dist_h needs points with positive imaginary part")
     q = abs(a - b) ** 2 / (2.0 * a.imag * b.imag)
@@ -51,8 +57,7 @@ def hyp_dist_h(z: Point | complex, w: Point | complex) -> float:
 
 def hyp_dist_d(z: Point | complex, w: Point | complex) -> float:
     """Hyperbolic distance in the unit disk."""
-    a = z.z if isinstance(z, Point) else complex(z)
-    b = w.z if isinstance(w, Point) else complex(w)
+    a, b = _finite_point(z), _finite_point(w)
     if abs(a) >= 1 or abs(b) >= 1:
         raise DomainError("hyp_dist_d needs points inside the open unit disk")
     p = abs(a - b) / abs(1.0 - a.conjugate() * b)
@@ -86,7 +91,7 @@ def neighborhood_member(z: Point | complex, S: Obstacle, rho: float = 1.0) -> bo
     require_obstacle(S)
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be positive and finite")
-    a = z.z if isinstance(z, Point) else complex(z)
+    a = _finite_point(z)
     if S.space == "halfplane" and a.imag <= 0:
         raise DomainError("point must lie in the open half-plane")
     if S.space == "disk" and abs(a) >= 1:
@@ -220,10 +225,8 @@ class FilledRegion:
     """
 
     leaves: Leaves
-    n_bounds: AreaBounds
     bounds: AreaBounds
     passable: np.ndarray
-    rho: float
 
     def blocked_rects(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Geometric rects of blocked cells adjacent to the passable region.
@@ -404,7 +407,7 @@ def filled_region(
         if done:
             passable = reached_strict
             bounds = AreaBounds(lower, upper, n_bounds.cells_refined, met)
-            return FilledRegion(leaves, n_bounds, bounds, passable, rho)
+            return FilledRegion(leaves, bounds, passable)
         prev_gap = gap
         goal /= 4.0
 

@@ -6,6 +6,10 @@ signals below their own noise and for checks on filled regions whose area
 bracket missed its tolerance.  Universal constants are represented by the
 pilot-run fixtures; a default run over the shipped corpora must produce
 zero failures.
+
+Each claim computes the certified bracket of |N| for each obstacle once and
+passes it to every row that reads it: the hcap or dcap ratio, the scale
+consistency of the ratio and the Figure-1 comparators.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .dyadic import (
 )
 from .geom import ArcBox, DiskCompact, HalfDisk, HalfPlaneHull, VSlit
 from .hyperbolic import RectSet, filled_region, neighborhood_area
+from .quadtree import AreaBounds
 
 CLAIMS = (
     "t1",
@@ -60,7 +65,6 @@ class VerifyConfig:
     y_factors: tuple = (8.0, 16.0, 32.0)
     corpus_size: int = 30
     hp_corpus_size: int = 20
-    pair_count: int = 20
     omega_corpus_size: int = 10
     delta_corollary: float = 0.1
     threads: int = 1
@@ -88,6 +92,11 @@ def _in_bracket(x: float, bracket: tuple) -> bool:
     return bracket[0] <= x <= bracket[1]
 
 
+def _ratio_row(claim: str, name: str, values: dict, bracket: tuple) -> CheckResult:
+    """A row that passes iff values["ratio"] lies in bracket."""
+    return CheckResult(claim, name, values, bracket, _verdict(_in_bracket(values["ratio"], bracket)))
+
+
 def _limit_verdict(value: float, sigma: float, delta: float) -> tuple[str, str]:
     """(verdict, note) for value against the limit 2 +- delta.
 
@@ -105,34 +114,28 @@ def _limit_verdict(value: float, sigma: float, delta: float) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 
 
-def _hull_ratio(A: HalfPlaneHull, cfg: VerifyConfig, seed: int):
+def _hull_ratio(A: HalfPlaneHull, area: AreaBounds, cfg: VerifyConfig, seed: int):
     est = hcap_mc(A, cfg.n_walks, cfg.eps_stop, seed, cfg.threads)
-    area = neighborhood_area(A, 1.0, cfg.tol_area, relative=True)
     ratio = est.mean / area.midpoint
     rel = math.hypot(
         est.std_error / max(est.mean, 1e-12),
         area.gap / max(area.midpoint, 1e-12),
     )
-    return ratio, ratio * rel, est, area
+    return ratio, ratio * rel, est
 
 
 def thm1_report(corpus: list[HalfPlaneHull], cfg: VerifyConfig) -> list[CheckResult]:
+    """hcap/|N| ratios, their spread, scale consistency and the Figure-1 comparators."""
+    areas = [neighborhood_area(A, 1.0, cfg.tol_area, relative=True) for A in corpus]
     out = []
     ratios = []
-    for i, A in enumerate(corpus):
+    for i, (A, area) in enumerate(zip(corpus, areas)):
         if A.is_empty:
             continue
-        ratio, sigma, est, area = _hull_ratio(A, cfg, cfg.seed + 1000 + i)
+        ratio, sigma, est = _hull_ratio(A, area, cfg, cfg.seed + 1000 + i)
         ratios.append(ratio)
-        out.append(
-            CheckResult(
-                "t1",
-                f"ratio[{i}]",
-                {"hcap": est.mean, "area_n": area.midpoint, "ratio": ratio, "sigma": sigma},
-                fixtures.THM1_RATIO,
-                _verdict(_in_bracket(ratio, fixtures.THM1_RATIO)),
-            )
-        )
+        values = {"hcap": est.mean, "area_n": area.midpoint, "ratio": ratio, "sigma": sigma}
+        out.append(_ratio_row("t1", f"ratio[{i}]", values, fixtures.THM1_RATIO))
     if ratios:
         spread = max(ratios) / min(ratios)
         out.append(
@@ -144,12 +147,15 @@ def thm1_report(corpus: list[HalfPlaneHull], cfg: VerifyConfig) -> list[CheckRes
                 _verdict(spread <= fixtures.THM1_SPREAD),
             )
         )
-    # scale consistency: the ratio is invariant under doubling the hull
-    for i, A in enumerate(corpus[:3]):
+    # scale consistency: the ratio is invariant under doubling the hull; the
+    # area of 2A is computed afresh because this row tests it
+    for i, (A, area) in enumerate(zip(corpus[:3], areas)):
         if A.is_empty:
             continue
-        r1, s1, _, _ = _hull_ratio(A, cfg, cfg.seed + 2000 + i)
-        r2, s2, _, _ = _hull_ratio(A.scale(2.0), cfg, cfg.seed + 3000 + i)
+        r1, s1, _ = _hull_ratio(A, area, cfg, cfg.seed + 2000 + i)
+        A2 = A.scale(2.0)
+        area2 = neighborhood_area(A2, 1.0, cfg.tol_area, relative=True)
+        r2, s2, _ = _hull_ratio(A2, area2, cfg, cfg.seed + 3000 + i)
         tol = 3.0 * math.hypot(s1, s2)
         out.append(
             CheckResult(
@@ -160,28 +166,31 @@ def thm1_report(corpus: list[HalfPlaneHull], cfg: VerifyConfig) -> list[CheckRes
                 _verdict(abs(r1 - r2) <= tol),
             )
         )
+    # Figure-1 comparators: Whitney and Lipschitz areas against |N|
+    for i, (A, area) in enumerate(zip(corpus[:5], areas)):
+        area_n = area.midpoint
+        w = whitney_cover_area(A).midpoint
+        lip = lipschitz_majorant_area(A)
+        values = {"whitney": w, "area_n": area_n, "ratio": w / area_n}
+        out.append(_ratio_row("t1", f"whitney-over-n[{i}]", values, fixtures.WHITNEY_OVER_N))
+        values = {"lipschitz": lip, "area_n": area_n, "ratio": lip / area_n}
+        out.append(_ratio_row("t1", f"lipschitz-over-n[{i}]", values, fixtures.LIPSCHITZ_OVER_N))
     return out
 
 
 def thm2_report(corpus: list[DiskCompact], cfg: VerifyConfig) -> list[CheckResult]:
+    """dcap/|N| ratios, their spread and the Figure-1 comparator Q(B)."""
+    areas = [neighborhood_area(B, 1.0, cfg.tol_area, relative=True) for B in corpus]
     out = []
     ratios = []
-    for i, B in enumerate(corpus):
+    for i, (B, area) in enumerate(zip(corpus, areas)):
         if B.is_empty:
             continue
         est = dcap_mc(B, cfg.n_walks, cfg.eps_stop, cfg.seed + 4000 + i, cfg.threads)
-        area = neighborhood_area(B, 1.0, cfg.tol_area, relative=True)
         ratio = est.mean / area.midpoint
         ratios.append(ratio)
-        out.append(
-            CheckResult(
-                "t2",
-                f"ratio[{i}]",
-                {"dcap": est.mean, "area_n": area.midpoint, "ratio": ratio},
-                fixtures.THM2_RATIO,
-                _verdict(_in_bracket(ratio, fixtures.THM2_RATIO)),
-            )
-        )
+        values = {"dcap": est.mean, "area_n": area.midpoint, "ratio": ratio}
+        out.append(_ratio_row("t2", f"ratio[{i}]", values, fixtures.THM2_RATIO))
     if ratios:
         spread = max(ratios) / min(ratios)
         out.append(
@@ -193,46 +202,11 @@ def thm2_report(corpus: list[DiskCompact], cfg: VerifyConfig) -> list[CheckResul
                 _verdict(spread <= fixtures.THM2_SPREAD),
             )
         )
-    return out
-
-
-def comparator_report(corpus_hp, corpus_disk, cfg: VerifyConfig) -> list[CheckResult]:
-    """Figure-1 comparators: Whitney, Lipschitz, Q(B) and filled areas vs |N|."""
-    out = []
-    for i, A in enumerate(corpus_hp):
-        area_n = neighborhood_area(A, 1.0, cfg.tol_area, relative=True).midpoint
-        w = whitney_cover_area(A).midpoint
-        lip = lipschitz_majorant_area(A)
-        out.append(
-            CheckResult(
-                "t1",
-                f"whitney-over-n[{i}]",
-                {"whitney": w, "area_n": area_n, "ratio": w / area_n},
-                fixtures.WHITNEY_OVER_N,
-                _verdict(_in_bracket(w / area_n, fixtures.WHITNEY_OVER_N)),
-            )
-        )
-        out.append(
-            CheckResult(
-                "t1",
-                f"lipschitz-over-n[{i}]",
-                {"lipschitz": lip, "area_n": area_n, "ratio": lip / area_n},
-                fixtures.LIPSCHITZ_OVER_N,
-                _verdict(_in_bracket(lip / area_n, fixtures.LIPSCHITZ_OVER_N)),
-            )
-        )
-    for i, B in enumerate(corpus_disk):
-        area_n = neighborhood_area(B, 1.0, cfg.tol_area, relative=True).midpoint
+    for i, (B, area) in enumerate(zip(corpus[:5], areas)):
+        area_n = area.midpoint
         _, qb = dyadic_cover(B)
-        out.append(
-            CheckResult(
-                "t2",
-                f"qb-over-n[{i}]",
-                {"area_qb": qb.midpoint, "area_n": area_n, "ratio": qb.midpoint / area_n},
-                fixtures.QB_OVER_NB,
-                _verdict(_in_bracket(qb.midpoint / area_n, fixtures.QB_OVER_NB)),
-            )
-        )
+        values = {"area_qb": qb.midpoint, "area_n": area_n, "ratio": qb.midpoint / area_n}
+        out.append(_ratio_row("t2", f"qb-over-n[{i}]", values, fixtures.QB_OVER_NB))
     return out
 
 
@@ -241,9 +215,8 @@ def comparator_report(corpus_hp, corpus_disk, cfg: VerifyConfig) -> list[CheckRe
 # ---------------------------------------------------------------------------
 
 
-def _cover_obstacle(B: DiskCompact) -> DiskCompact:
-    """The union Q(B) as a walkable obstacle (merged maximal squares)."""
-    squares, _ = dyadic_cover(B)
+def _cover_obstacle(squares: list[DyadicSquare]) -> DiskCompact:
+    """The union Q(B) of the maximal squares as a walkable obstacle (merged runs)."""
     by_scale: dict[int, list[int]] = {}
     for q in squares:
         by_scale.setdefault(q.n, []).append(q.k)
@@ -271,8 +244,8 @@ def prop1_check(B: DiskCompact, cfg: VerifyConfig, tag: str = "") -> list[CheckR
     if area_b <= 0.0:
         raise ValueError("prop1_check needs a compact of positive area (ArcBox parts)")
     est_b = dcap_mc(B, cfg.n_walks, cfg.eps_stop, cfg.seed + 5001, cfg.threads)
-    qb = _cover_obstacle(B)
-    _, area_qb = dyadic_cover(B)
+    squares, area_qb = dyadic_cover(B)
+    qb = _cover_obstacle(squares)
     est_qb = dcap_mc(qb, cfg.n_walks, cfg.eps_stop, cfg.seed + 5002, cfg.threads)
     sigma = math.hypot(est_b.std_error, est_qb.std_error)
     c1 = est_b.mean / area_b
@@ -349,17 +322,8 @@ def prop1_induction_check(
                 )
             )
             continue
-        ratio = diff / area
-        values["ratio"] = ratio
-        out.append(
-            CheckResult(
-                "prop1-induction",
-                f"step{tag}[{m + 1}]",
-                values,
-                fixtures.INDUCTION_RATIO,
-                _verdict(_in_bracket(ratio, fixtures.INDUCTION_RATIO)),
-            )
-        )
+        values["ratio"] = diff / area
+        out.append(_ratio_row("prop1-induction", f"step{tag}[{m + 1}]", values, fixtures.INDUCTION_RATIO))
     return out
 
 
@@ -546,18 +510,10 @@ def hcap_crad_residual(
     return out
 
 
-def corollary_limit(
-    A: HalfPlaneHull,
-    cfg: VerifyConfig,
-    hcap_value: float | None = None,
-    y_list: tuple | None = None,
-    tag: str = "",
-) -> list[CheckResult]:
+def corollary_limit(A: HalfPlaneHull, cfg: VerifyConfig, hcap_value: float, tag: str) -> list[CheckResult]:
     if A.is_empty:
         raise ValueError("corollary_limit needs a nonempty hull")
-    ys = tuple(y_list) if y_list else tuple(f * max(A.sup_abs, 1.0) for f in cfg.y_factors)
-    if hcap_value is None:
-        hcap_value = hcap_mc(A, cfg.n_walks, cfg.eps_stop, cfg.seed + 9100, cfg.threads).mean
+    ys = tuple(f * max(A.sup_abs, 1.0) for f in cfg.y_factors)
     rows = []
     for i, y in enumerate(ys):
         est = dcap_transport(A, y, cfg.n_walks, cfg.eps_stop, cfg.seed + 9200 + i, cfg.threads)
@@ -592,19 +548,12 @@ def corollary_limit(
 
 
 def remark_expansion_check(
-    A: HalfPlaneHull,
-    cfg: VerifyConfig,
-    hcap_value: float | None = None,
-    y_list: tuple | None = None,
-    tag: str = "",
-    exact_kind: str | None = None,
-    exact_size: float = 1.0,
+    A: HalfPlaneHull, cfg: VerifyConfig, hcap_value: float, tag: str, exact_kind: str
 ) -> list[CheckResult]:
+    """The remark's expansion at iy for A = HalfDisk(0, 1) or VSlit(0, 1) (exact_kind)."""
     if A.is_empty:
         raise ValueError("remark_expansion_check needs a nonempty hull")
-    ys = tuple(y_list) if y_list else tuple(f * max(A.sup_abs, 1.0) for f in cfg.y_factors)
-    if hcap_value is None:
-        hcap_value = hcap_mc(A, cfg.n_walks, cfg.eps_stop, cfg.seed + 9300, cfg.threads).mean
+    ys = tuple(f * max(A.sup_abs, 1.0) for f in cfg.y_factors)
     out = []
     rows = []
     for i, y in enumerate(ys):
@@ -624,19 +573,18 @@ def remark_expansion_check(
                 _verdict(abs(value - ratio_cor) <= 3 * sigma + 0.5 * ratio_cor**2 * hcap_value / (y * y) + 1e-9),
             )
         )
-        if exact_kind is not None:
-            crad_x = crad_exact_at_iy(exact_kind, exact_size, y)
-            value_x = y * y * (1.0 - crad_x / (2.0 * y)) / hcap_value
-            expected = 2.0 / (1.0 + 1.0 / (y * y)) if exact_kind == "halfdisk" else 2.0
-            out.append(
-                CheckResult(
-                    "remark",
-                    f"closed-form{tag}[y={y:g}]",
-                    {"value_exact": value_x, "expected": expected},
-                    None,
-                    _verdict(abs(value_x - expected) <= 1e-9),
-                )
+        crad_x = crad_exact_at_iy(exact_kind, 1.0, y)
+        value_x = y * y * (1.0 - crad_x / (2.0 * y)) / hcap_value
+        expected = 2.0 / (1.0 + 1.0 / (y * y)) if exact_kind == "halfdisk" else 2.0
+        out.append(
+            CheckResult(
+                "remark",
+                f"closed-form{tag}[y={y:g}]",
+                {"value_exact": value_x, "expected": expected},
+                None,
+                _verdict(abs(value_x - expected) <= 1e-9),
             )
+        )
     y_f, v_f, s_f = rows[-1]
     delta = cfg.delta_corollary
     out.append(
@@ -658,15 +606,9 @@ def remark_expansion_check(
 
 def run_claim(claim: str, cfg: VerifyConfig) -> list[CheckResult]:
     if claim == "t1":
-        corpus = mixed_halfplane_corpus(cfg.hp_corpus_size, cfg.seed)
-        out = thm1_report(corpus, cfg)
-        out += comparator_report(corpus[:5], [], cfg)
-        return out
+        return thm1_report(mixed_halfplane_corpus(cfg.hp_corpus_size, cfg.seed), cfg)
     if claim == "t2":
-        corpus = mixed_disk_corpus(cfg.corpus_size, cfg.seed)
-        out = thm2_report(corpus, cfg)
-        out += comparator_report([], corpus[:5], cfg)
-        return out
+        return thm2_report(mixed_disk_corpus(cfg.corpus_size, cfg.seed), cfg)
     if claim == "prop1":
         out = []
         out += prop1_check(DiskCompact([ArcBox(0.0, math.pi / 4, 0.8)]), cfg, "[arcbox]")
@@ -702,12 +644,11 @@ def run_claim(claim: str, cfg: VerifyConfig) -> list[CheckResult]:
         return out
     if claim == "corollary":
         A = HalfPlaneHull([HalfDisk(0, 1)])
-        return corollary_limit(A, cfg, hcap_value=1.0, tag="[halfdisk]")
+        return corollary_limit(A, cfg, 1.0, "[halfdisk]")
     if claim == "remark":
         A = HalfPlaneHull([HalfDisk(0, 1)])
-        out = remark_expansion_check(A, cfg, hcap_value=1.0, tag="[halfdisk]", exact_kind="halfdisk")
-        A2 = HalfPlaneHull([VSlit(0, 1)])
-        out += remark_expansion_check(A2, cfg, hcap_value=0.5, tag="[vslit]", exact_kind="vslit")
+        out = remark_expansion_check(A, cfg, 1.0, "[halfdisk]", "halfdisk")
+        out += remark_expansion_check(HalfPlaneHull([VSlit(0, 1)]), cfg, 0.5, "[vslit]", "vslit")
         return out
     raise ValueError(f"unknown claim {claim!r}; valid: {CLAIMS + ('all',)}")
 

@@ -25,8 +25,6 @@ from hypcap.wos import Estimate
 def test_hcap_exact_values():
     assert hcap_exact(CanonicalHull("halfdisk", 1.0)) == 1.0
     assert hcap_exact(CanonicalHull("vslit", 1.0)) == 0.5
-    assert hcap_exact(CanonicalHull("vslit", 1.0, shift=7.0)) == 0.5
-    assert hcap_exact(CanonicalHull("halfdisk", 1.0, scale=2.0)) == 4.0
     with pytest.raises(ValueError):
         hcap_exact(CanonicalHull("ring", 0.7))
 

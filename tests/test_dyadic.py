@@ -106,7 +106,7 @@ def test_dyadic_cover_union_not_double_counted():
 def test_dyadic_cover_rejects_too_deep():
     B = DiskCompact([RadialSlit(0.3, 1 - 2e-8)])
     with pytest.raises(ValueError):
-        dyadic_cover(B, n_max=20)
+        dyadic_cover(B)
 
 
 def test_whitney_point_square():

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from hypcap.capacity import dcap_transport, ring
+from hypcap.capacity import dcap_layer_sum, dcap_transport, ring
 from hypcap.geom import ArcBox, BoxShape, DiskCompact, HalfDisk, HalfPlaneHull, RadialSlit, VSlit
-from hypcap.hyperbolic import RectSet, filled_region, neighborhood_area, neighborhood_member
+from hypcap.hyperbolic import RectSet, filled_region, hyp_dist_d, hyp_dist_h, neighborhood_area, neighborhood_member
 from hypcap.wos import DiskDomain, run_walks
 
 NAN = float("nan")
@@ -70,6 +70,12 @@ def test_non_obstacles_rejected():
         lambda: dcap_transport(SLIT_HULL, NAN, n_walks=4),
         lambda: dcap_transport(SLIT_HULL, 0.0, n_walks=4),
         lambda: run_walks(DiskDomain(SLIT_DISK), 2 + 0j, 4),
+        # the pathwise layer sandwich needs min_abs >= 1/4
+        lambda: dcap_layer_sum(DiskCompact([ArcBox(0.0, 2 * math.pi, 0.2)], validate=False), 4000, seed=1),
+        lambda: neighborhood_member(complex(0, math.inf), SLIT_HULL),
+        lambda: neighborhood_member(complex(NAN, 1), SLIT_HULL),
+        lambda: hyp_dist_h(complex(NAN, 1), 1j),
+        lambda: hyp_dist_d(complex(NAN, 0), 0j),
     ],
     ids=[
         "eps_stop-nan",
@@ -83,6 +89,11 @@ def test_non_obstacles_rejected():
         "transport-y-nan",
         "transport-y-zero",
         "start-outside",
+        "layer-sum-min-abs",
+        "member-point-inf",
+        "member-point-nan",
+        "dist-h-nan",
+        "dist-d-nan",
     ],
 )
 def test_invalid_inputs_raise(call):

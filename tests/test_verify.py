@@ -14,7 +14,7 @@ import pytest
 
 from hypcap import verify
 from hypcap.capacity import ring
-from hypcap.hyperbolic import filled_region
+from hypcap.hyperbolic import filled_region, neighborhood_area
 from hypcap.verify import VerifyConfig, _limit_verdict, run_claim
 
 SMOKE = VerifyConfig(n_walks=2000, tol_area=1e-2, corpus_size=3, hp_corpus_size=3, omega_corpus_size=1)
@@ -27,6 +27,23 @@ def test_claim_smoke(claim):
     out = run_claim(claim, SMOKE)
     assert out
     assert [r.name for r in out if r.failed] == []
+
+
+def test_claims_compute_each_area_once(monkeypatch):
+    # one |N| bracket per corpus element feeds its ratio, scale-consistency
+    # and comparator rows; t1 adds the area of 2A for each of 3 scale rows
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return neighborhood_area(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "neighborhood_area", counting)
+    run_claim("t1", SMOKE)
+    assert len(calls) == 6
+    calls.clear()
+    run_claim("t2", SMOKE)
+    assert len(calls) == 3
 
 
 def test_limit_verdict_accounts_for_noise():
