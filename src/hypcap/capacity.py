@@ -14,8 +14,15 @@ Plane, AMS 2005, ch. 3; Lalley-Lawler-Narayanan, arXiv:0909.0438).  The
 only bias is the O(eps_stop) projection at the stopping distance.
 
 Transport: crad(H \\ A, iy) = 2 y exp(-dcap(T_y(A))), and dcap of the
-pushforward is sampled with half-plane walks, using conformal invariance
-of the exit distribution: -E_{iy}[ log |T_y(W_exit)| ].
+pushforward is -E_{iy}[log |T_y(W_exit)|] by conformal invariance of the
+exit distribution.  A walk from iy reaches A only through the same
+half-circle, and one that first reaches the real axis scores 0, so by the
+strong Markov property dcap(T_y(A)) = omega E[-log |T_y(W_exit)|] for
+walks started at the first-passage point on the half-circle.  The map
+zeta + R^2/zeta (zeta = z - x_c) sends H minus the closed half-disk onto
+H and the half-circle onto [-2R, 2R], so that point is a Cauchy law from
+w0 = g(iy - x_c) pulled back, and omega is the Cauchy mass of [-2R, 2R].
+As y grows the law tends to hcap's start law and y omega -> 4R/pi.
 
 Each estimator is one wos.walk_mean call with its own functional of the
 exit point w: -log|w| on obstacle hits, Im w, or -log|T_y(w)|.
@@ -24,7 +31,7 @@ exit point w: -log|w| on obstacle hits, Im w, or -log|T_y(w)|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -197,6 +204,37 @@ def dcap_layer_sum(
 # ---------------------------------------------------------------------------
 
 
+def _half_circle_starts(A: HalfPlaneHull, n_walks: int, seed: int, y: float = math.inf):
+    """Walk starts on the half-circle x_c + R e^{i theta} around A, and their weight.
+
+    x_c is the midpoint of A.x_bounds and R = sup |z - x_c| over A.  Walk i
+    draws u_i at START_COUNTER of its own substream and starts at polar
+    angle arccos(c_i).  For finite y the starts follow the law of the point
+    where Brownian motion from iy first meets the half-circle: with
+    w0 = g_halfdisk(iy - x_c, R) = a + ib and [phi_lo, phi_hi] the angles
+    atan((-+2R - a)/b), c_i = (a + b tan(phi_lo + (phi_hi - phi_lo) u_i))/(2R),
+    and the weight is omega = (phi_hi - phi_lo)/pi, the chance of meeting the
+    half-circle before the real axis.  y = inf is the limit hcap uses:
+    c_i = 1 - 2 u_i and the weight lim y omega = 4R/pi.
+    """
+    x_lo, x_hi = A.x_bounds
+    x_c = 0.5 * (x_lo + x_hi)
+    R = A.translate(-x_c).sup_abs
+    u = uniform01(seed, np.arange(n_walks, dtype=np.uint64), START_COUNTER)
+    if math.isinf(y):
+        c = 1.0 - 2.0 * u
+        weight = 4.0 * R / math.pi
+    else:
+        # iy lies outside the half-disk (require_annulus), so b > 0
+        w0 = complex(g_halfdisk(1j * y - x_c, R))
+        a, b = w0.real, w0.imag
+        phi_lo = math.atan((-2.0 * R - a) / b)
+        phi_hi = math.atan((2.0 * R - a) / b)
+        c = np.clip((a + b * np.tan(phi_lo + (phi_hi - phi_lo) * u)) / (2.0 * R), -1.0, 1.0)
+        weight = (phi_hi - phi_lo) / math.pi
+    return x_c + R * np.exp(1j * np.arccos(c)), weight
+
+
 def hcap_mc(
     A: HalfPlaneHull,
     n_walks: int = 200_000,
@@ -212,11 +250,7 @@ def hcap_mc(
     """
     if A.is_empty:
         return Estimate(0.0, 0.0, 0, 0.0, seed, "empty hull")
-    x_lo, x_hi = A.x_bounds
-    x_c = 0.5 * (x_lo + x_hi)
-    R = A.translate(-x_c).sup_abs
-    u = uniform01(seed, np.arange(n_walks, dtype=np.uint64), START_COUNTER)
-    starts = x_c + R * np.exp(1j * np.arccos(1.0 - 2.0 * u))
+    starts, k = _half_circle_starts(A, n_walks, seed)
     est, _ = walk_mean(
         HalfPlaneDomain(A),
         starts,
@@ -227,8 +261,7 @@ def hcap_mc(
         threads,
         _PROJECTION_NOTE,
     )
-    k = 4.0 * R / math.pi
-    return Estimate(k * est.mean, k * est.std_error, est.n_walks, est.eps_stop, seed, est.bias_note)
+    return replace(est, mean=k * est.mean, std_error=k * est.std_error)
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +277,23 @@ def dcap_transport(
     seed: int = 0,
     threads: int = 1,
 ) -> Estimate:
-    """dcap(T_y(A)) sampled with half-plane walks from iy.
+    """dcap(T_y(A)) sampled with half-plane walks from the half-circle around A.
 
     The exit point of Brownian motion in D \\ T_y(A) from 0 is the image
     under T_y of the exit point in H \\ A from iy, so the disk functional
     -log|w| pulls back to -log|T_y(z)|; real-axis exits contribute exactly 0.
+    A walk from iy meets the half-circle x_c + R e^{i theta} of hcap_mc
+    before it can reach A, so the walks start at that first-passage point
+    and the mean is scaled by the exact chance omega of getting there.  An
+    empty hull gives dcap 0 without walking.
     """
     require_annulus(A, y)
+    if A.is_empty:
+        return Estimate(0.0, 0.0, 0, 0.0, seed, "empty hull")
+    starts, omega = _half_circle_starts(A, n_walks, seed, y)
     est, _ = walk_mean(
         HalfPlaneDomain(A),
-        1j * y,
+        starts,
         n_walks,
         # real-axis exits map onto the unit circle: contribution exactly 0
         lambda ens: np.where(ens.labels >= 0, -np.log(np.abs(t_y(y, ens.terminals))), 0.0),
@@ -262,7 +302,7 @@ def dcap_transport(
         threads,
         "transported log-modulus; O(eps_stop) bias",
     )
-    return est
+    return replace(est, mean=omega * est.mean, std_error=omega * est.std_error)
 
 
 def crad_halfplane(

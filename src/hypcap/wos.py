@@ -235,6 +235,8 @@ def run_walks(
     """
     if n_walks <= 0:
         raise ValueError("n_walks must be positive")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     eps = _stop_distance(domain, eps_stop)
     starts = np.asarray(start, dtype=complex)
     shared_d = None
@@ -315,12 +317,15 @@ def walk_mean(
     This is the one route from walks to an Estimate: it runs the walks,
     rejects an ensemble with too many step-capped walks, and reduces the
     values with the fixed-order pairwise sum, so the mean and its standard
-    error are bit-identical for any worker count.
+    error are bit-identical for any worker count.  It needs at least two
+    walks: one walk has no standard error.
     """
+    if n_walks < 2:
+        raise ValueError(f"walk_mean needs at least 2 walks for a standard error, got {n_walks}")
     ens = run_walks(domain, start, n_walks, eps_stop, seed, threads=threads)
     ens.check_flagged()
     values = np.asarray(value(ens), dtype=float)
     n = values.size
     mean = pairwise_sum(values) / n
-    var = pairwise_sum((values - mean) ** 2) / (n - 1) if n > 1 else 0.0
+    var = pairwise_sum((values - mean) ** 2) / (n - 1)
     return Estimate(mean, math.sqrt(var / n), n, ens.eps_stop, seed, bias_note), ens

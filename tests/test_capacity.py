@@ -132,6 +132,32 @@ def test_dcap_transport_matches_closed_form():
     assert est.within(true, sigmas=3.5, extra=2 * est.eps_stop)
 
 
+def test_dcap_transport_vslit_far_away():
+    # a walk from iy = 32i meets the slit only about once in 25 tries, so
+    # walks that start at the first passage through the half-circle carry
+    # the precision of the estimate
+    A = HalfPlaneHull([VSlit(0, 1)])
+    y = 32.0
+    est = dcap_transport(A, y, n_walks=20_000, seed=21)
+    true = -math.log((y * y - 1.0) / (y * y))
+    assert est.std_error < 0.02 * true
+    assert est.within(true, sigmas=4.0, extra=2 * est.eps_stop)
+
+
+def test_dcap_transport_off_centre_halfdisk():
+    # every half-circle start lies on HalfDisk(0.5, 1), so this checks the
+    # first-passage law about x_c = 0.5 and its weight exactly
+    c, r, y = 0.5, 1.0, 6.0
+    z = 1j * y
+    g = z + r * r / (z - c)
+    dg = 1.0 - r * r / (z - c) ** 2
+    crad = 2.0 * g.imag / abs(dg)
+    true = -math.log(crad / (2 * y))
+    est = dcap_transport(HalfPlaneHull([HalfDisk(c, r)]), y, n_walks=20_000, seed=22)
+    assert est.std_error < 0.005 * true
+    assert est.within(true, sigmas=4.0)
+
+
 def test_crad_halfplane_empty_and_halfdisk():
     c0, _ = crad_halfplane(HalfPlaneHull([]), 1.0, 100, seed=14)
     assert c0 == 2.0

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hypcap.capacity import dcap_layer_sum, dcap_transport, ring
+from hypcap.capacity import dcap_layer_sum, dcap_mc, dcap_transport, hcap_mc, ring
 from hypcap.geom import ArcBox, BoxShape, DiskCompact, HalfDisk, HalfPlaneHull, RadialSlit, VSlit
 from hypcap.hyperbolic import RectSet, filled_region, hyp_dist_d, hyp_dist_h, neighborhood_area, neighborhood_member
 from hypcap.wos import DiskDomain, run_walks
@@ -70,6 +70,10 @@ def test_non_obstacles_rejected():
         lambda: dcap_transport(SLIT_HULL, NAN, n_walks=4),
         lambda: dcap_transport(SLIT_HULL, 0.0, n_walks=4),
         lambda: run_walks(DiskDomain(SLIT_DISK), 2 + 0j, 4),
+        lambda: dcap_mc(SLIT_DISK, 4, seed=1, threads=0),
+        lambda: dcap_mc(SLIT_DISK, 4, seed=1, threads=-3),
+        # one walk has no standard error, so its Estimate would claim to be exact
+        lambda: hcap_mc(SLIT_HULL, n_walks=1, seed=1),
         # the pathwise layer sandwich needs min_abs >= 1/4
         lambda: dcap_layer_sum(DiskCompact([ArcBox(0.0, 2 * math.pi, 0.2)], validate=False), 4000, seed=1),
         lambda: neighborhood_member(complex(0, math.inf), SLIT_HULL),
@@ -89,6 +93,9 @@ def test_non_obstacles_rejected():
         "transport-y-nan",
         "transport-y-zero",
         "start-outside",
+        "threads-zero",
+        "threads-negative",
+        "n_walks-one",
         "layer-sum-min-abs",
         "member-point-inf",
         "member-point-nan",
