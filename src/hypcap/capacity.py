@@ -25,7 +25,17 @@ w0 = g(iy - x_c) pulled back, and omega is the Cauchy mass of [-2R, 2R].
 As y grows the law tends to hcap's start law and y omega -> 4R/pi.
 
 Each estimator is one wos.walk_mean call with its own functional of the
-exit point w: -log|w| on obstacle hits, Im w, or -log|T_y(w)|.
+exit point w: -log|w| on obstacle hits, Im w, or -log|T_y(w)|.  dcap_mc and
+hcap_mc also pass harmonic control variates, which walk_mean subtracts with
+a cross-fitted beta: dcap_mc the 16 functions Re w^k and Im w^k, k = 1..8
+(0 at the start), hcap_mc the 12 functions Re q^k and Im q^k, k = 1, 2,
+q = -1/(z - x_c + ia) for a = R/2, R, 2R, whose poles lie below the real
+axis.  On the benchmark corpora they cut the variance 1.3-3.5x for hcap
+and 1.3-6.1x for dcap.  walk_mean applies them from 260 walks for hcap_mc
+and 340 for dcap_mc, 10 walks per parity per fitted coefficient; fewer
+walks give plain estimates.  dcap_layer_sum stays plain, because its sandwich
+holds walk by walk only for the plain values, and dcap_transport, whose
+half-circle starts already give it a small variance, stays plain too.
 """
 
 from __future__ import annotations
@@ -137,6 +147,25 @@ def crad_exact_at_iy(kind: str, size: float, y: float) -> float:
 _PROJECTION_NOTE = "projection bias O(eps_stop)"
 
 
+def _re_im_powers(q: np.ndarray, degree: int, out: np.ndarray) -> np.ndarray:
+    """Write Re q^k and Im q^k, k = 1..degree, into the 2*degree columns of out.
+
+    Callers pass a column-major out, so every column is written contiguously.
+    """
+    power = q
+    for k in range(degree):
+        if k:
+            power = power * q
+        out[:, 2 * k] = power.real
+        out[:, 2 * k + 1] = power.imag
+    return out
+
+
+def _disk_controls(w: np.ndarray) -> np.ndarray:
+    """Re w^k and Im w^k for k = 1..8: bounded and harmonic on the closed disk, 0 at 0."""
+    return _re_im_powers(w, 8, np.empty((16, w.size)).T)
+
+
 def _minus_log_modulus(ens: WalkEnsemble) -> np.ndarray:
     """-log|w| on obstacle hits; circle exits contribute -log 1 = 0 exactly."""
     return np.where(ens.labels >= 0, -np.log(np.abs(ens.terminals)), 0.0)
@@ -149,8 +178,14 @@ def dcap_mc(
     seed: int = 0,
     threads: int = 1,
 ) -> Estimate:
-    """Monte Carlo estimate of dcap(B) = -E_0[log |W_exit|]."""
-    est, _ = walk_mean(DiskDomain(B), 0j, n_walks, _minus_log_modulus, seed, eps_stop, threads, _PROJECTION_NOTE)
+    """Monte Carlo estimate of dcap(B) = -E_0[log |W_exit|].
+
+    The walks carry the 16 controls Re w^k and Im w^k, k = 1..8, whose
+    exit means are their value 0 at the start.
+    """
+    est, _ = walk_mean(
+        DiskDomain(B), 0j, n_walks, _minus_log_modulus, seed, eps_stop, threads, _PROJECTION_NOTE, _disk_controls
+    )
     return est
 
 
@@ -204,10 +239,17 @@ def dcap_layer_sum(
 # ---------------------------------------------------------------------------
 
 
-def _half_circle_starts(A: HalfPlaneHull, n_walks: int, seed: int, y: float = math.inf):
+def _half_circle(A: HalfPlaneHull) -> tuple[float, float]:
+    """Center x_c, the midpoint of A.x_bounds, and radius R = sup |z - x_c| over A."""
+    x_lo, x_hi = A.x_bounds
+    x_c = 0.5 * (x_lo + x_hi)
+    return x_c, A.translate(-x_c).sup_abs
+
+
+def _half_circle_starts(x_c: float, R: float, n_walks: int, seed: int, y: float = math.inf):
     """Walk starts on the half-circle x_c + R e^{i theta} around A, and their weight.
 
-    x_c is the midpoint of A.x_bounds and R = sup |z - x_c| over A.  Walk i
+    x_c and R come from _half_circle(A).  Walk i
     draws u_i at START_COUNTER of its own substream and starts at polar
     angle arccos(c_i).  For finite y the starts follow the law of the point
     where Brownian motion from iy first meets the half-circle: with
@@ -217,9 +259,6 @@ def _half_circle_starts(A: HalfPlaneHull, n_walks: int, seed: int, y: float = ma
     half-circle before the real axis.  y = inf is the limit hcap uses:
     c_i = 1 - 2 u_i and the weight lim y omega = 4R/pi.
     """
-    x_lo, x_hi = A.x_bounds
-    x_c = 0.5 * (x_lo + x_hi)
-    R = A.translate(-x_c).sup_abs
     u = uniform01(seed, np.arange(n_walks, dtype=np.uint64), START_COUNTER)
     if math.isinf(y):
         c = 1.0 - 2.0 * u
@@ -235,6 +274,23 @@ def _half_circle_starts(A: HalfPlaneHull, n_walks: int, seed: int, y: float = ma
     return x_c + R * np.exp(1j * np.arccos(c)), weight
 
 
+def _halfplane_controls(x_c: float, R: float):
+    """Re q^k and Im q^k for k = 1, 2 and q = -1/(z - x_c + ia), a = R/2, R, 2R.
+
+    Each pole x_c - ia lies below the real axis, so |q| <= 1/a on the closed
+    half-plane and all 12 functions are bounded and harmonic there.
+    """
+    poles = [x_c - 1j * a for a in (0.5 * R, R, 2.0 * R)]
+
+    def controls(z: np.ndarray) -> np.ndarray:
+        out = np.empty((4 * len(poles), z.size)).T
+        for j, pole in enumerate(poles):
+            _re_im_powers(-1.0 / (z - pole), 2, out[:, 4 * j : 4 * j + 4])
+        return out
+
+    return controls
+
+
 def hcap_mc(
     A: HalfPlaneHull,
     n_walks: int = 200_000,
@@ -247,10 +303,13 @@ def hcap_mc(
     The circle has center x_c, the midpoint of A.x_bounds, and radius R =
     sup |z - x_c| over A.  Walk i starts at polar angle
     arccos(1 - 2u_i), with u_i drawn at START_COUNTER of its own substream.
+    The walks carry the 12 controls of _halfplane_controls(x_c, R), each
+    compared with its value at the walk's own start.
     """
     if A.is_empty:
         return Estimate(0.0, 0.0, 0, 0.0, seed, "empty hull")
-    starts, k = _half_circle_starts(A, n_walks, seed)
+    x_c, R = _half_circle(A)
+    starts, k = _half_circle_starts(x_c, R, n_walks, seed)
     est, _ = walk_mean(
         HalfPlaneDomain(A),
         starts,
@@ -260,6 +319,7 @@ def hcap_mc(
         eps_stop,
         threads,
         _PROJECTION_NOTE,
+        _halfplane_controls(x_c, R),
     )
     return replace(est, mean=k * est.mean, std_error=k * est.std_error)
 
@@ -290,7 +350,7 @@ def dcap_transport(
     require_annulus(A, y)
     if A.is_empty:
         return Estimate(0.0, 0.0, 0, 0.0, seed, "empty hull")
-    starts, omega = _half_circle_starts(A, n_walks, seed, y)
+    starts, omega = _half_circle_starts(*_half_circle(A), n_walks, seed, y)
     est, _ = walk_mean(
         HalfPlaneDomain(A),
         starts,

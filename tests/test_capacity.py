@@ -5,6 +5,11 @@ import pytest
 
 from hypcap.capacity import (
     CanonicalHull,
+    _disk_controls,
+    _half_circle,
+    _half_circle_starts,
+    _halfplane_controls,
+    _minus_log_modulus,
     crad_exact_at_i,
     crad_exact_at_iy,
     crad_halfplane,
@@ -19,7 +24,17 @@ from hypcap.capacity import (
     ring,
 )
 from hypcap.geom import ArcBox, DiskCompact, HalfDisk, HalfPlaneHull, RadialSlit, VSlit
-from hypcap.wos import Estimate
+from hypcap.wos import (
+    _CONTROL_WALKS_PER_TERM,
+    DiskDomain,
+    Estimate,
+    HalfPlaneDomain,
+    _control_blocks,
+    _controlled_values,
+    _mean_and_se,
+    run_walks,
+    walk_mean,
+)
 
 
 def test_hcap_exact_values():
@@ -180,3 +195,148 @@ def test_transport_annulus_guard():
 
     with pytest.raises(AnnulusError):
         dcap_transport(A, 1.0, n_walks=100, seed=17)
+
+
+# ---------------------------------------------------------------------------
+# harmonic control variates in hcap_mc and dcap_mc
+# ---------------------------------------------------------------------------
+
+
+def _z_scores(estimates, exact):
+    z = np.array([(e.mean - exact) / e.std_error for e in estimates])
+    return float(np.mean(z)), float(np.std(z, ddof=1))
+
+
+def test_controlled_estimates_unbiased_with_honest_sigma():
+    # over 20 seeds the z-scores against the closed forms must centre on 0
+    # with unit spread: a biased control would shift the mean, an
+    # understated sigma would widen the spread
+    rho = 0.7
+    cases = [
+        (lambda s: hcap_mc(HalfPlaneHull([VSlit(0, 1)]), 20_000, seed=s), 0.5),
+        (
+            lambda s: dcap_mc(DiskCompact([RadialSlit(0.3 * s, rho)]), 20_000, seed=s),
+            -math.log(4 * rho / (1 + rho) ** 2),
+        ),
+    ]
+    for estimate, exact in cases:
+        ests = [estimate(s) for s in range(20)]
+        assert all("cross-fitted beta" in e.bias_note for e in ests)
+        mean_z, sd_z = _z_scores(ests, exact)
+        assert abs(mean_z) < 0.6
+        assert 0.6 <= sd_z <= 1.5
+
+
+def _control_means_vanish(controls, ens, start):
+    # the columns of c = h(W_tau) - h(Z_0) exactly as walk_mean forms them
+    c = np.concatenate([c for _, c in _control_blocks(controls, ens, np.asarray(start))])
+    mean = c.mean(axis=0)
+    se = c.std(axis=0, ddof=1) / math.sqrt(c.shape[0])
+    assert np.all(se > 0)
+    assert np.all(np.abs(mean) <= 4 * se)
+
+
+def test_control_means_vanish():
+    # each control has mean 0: a wrong sign, a missing start term or a pole
+    # inside the domain moves some column off 0
+    n = 20_000
+    B = DiskCompact([ArcBox(0.4, 1.2, 0.75)])
+    _control_means_vanish(_disk_controls, run_walks(DiskDomain(B), 0j, n, seed=31), 0j)
+    A = HalfPlaneHull([VSlit(0.3, 0.8), HalfDisk(2.0, 0.4), VSlit(-1.0, 0.3)])
+    x_c, R = _half_circle(A)
+    starts, _ = _half_circle_starts(x_c, R, n, 32)
+    ens = run_walks(HalfPlaneDomain(A), starts, n, seed=32)
+    _control_means_vanish(_halfplane_controls(x_c, R), ens, starts)
+
+
+def test_cross_fitted_sigma_not_understated():
+    # 10 walks per parity and 13 columns, fitted directly (walk_mean would
+    # leave these values plain): an in-sample fit interpolates the values
+    # and reports 0.13-0.45 of the plain sigma at these seeds; the
+    # cross-fitted beta extrapolates from the other parity instead, and the
+    # sigma it reports is not below the plain one
+    A = HalfPlaneHull([VSlit(0.3, 0.8), HalfDisk(2.0, 0.4)])
+    x_c, R = _half_circle(A)
+    for seed in range(4):
+        starts, _ = _half_circle_starts(x_c, R, 20, seed)
+        ens = run_walks(HalfPlaneDomain(A), starts, 20, seed=seed)
+        y = ens.terminals.imag
+        z = _controlled_values(_halfplane_controls(x_c, R), ens, starts, y)
+        assert _mean_and_se(z)[1] >= _mean_and_se(y)[1]
+
+
+def test_controls_skipped_below_walk_threshold():
+    # at 64 walks the cross-fitted beta of 12 or 16 controls is noise
+    # (sigma up to 10x the plain one), so the estimates stay plain; from
+    # _CONTROL_WALKS_PER_TERM (p + 1) walks per parity the controls apply
+    A = HalfPlaneHull([VSlit(0.3, 0.8), HalfDisk(2.0, 0.4)])
+    B = DiskCompact([RadialSlit(0.3, 0.7), ArcBox(2.0, 2.5, 0.8)])
+    x_c, R = _half_circle(A)
+    for seed in range(5):
+        starts, k = _half_circle_starts(x_c, R, 64, seed)
+        plain_h, _ = walk_mean(HalfPlaneDomain(A), starts, 64, lambda ens: ens.terminals.imag, seed=seed)
+        plain_d, _ = walk_mean(DiskDomain(B), 0j, 64, _minus_log_modulus, seed=seed)
+        for est, plain_se in (
+            (hcap_mc(A, 64, seed=seed), k * plain_h.std_error),
+            (dcap_mc(B, 64, seed=seed), plain_d.std_error),
+        ):
+            assert est.std_error <= plain_se
+            assert "controls not applied" in est.bias_note
+    for estimate, obstacle, p in ((hcap_mc, A, 12), (dcap_mc, B, 16)):
+        n = 2 * _CONTROL_WALKS_PER_TERM * (p + 1)
+        assert "controls not applied" in estimate(obstacle, n - 2, seed=1).bias_note
+        assert f"{p} harmonic controls, cross-fitted beta" in estimate(obstacle, n, seed=1).bias_note
+
+
+def test_controls_memory_bounded():
+    # the controls are evaluated block by block; the (walks x 16) matrix of
+    # 131,072 walks alone would take 16 MB, with its copies about 50 MB
+    import tracemalloc
+
+    B = DiskCompact([RadialSlit(1.0, 0.9)])
+    n = 131_072
+    peaks = []
+    for run in (
+        lambda: walk_mean(DiskDomain(B), 0j, n, _minus_log_modulus, seed=7),
+        lambda: dcap_mc(B, n, seed=7),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    plain, controlled = peaks
+    assert controlled <= plain + 8 * 2**20
+
+
+def test_controls_degenerate_cases():
+    # every start lies on the half-disk, so every control is 0 up to rounding
+    # and the estimate is the plain one, bit for bit
+    A = HalfPlaneHull([HalfDisk(0, 1)])
+    est = hcap_mc(A, 4000, seed=3)
+    x_c, R = _half_circle(A)
+    starts, k = _half_circle_starts(x_c, R, 4000, 3)
+    plain, _ = walk_mean(HalfPlaneDomain(A), starts, 4000, lambda ens: ens.terminals.imag, seed=3)
+    assert (est.mean, est.std_error) == (k * plain.mean, k * plain.std_error)
+    # 2 and 3 walks, fewer per parity than controls, leave the values plain;
+    # fitted anyway, the min-norm beta of such walks, also with all-zero
+    # values, raises no warning
+    A = HalfPlaneHull([VSlit(0.3, 0.8), HalfDisk(2.0, 0.4)])
+    B = DiskCompact([RadialSlit(0.3, 0.7), ArcBox(2.0, 2.5, 0.8)])
+    for n in (2, 3):
+        for e in (hcap_mc(A, n, seed=4), dcap_mc(B, n, seed=4), dcap_mc(DiskCompact([]), n, seed=4)):
+            assert e.n_walks == n
+            assert math.isfinite(e.mean) and math.isfinite(e.std_error) and e.std_error >= 0
+        x_c, R = _half_circle(A)
+        starts, _ = _half_circle_starts(x_c, R, n, 4)
+        ens_h = run_walks(HalfPlaneDomain(A), starts, n, seed=4)
+        ens_d = run_walks(DiskDomain(B), 0j, n, seed=4)
+        for controls, ens, start, y in (
+            (_halfplane_controls(x_c, R), ens_h, starts, ens_h.terminals.imag),
+            (_disk_controls, ens_d, np.asarray(0j), _minus_log_modulus(ens_d)),
+            (_disk_controls, ens_d, np.asarray(0j), np.zeros(n)),
+        ):
+            z = _controlled_values(controls, ens, start, y)
+            assert np.all(np.isfinite(z))
+    assert dcap_mc(DiskCompact([]), 2, seed=4).mean == 0.0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hypcap.capacity import dcap_layer_sum, dcap_transport, hcap_mc, ring
+from hypcap.capacity import dcap_layer_sum, dcap_mc, dcap_transport, hcap_mc, ring
 from hypcap.geom import ArcBox, DiskCompact, HalfDisk, HalfPlaneHull, RadialSlit, VSlit
 from hypcap.hyperbolic import RectSet, filled_region
 from hypcap.wos import (
@@ -76,6 +76,11 @@ def test_worker_count_independence():
     A = HalfPlaneHull([VSlit(0.3, 0.8), HalfDisk(2.0, 0.4)])
     assert hcap_mc(A, n_walks=40_000, seed=5, threads=1) == hcap_mc(A, n_walks=40_000, seed=5, threads=2)
     assert dcap_transport(A, 8.0, 40_000, seed=5, threads=1) == dcap_transport(A, 8.0, 40_000, seed=5, threads=2)
+    # the control-variate fits add their Gram sums in walk-index order
+    for estimate in (lambda t: dcap_mc(B, 40_000, seed=5, threads=t), lambda t: hcap_mc(A, 40_000, seed=5, threads=t)):
+        first, *others = [estimate(t) for t in (1, 2, 8)]
+        assert "cross-fitted beta" in first.bias_note
+        assert all(other == first for other in others)
 
 
 def test_per_walk_starts():
@@ -132,6 +137,24 @@ def test_harmonic_measure_semicircle():
     d = DiskDomain(DiskCompact([]))
     est, _ = walk_mean(d, 0j, 50_000, lambda ens: ens.terminals.imag > 0, seed=3)
     assert est.within(0.5, sigmas=3.0)
+
+
+def test_walk_mean_controls():
+    # P(Im W > 0) from 0 in the empty disk is 1/2; Re w and Im w are
+    # harmonic with value 0 at the start and cut the variance
+    d = DiskDomain(DiskCompact([]))
+    upper = lambda ens: ens.terminals.imag > 0  # noqa: E731
+    plain, _ = walk_mean(d, 0j, 20_000, upper, seed=3)
+    est, _ = walk_mean(d, 0j, 20_000, upper, seed=3, controls=lambda z: np.column_stack([z.real, z.imag]))
+    assert est.within(0.5, sigmas=3.0)
+    assert est.std_error < 0.65 * plain.std_error
+    assert "2 harmonic controls" in est.bias_note
+    # a zero column and a repeated one get no weight of their own
+    padded, _ = walk_mean(
+        d, 0j, 20_000, upper, seed=3, controls=lambda z: np.column_stack([z.real, z.imag, z.imag, 0 * z.real])
+    )
+    assert padded.mean == pytest.approx(est.mean, rel=1e-9)
+    assert padded.std_error == pytest.approx(est.std_error, rel=1e-9)
 
 
 def test_harmonic_measure_arc_fraction():
