@@ -9,7 +9,6 @@ cross-checked against exact closed forms for canonical obstacle families.
 """
 
 from .geom import (
-    Point,
     VSlit,
     BoxShape,
     HalfDisk,
@@ -39,7 +38,6 @@ from .capacity import dcap_mc, hcap_mc, hcap_exact, crad_halfplane, dcap_layer_s
 __version__ = "0.1.0"
 
 __all__ = [
-    "Point",
     "VSlit",
     "BoxShape",
     "HalfDisk",

@@ -11,7 +11,10 @@ hcap(A) = (4R/pi) E[Im W_exit] for walks started at x_c + R e^{i theta}
 with theta ~ sin(theta)/2 on [0, pi], where the closed half-disk of radius
 R about x_c contains A (Lawler, Conformally Invariant Processes in the
 Plane, AMS 2005, ch. 3; Lalley-Lawler-Narayanan, arXiv:0909.0438).  The
-only bias is the O(eps_stop) projection at the stopping distance.
+only bias is the O(eps_stop) projection at the stopping distance.  Every
+estimator here stops at wos.default_eps_stop: 1e-4 on the disk and
+1e-4 (max(width, y_max) + 1) on the half-plane.  Another stopping distance
+is set only through wos.walk_mean or run_walks.
 
 Transport: crad(H \\ A, iy) = 2 y exp(-dcap(T_y(A))), and dcap of the
 pushforward is -E_{iy}[log |T_y(W_exit)|] by conformal invariance of the
@@ -62,43 +65,30 @@ LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class CanonicalHull:
-    """Obstacles whose normalized maps are known in closed form."""
+    """Half-plane hulls at the origin whose normalized maps are known in closed form."""
 
-    kind: str  # "halfdisk" | "vslit" | "ring"
+    kind: str  # "halfdisk" | "vslit"
     param: float
 
     def __post_init__(self):
-        if self.kind not in ("halfdisk", "vslit", "ring"):
+        if self.kind not in ("halfdisk", "vslit"):
             raise ValueError(f"unknown canonical kind {self.kind!r}")
         if self.param <= 0:
             raise ValueError("param must be positive")
-        if self.kind == "ring" and not (0.5 < self.param < 1.0):
-            raise ValueError("ring needs rho in (1/2, 1)")
 
     def hull(self) -> HalfPlaneHull:
-        if self.kind == "halfdisk":
-            return HalfPlaneHull([HalfDisk(0.0, self.param)])
-        if self.kind == "vslit":
-            return HalfPlaneHull([VSlit(0.0, self.param)])
-        raise ValueError("ring is a disk-space obstacle")
-
-    def compact(self) -> DiskCompact:
-        if self.kind != "ring":
-            raise ValueError("only the ring kind lives in the disk")
-        return DiskCompact([ArcBox(0.0, TWO_PI, self.param)])
+        shape = HalfDisk if self.kind == "halfdisk" else VSlit
+        return HalfPlaneHull([shape(0.0, self.param)])
 
 
 def ring(rho: float) -> DiskCompact:
-    return CanonicalHull("ring", rho).compact()
+    """The full ring rho <= |z| < 1, for rho in (1/2, 1)."""
+    return DiskCompact([ArcBox(0.0, TWO_PI, rho)])
 
 
 def hcap_exact(C: CanonicalHull) -> float:
     """HalfDisk(r) -> r^2, VSlit(h) -> h^2/2."""
-    if C.kind == "halfdisk":
-        return C.param**2
-    if C.kind == "vslit":
-        return 0.5 * C.param**2
-    raise ValueError("hcap is undefined for disk obstacles")
+    return C.param**2 if C.kind == "halfdisk" else 0.5 * C.param**2
 
 
 def dcap_exact_ring(rho: float) -> float:
@@ -174,7 +164,6 @@ def _minus_log_modulus(ens: WalkEnsemble) -> np.ndarray:
 def dcap_mc(
     B,
     n_walks: int = 200_000,
-    eps_stop: float | None = None,
     seed: int = 0,
     threads: int = 1,
 ) -> Estimate:
@@ -184,7 +173,14 @@ def dcap_mc(
     exit means are their value 0 at the start.
     """
     est, _ = walk_mean(
-        DiskDomain(B), 0j, n_walks, _minus_log_modulus, seed, eps_stop, threads, _PROJECTION_NOTE, _disk_controls
+        DiskDomain(B),
+        0j,
+        n_walks,
+        _minus_log_modulus,
+        seed,
+        threads=threads,
+        bias_note=_PROJECTION_NOTE,
+        controls=_disk_controls,
     )
     return est
 
@@ -202,7 +198,6 @@ class LayerSum:
 def dcap_layer_sum(
     B,
     n_walks: int = 200_000,
-    eps_stop: float | None = None,
     seed: int = 0,
     threads: int = 1,
 ) -> LayerSum:
@@ -218,7 +213,9 @@ def dcap_layer_sum(
     """
     if B.min_abs < 0.25:
         raise ValueError(f"dcap_layer_sum needs B.min_abs >= 1/4, got {B.min_abs:g}")
-    est, ens = walk_mean(DiskDomain(B), 0j, n_walks, _minus_log_modulus, seed, eps_stop, threads, _PROJECTION_NOTE)
+    est, ens = walk_mean(
+        DiskDomain(B), 0j, n_walks, _minus_log_modulus, seed, threads=threads, bias_note=_PROJECTION_NOTE
+    )
     hits = ens.labels >= 0
     omega: dict[int, float] = {}
     lower = 0.0
@@ -294,7 +291,6 @@ def _halfplane_controls(x_c: float, R: float):
 def hcap_mc(
     A: HalfPlaneHull,
     n_walks: int = 200_000,
-    eps_stop: float | None = None,
     seed: int = 0,
     threads: int = 1,
 ) -> Estimate:
@@ -316,10 +312,9 @@ def hcap_mc(
         n_walks,
         lambda ens: ens.terminals.imag,
         seed,
-        eps_stop,
-        threads,
-        _PROJECTION_NOTE,
-        _halfplane_controls(x_c, R),
+        threads=threads,
+        bias_note=_PROJECTION_NOTE,
+        controls=_halfplane_controls(x_c, R),
     )
     return replace(est, mean=k * est.mean, std_error=k * est.std_error)
 
@@ -333,7 +328,6 @@ def dcap_transport(
     A: HalfPlaneHull,
     y: float,
     n_walks: int = 200_000,
-    eps_stop: float | None = None,
     seed: int = 0,
     threads: int = 1,
 ) -> Estimate:
@@ -358,9 +352,8 @@ def dcap_transport(
         # real-axis exits map onto the unit circle: contribution exactly 0
         lambda ens: np.where(ens.labels >= 0, -np.log(np.abs(t_y(y, ens.terminals))), 0.0),
         seed,
-        eps_stop,
-        threads,
-        "transported log-modulus; O(eps_stop) bias",
+        threads=threads,
+        bias_note="transported log-modulus; O(eps_stop) bias",
     )
     return replace(est, mean=omega * est.mean, std_error=omega * est.std_error)
 
@@ -369,10 +362,9 @@ def crad_halfplane(
     A: HalfPlaneHull,
     y: float = 1.0,
     n_walks: int = 200_000,
-    eps_stop: float | None = None,
     seed: int = 0,
     threads: int = 1,
 ) -> tuple[float, Estimate]:
     """crad(H \\ A, iy) = 2 y exp(-dcap(T_y(A))); returns (crad, dcap estimate)."""
-    d = dcap_transport(A, y, n_walks, eps_stop, seed, threads)
+    d = dcap_transport(A, y, n_walks, seed, threads)
     return 2.0 * y * math.exp(-d.mean), d

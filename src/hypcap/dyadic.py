@@ -24,7 +24,6 @@ from .geom import (
     DiskCompact,
     HalfDisk,
     HalfPlaneHull,
-    Point,
     PointProbe,
     RadialSlit,
     VSlit,
@@ -76,18 +75,12 @@ class DyadicSquare:
         return lo <= frac < hi
 
 
-def layer_of(z: Point | complex) -> int:
+def layer_of(z: complex) -> int:
     """Index n of the dyadic layer 2^-(n+1) <= 1 - |z| < 2^-n."""
-    a = z.z if isinstance(z, Point) else complex(z)
-    u = 1.0 - abs(a)
+    u = 1.0 - abs(complex(z))
     if not (0.0 < u < 0.5):
         raise ValueError("layer_of needs 1/2 < |z| < 1")
-    n = int(math.floor(-math.log2(u)))
-    while 0.5**n <= u:
-        n -= 1
-    while u < 0.5 ** (n + 1):
-        n += 1
-    return n
+    return int(layer_of_radius(np.array([u]))[0])
 
 
 def layer_of_radius(u: np.ndarray) -> np.ndarray:

@@ -33,25 +33,7 @@ class InvalidHullError(ValueError):
     """Raised when a shape list cannot form a valid hull / disk compact."""
 
 
-@dataclass(frozen=True)
-class Point:
-    """A point of the plane; immutable, finite coordinates."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise InvalidShapeError("point coordinates must be finite")
-
-    @property
-    def z(self) -> complex:
-        return complex(self.x, self.y)
-
-
 def _as_complex(z) -> np.ndarray:
-    if isinstance(z, Point):
-        z = z.z
     return np.asarray(z, dtype=complex)
 
 

@@ -24,7 +24,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from . import quadtree
-from .geom import Obstacle, Point, _as_complex, require_obstacle
+from .geom import Obstacle, _as_complex, require_obstacle
 from .quadtree import INSIDE, OUTSIDE, UNKNOWN, AreaBounds, Leaves
 
 SQRT2 = math.sqrt(2.0)
@@ -39,14 +39,14 @@ class DomainError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _finite_point(z: Point | complex) -> complex:
-    a = z.z if isinstance(z, Point) else complex(z)
+def _finite_point(z: complex) -> complex:
+    a = complex(z)
     if not (math.isfinite(a.real) and math.isfinite(a.imag)):
         raise DomainError(f"point must be finite, got {a!r}")
     return a
 
 
-def hyp_dist_h(z: Point | complex, w: Point | complex) -> float:
+def hyp_dist_h(z: complex, w: complex) -> float:
     """Hyperbolic distance in the upper half-plane."""
     a, b = _finite_point(z), _finite_point(w)
     if a.imag <= 0 or b.imag <= 0:
@@ -55,7 +55,7 @@ def hyp_dist_h(z: Point | complex, w: Point | complex) -> float:
     return math.acosh(1.0 + q)
 
 
-def hyp_dist_d(z: Point | complex, w: Point | complex) -> float:
+def hyp_dist_d(z: complex, w: complex) -> float:
     """Hyperbolic distance in the unit disk."""
     a, b = _finite_point(z), _finite_point(w)
     if abs(a) >= 1 or abs(b) >= 1:
@@ -86,7 +86,7 @@ def _member_mask(S: Obstacle, z: np.ndarray, rho) -> np.ndarray:
     return S.dist(c) <= r
 
 
-def neighborhood_member(z: Point | complex, S: Obstacle, rho: float = 1.0) -> bool:
+def neighborhood_member(z: complex, S: Obstacle, rho: float = 1.0) -> bool:
     """True iff z lies in the closed hyperbolic rho-neighborhood of S."""
     require_obstacle(S)
     if not (math.isfinite(rho) and rho > 0):
@@ -456,8 +456,13 @@ class RectSet(Obstacle):
         self.x1 = np.asarray(x1, dtype=float)
         self.y0 = np.asarray(y0, dtype=float)
         self.y1 = np.asarray(y1, dtype=float)
+        if not (self.x0.ndim == 1 and self.x0.shape == self.x1.shape == self.y0.shape == self.y1.shape):
+            raise ValueError("RectSet needs four 1-D coordinate arrays of one length")
         if self.x0.size == 0:
             raise ValueError("RectSet needs at least one rectangle")
+        finite = np.isfinite(self.x0) & np.isfinite(self.x1) & np.isfinite(self.y0) & np.isfinite(self.y1)
+        if not np.all(finite & (self.x0 <= self.x1) & (self.y0 <= self.y1)):
+            raise ValueError("RectSet needs finite rectangles with x0 <= x1 and y0 <= y1")
         cx = 0.5 * (self.x0 + self.x1)
         cy = 0.5 * (self.y0 + self.y1)
         half = 0.5 * np.hypot(self.x1 - self.x0, self.y1 - self.y0)

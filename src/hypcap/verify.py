@@ -37,21 +37,16 @@ from .dyadic import (
     lipschitz_majorant_area,
     whitney_cover_area,
 )
-from .geom import ArcBox, DiskCompact, HalfDisk, HalfPlaneHull, VSlit
+from .geom import ArcBox, DiskCompact, HalfPlaneHull
 from .hyperbolic import RectSet, filled_region, neighborhood_area
 from .quadtree import AreaBounds
 
-CLAIMS = (
-    "t1",
-    "t2",
-    "prop1",
-    "prop1-induction",
-    "fattening",
-    "omega",
-    "hcap-crad",
-    "corollary",
-    "remark",
-)
+# the corollary and remark rows sit at y = f max(sup|A|, 1) for f in Y_FACTORS,
+# and their limit rows at the last y pass within DELTA_COROLLARY of 2
+Y_FACTORS = (8.0, 16.0, 32.0)
+DELTA_COROLLARY = 0.1
+# sizes of the canonical hulls in the hcap-crad rows, largest first
+HCAP_CRAD_EPS = (0.3, 0.1, 0.03)
 
 
 @dataclass(frozen=True)
@@ -60,13 +55,10 @@ class VerifyConfig:
 
     seed: int = 7
     n_walks: int = 200_000
-    eps_stop: float | None = None
     tol_area: float = 1e-3  # relative, converted per instance
-    y_factors: tuple = (8.0, 16.0, 32.0)
     corpus_size: int = 30
     hp_corpus_size: int = 20
     omega_corpus_size: int = 10
-    delta_corollary: float = 0.1
     threads: int = 1
 
 
@@ -97,6 +89,14 @@ def _ratio_row(claim: str, name: str, values: dict, bracket: tuple) -> CheckResu
     return CheckResult(claim, name, values, bracket, _verdict(_in_bracket(values["ratio"], bracket)))
 
 
+def _spread_rows(claim: str, ratios: list[float], limit: float) -> list[CheckResult]:
+    """The row max(ratios)/min(ratios) <= limit, or no row when there are no ratios."""
+    if not ratios:
+        return []
+    spread = max(ratios) / min(ratios)
+    return [CheckResult(claim, "spread", {"max_over_min": spread}, (1.0, limit), _verdict(spread <= limit))]
+
+
 def _limit_verdict(value: float, sigma: float, delta: float) -> tuple[str, str]:
     """(verdict, note) for value against the limit 2 +- delta.
 
@@ -115,7 +115,7 @@ def _limit_verdict(value: float, sigma: float, delta: float) -> tuple[str, str]:
 
 
 def _hull_ratio(A: HalfPlaneHull, area: AreaBounds, cfg: VerifyConfig, seed: int):
-    est = hcap_mc(A, cfg.n_walks, cfg.eps_stop, seed, cfg.threads)
+    est = hcap_mc(A, cfg.n_walks, seed, cfg.threads)
     ratio = est.mean / area.midpoint
     rel = math.hypot(
         est.std_error / max(est.mean, 1e-12),
@@ -136,17 +136,7 @@ def thm1_report(corpus: list[HalfPlaneHull], cfg: VerifyConfig) -> list[CheckRes
         ratios.append(ratio)
         values = {"hcap": est.mean, "area_n": area.midpoint, "ratio": ratio, "sigma": sigma}
         out.append(_ratio_row("t1", f"ratio[{i}]", values, fixtures.THM1_RATIO))
-    if ratios:
-        spread = max(ratios) / min(ratios)
-        out.append(
-            CheckResult(
-                "t1",
-                "spread",
-                {"max_over_min": spread},
-                (1.0, fixtures.THM1_SPREAD),
-                _verdict(spread <= fixtures.THM1_SPREAD),
-            )
-        )
+    out += _spread_rows("t1", ratios, fixtures.THM1_SPREAD)
     # scale consistency: the ratio is invariant under doubling the hull; the
     # area of 2A is computed afresh because this row tests it
     for i, (A, area) in enumerate(zip(corpus[:3], areas)):
@@ -186,22 +176,12 @@ def thm2_report(corpus: list[DiskCompact], cfg: VerifyConfig) -> list[CheckResul
     for i, (B, area) in enumerate(zip(corpus, areas)):
         if B.is_empty:
             continue
-        est = dcap_mc(B, cfg.n_walks, cfg.eps_stop, cfg.seed + 4000 + i, cfg.threads)
+        est = dcap_mc(B, cfg.n_walks, cfg.seed + 4000 + i, cfg.threads)
         ratio = est.mean / area.midpoint
         ratios.append(ratio)
         values = {"dcap": est.mean, "area_n": area.midpoint, "ratio": ratio}
         out.append(_ratio_row("t2", f"ratio[{i}]", values, fixtures.THM2_RATIO))
-    if ratios:
-        spread = max(ratios) / min(ratios)
-        out.append(
-            CheckResult(
-                "t2",
-                "spread",
-                {"max_over_min": spread},
-                (1.0, fixtures.THM2_SPREAD),
-                _verdict(spread <= fixtures.THM2_SPREAD),
-            )
-        )
+    out += _spread_rows("t2", ratios, fixtures.THM2_SPREAD)
     for i, (B, area) in enumerate(zip(corpus[:5], areas)):
         area_n = area.midpoint
         _, qb = dyadic_cover(B)
@@ -243,10 +223,10 @@ def prop1_check(B: DiskCompact, cfg: VerifyConfig, tag: str = "") -> list[CheckR
     area_b = sum(getattr(s, "area", 0.0) for s in B.shapes)
     if area_b <= 0.0:
         raise ValueError("prop1_check needs a compact of positive area (ArcBox parts)")
-    est_b = dcap_mc(B, cfg.n_walks, cfg.eps_stop, cfg.seed + 5001, cfg.threads)
+    est_b = dcap_mc(B, cfg.n_walks, cfg.seed + 5001, cfg.threads)
     squares, area_qb = dyadic_cover(B)
     qb = _cover_obstacle(squares)
-    est_qb = dcap_mc(qb, cfg.n_walks, cfg.eps_stop, cfg.seed + 5002, cfg.threads)
+    est_qb = dcap_mc(qb, cfg.n_walks, cfg.seed + 5002, cfg.threads)
     sigma = math.hypot(est_b.std_error, est_qb.std_error)
     c1 = est_b.mean / area_b
     c2 = est_qb.mean / area_qb.midpoint
@@ -299,7 +279,7 @@ def prop1_induction_check(
         if not sub:
             return 0.0, 0.0
         obstacle = DiskCompact([q.as_arcbox() for q in sub], validate=False)
-        est = dcap_mc(obstacle, cfg.n_walks, cfg.eps_stop, seed, cfg.threads)
+        est = dcap_mc(obstacle, cfg.n_walks, seed, cfg.threads)
         return est.mean, est.std_error
 
     out = []
@@ -346,9 +326,9 @@ def _filled_verdict(ok: bool, regions: list, note: str) -> tuple[str, str, float
 
 
 def fattening_check(B: DiskCompact, cfg: VerifyConfig, tag: str = "", iterated: bool = False) -> list[CheckResult]:
-    est_b = dcap_mc(B, cfg.n_walks, cfg.eps_stop, cfg.seed + 7001, cfg.threads)
+    est_b = dcap_mc(B, cfg.n_walks, cfg.seed + 7001, cfg.threads)
     region = filled_region(B, 1.0, 2e-3)
-    est_hat = dcap_mc(RectSet(*region.blocked_rects()), cfg.n_walks, cfg.eps_stop, cfg.seed + 7002, cfg.threads)
+    est_hat = dcap_mc(RectSet(*region.blocked_rects()), cfg.n_walks, cfg.seed + 7002, cfg.threads)
     sigma = math.hypot(est_b.std_error, est_hat.std_error)
     ratio = est_hat.mean / est_b.mean
     ratio_verdict, ratio_note, area_gap = _filled_verdict(ratio <= fixtures.FATTEN_C, [region], "")
@@ -389,7 +369,7 @@ def fattening_check(B: DiskCompact, cfg: VerifyConfig, tag: str = "", iterated: 
             verdict = "inconclusive"
             note = f"quarter-radius fattening {k} has no passable cell (area gap {iter_gap:.3g})"
         else:
-            est_iter = dcap_mc(obstacle, cfg.n_walks, cfg.eps_stop, cfg.seed + 7003, cfg.threads)
+            est_iter = dcap_mc(obstacle, cfg.n_walks, cfg.seed + 7003, cfg.threads)
             ratio_iter = est_iter.mean / est_hat.mean
             verdict, note, iter_gap = _filled_verdict(
                 _in_bracket(ratio_iter, fixtures.FATTEN_ITER),
@@ -403,10 +383,10 @@ def fattening_check(B: DiskCompact, cfg: VerifyConfig, tag: str = "", iterated: 
 
 def smoothed_omega_check(B: DiskCompact, cfg: VerifyConfig, tag: str = "") -> list[CheckResult]:
     eps = 0.125  # keeps radius-2*eps balls within adjacent layers
-    ls = dcap_layer_sum(B, cfg.n_walks, cfg.eps_stop, cfg.seed + 8001, cfg.threads)
+    ls = dcap_layer_sum(B, cfg.n_walks, cfg.seed + 8001, cfg.threads)
     region = filled_region(B, eps, 2e-3)
     omega_hat = dcap_layer_sum(
-        RectSet(*region.blocked_rects()), cfg.n_walks, cfg.eps_stop, cfg.seed + 8002, cfg.threads
+        RectSet(*region.blocked_rects()), cfg.n_walks, cfg.seed + 8002, cfg.threads
     ).omega
     out = []
     n_tot = cfg.n_walks
@@ -451,14 +431,14 @@ def smoothed_omega_check(B: DiskCompact, cfg: VerifyConfig, tag: str = "") -> li
 # ---------------------------------------------------------------------------
 
 
-def hcap_crad_residual(
-    kind: str, eps_list: tuple, cfg: VerifyConfig
-) -> list[CheckResult]:
+def hcap_crad_residual(kind: str, cfg: VerifyConfig) -> list[CheckResult]:
+    """Exact and Monte Carlo |(2 - crad(i)) / hcap - 4| for CanonicalHull(kind, eps), eps in HCAP_CRAD_EPS."""
     out = []
     prev_ratio = None
-    for eps in sorted(eps_list, reverse=True):
+    for eps in HCAP_CRAD_EPS:
+        C = CanonicalHull(kind, eps)
         crad_x = crad_exact_at_i(kind, eps)
-        h = hcap_exact(CanonicalHull(kind, eps))
+        h = hcap_exact(C)
         residual_x = abs((2.0 - crad_x) / h - 4.0)
         ok = residual_x <= fixtures.HCAP_CRAD_C * eps
         # absolute slack: identically-zero residuals carry float dust
@@ -474,8 +454,7 @@ def hcap_crad_residual(
             )
         )
         # Monte Carlo path through the transport estimator
-        A = CanonicalHull(kind, eps).hull()
-        crad_mc, est = crad_halfplane(A, 1.0, cfg.n_walks, cfg.eps_stop, cfg.seed + 9000, cfg.threads)
+        crad_mc, est = crad_halfplane(C.hull(), 1.0, cfg.n_walks, cfg.seed + 9000, cfg.threads)
         residual_mc = abs((2.0 - crad_mc) / h - 4.0)
         slope = crad_mc / h
         sigma_res = 3.0 * slope * est.std_error
@@ -510,26 +489,31 @@ def hcap_crad_residual(
     return out
 
 
-def corollary_limit(A: HalfPlaneHull, cfg: VerifyConfig, hcap_value: float, tag: str) -> list[CheckResult]:
-    if A.is_empty:
-        raise ValueError("corollary_limit needs a nonempty hull")
-    ys = tuple(f * max(A.sup_abs, 1.0) for f in cfg.y_factors)
+def _unit_canonical(kind: str) -> tuple[HalfPlaneHull, float, str, tuple]:
+    """(hull, hcap, row tag, heights y) for CanonicalHull(kind, 1)."""
+    C = CanonicalHull(kind, 1.0)
+    A = C.hull()
+    return A, hcap_exact(C), f"[{kind}]", tuple(f * max(A.sup_abs, 1.0) for f in Y_FACTORS)
+
+
+def corollary_limit(kind: str, cfg: VerifyConfig) -> list[CheckResult]:
+    """y^2 dcap(T_y(A)) / hcap(A) -> 2 for A = CanonicalHull(kind, 1)."""
+    A, hcap_value, tag, ys = _unit_canonical(kind)
     rows = []
     for i, y in enumerate(ys):
-        est = dcap_transport(A, y, cfg.n_walks, cfg.eps_stop, cfg.seed + 9200 + i, cfg.threads)
+        est = dcap_transport(A, y, cfg.n_walks, cfg.seed + 9200 + i, cfg.threads)
         ratio = y * y * est.mean / hcap_value
         sigma = y * y * est.std_error / hcap_value
         rows.append((y, ratio, sigma))
     out = []
-    delta = cfg.delta_corollary
     y_f, r_f, s_f = rows[-1]
     out.append(
         CheckResult(
             "corollary",
             f"limit{tag}[y={y_f:g}]",
             {"ratio": r_f, "sigma": s_f, "rows": [(y, r) for y, r, _ in rows]},
-            (2.0 - delta, 2.0 + delta),
-            *_limit_verdict(r_f, s_f, delta),
+            (2.0 - DELTA_COROLLARY, 2.0 + DELTA_COROLLARY),
+            *_limit_verdict(r_f, s_f, DELTA_COROLLARY),
         )
     )
     for (y0, r0, s0), (y1, r1, s1) in zip(rows[:-1], rows[1:]):
@@ -547,17 +531,13 @@ def corollary_limit(A: HalfPlaneHull, cfg: VerifyConfig, hcap_value: float, tag:
     return out
 
 
-def remark_expansion_check(
-    A: HalfPlaneHull, cfg: VerifyConfig, hcap_value: float, tag: str, exact_kind: str
-) -> list[CheckResult]:
-    """The remark's expansion at iy for A = HalfDisk(0, 1) or VSlit(0, 1) (exact_kind)."""
-    if A.is_empty:
-        raise ValueError("remark_expansion_check needs a nonempty hull")
-    ys = tuple(f * max(A.sup_abs, 1.0) for f in cfg.y_factors)
+def remark_expansion_check(kind: str, cfg: VerifyConfig) -> list[CheckResult]:
+    """The remark's expansion at iy for A = CanonicalHull(kind, 1)."""
+    A, hcap_value, tag, ys = _unit_canonical(kind)
     out = []
     rows = []
     for i, y in enumerate(ys):
-        crad, est = crad_halfplane(A, y, cfg.n_walks, cfg.eps_stop, cfg.seed + 9400 + i, cfg.threads)
+        crad, est = crad_halfplane(A, y, cfg.n_walks, cfg.seed + 9400 + i, cfg.threads)
         value = y * y * (1.0 - crad / (2.0 * y)) / hcap_value
         ratio_cor = y * y * est.mean / hcap_value
         sigma = y * y * est.std_error / hcap_value
@@ -573,9 +553,9 @@ def remark_expansion_check(
                 _verdict(abs(value - ratio_cor) <= 3 * sigma + 0.5 * ratio_cor**2 * hcap_value / (y * y) + 1e-9),
             )
         )
-        crad_x = crad_exact_at_iy(exact_kind, 1.0, y)
+        crad_x = crad_exact_at_iy(kind, 1.0, y)
         value_x = y * y * (1.0 - crad_x / (2.0 * y)) / hcap_value
-        expected = 2.0 / (1.0 + 1.0 / (y * y)) if exact_kind == "halfdisk" else 2.0
+        expected = 2.0 / (1.0 + 1.0 / (y * y)) if kind == "halfdisk" else 2.0
         out.append(
             CheckResult(
                 "remark",
@@ -586,14 +566,13 @@ def remark_expansion_check(
             )
         )
     y_f, v_f, s_f = rows[-1]
-    delta = cfg.delta_corollary
     out.append(
         CheckResult(
             "remark",
             f"limit{tag}[y={y_f:g}]",
             {"value": v_f, "sigma": s_f},
-            (2.0 - delta, 2.0 + delta),
-            *_limit_verdict(v_f, s_f, delta),
+            (2.0 - DELTA_COROLLARY, 2.0 + DELTA_COROLLARY),
+            *_limit_verdict(v_f, s_f, DELTA_COROLLARY),
         )
     )
     return out
@@ -604,57 +583,57 @@ def remark_expansion_check(
 # ---------------------------------------------------------------------------
 
 
+def _prop1_claim(cfg: VerifyConfig) -> list[CheckResult]:
+    out = prop1_check(DiskCompact([ArcBox(0.0, math.pi / 4, 0.8)]), cfg, "[arcbox]")
+    out += prop1_check(ring(0.7), cfg, "[ring]")
+    for i in range(2):
+        out += prop1_check(generate_element("arcbox-set", cfg.seed, i), cfg, f"[corpus{i}]")
+    return out
+
+
+def _induction_claim(cfg: VerifyConfig) -> list[CheckResult]:
+    out = prop1_induction_check([DyadicSquare(2, 1)], cfg, "[single]")
+    out += prop1_induction_check([DyadicSquare(2, 1), DyadicSquare(2, 3)], cfg, "[pair]")
+    out += prop1_induction_check([DyadicSquare(2, 1), DyadicSquare(3, 3), DyadicSquare(4, 7)], cfg, "[nested]")
+    return out
+
+
+def _fattening_claim(cfg: VerifyConfig) -> list[CheckResult]:
+    out = fattening_check(DiskCompact([ArcBox(0.4, 1.2, 0.75)]), cfg, "[arcbox]", iterated=True)
+    out += fattening_check(ring(0.7), cfg, "[ring]")
+    out += fattening_check(generate_element("radial-slit-set", cfg.seed, 0), cfg, "[corpus0]")
+    return out
+
+
+def _omega_claim(cfg: VerifyConfig) -> list[CheckResult]:
+    out = smoothed_omega_check(ring(0.7), cfg, "[ring]")
+    for i in range(cfg.omega_corpus_size):
+        B = generate_element("radial-slit-set" if i % 2 == 0 else "arcbox-set", cfg.seed, 100 + i)
+        out += smoothed_omega_check(B, cfg, f"[corpus{i}]")
+    return out
+
+
+# the one list of claims: each name maps to the function of cfg that checks it
+_CLAIM_TABLE = {
+    "t1": lambda cfg: thm1_report(mixed_halfplane_corpus(cfg.hp_corpus_size, cfg.seed), cfg),
+    "t2": lambda cfg: thm2_report(mixed_disk_corpus(cfg.corpus_size, cfg.seed), cfg),
+    "prop1": _prop1_claim,
+    "prop1-induction": _induction_claim,
+    "fattening": _fattening_claim,
+    "omega": _omega_claim,
+    "hcap-crad": lambda cfg: hcap_crad_residual("halfdisk", cfg) + hcap_crad_residual("vslit", cfg),
+    "corollary": lambda cfg: corollary_limit("halfdisk", cfg),
+    "remark": lambda cfg: remark_expansion_check("halfdisk", cfg) + remark_expansion_check("vslit", cfg),
+}
+CLAIMS = tuple(_CLAIM_TABLE)
+
+
 def run_claim(claim: str, cfg: VerifyConfig) -> list[CheckResult]:
-    if claim == "t1":
-        return thm1_report(mixed_halfplane_corpus(cfg.hp_corpus_size, cfg.seed), cfg)
-    if claim == "t2":
-        return thm2_report(mixed_disk_corpus(cfg.corpus_size, cfg.seed), cfg)
-    if claim == "prop1":
-        out = []
-        out += prop1_check(DiskCompact([ArcBox(0.0, math.pi / 4, 0.8)]), cfg, "[arcbox]")
-        out += prop1_check(ring(0.7), cfg, "[ring]")
-        for i in range(2):
-            B = generate_element("arcbox-set", cfg.seed, i)
-            out += prop1_check(B, cfg, f"[corpus{i}]")
-        return out
-    if claim == "prop1-induction":
-        out = []
-        out += prop1_induction_check([DyadicSquare(2, 1)], cfg, "[single]")
-        out += prop1_induction_check([DyadicSquare(2, 1), DyadicSquare(2, 3)], cfg, "[pair]")
-        out += prop1_induction_check(
-            [DyadicSquare(2, 1), DyadicSquare(3, 3), DyadicSquare(4, 7)], cfg, "[nested]"
-        )
-        return out
-    if claim == "fattening":
-        out = []
-        out += fattening_check(DiskCompact([ArcBox(0.4, 1.2, 0.75)]), cfg, "[arcbox]", iterated=True)
-        out += fattening_check(ring(0.7), cfg, "[ring]")
-        out += fattening_check(generate_element("radial-slit-set", cfg.seed, 0), cfg, "[corpus0]")
-        return out
-    if claim == "omega":
-        out = []
-        out += smoothed_omega_check(ring(0.7), cfg, "[ring]")
-        for i in range(cfg.omega_corpus_size):
-            B = generate_element("radial-slit-set" if i % 2 == 0 else "arcbox-set", cfg.seed, 100 + i)
-            out += smoothed_omega_check(B, cfg, f"[corpus{i}]")
-        return out
-    if claim == "hcap-crad":
-        out = hcap_crad_residual("halfdisk", (0.3, 0.1, 0.03), cfg)
-        out += hcap_crad_residual("vslit", (0.3, 0.1, 0.03), cfg)
-        return out
-    if claim == "corollary":
-        A = HalfPlaneHull([HalfDisk(0, 1)])
-        return corollary_limit(A, cfg, 1.0, "[halfdisk]")
-    if claim == "remark":
-        A = HalfPlaneHull([HalfDisk(0, 1)])
-        out = remark_expansion_check(A, cfg, 1.0, "[halfdisk]", "halfdisk")
-        out += remark_expansion_check(HalfPlaneHull([VSlit(0, 1)]), cfg, 0.5, "[vslit]", "vslit")
-        return out
-    raise ValueError(f"unknown claim {claim!r}; valid: {CLAIMS + ('all',)}")
+    if claim not in _CLAIM_TABLE:
+        raise ValueError(f"unknown claim {claim!r}; valid: {', '.join(_CLAIM_TABLE)}")
+    return _CLAIM_TABLE[claim](cfg)
 
 
 def run_all(cfg: VerifyConfig) -> list[CheckResult]:
-    out = []
-    for claim in CLAIMS:
-        out += run_claim(claim, cfg)
-    return out
+    """Every claim's rows, in CLAIMS order."""
+    return [row for run in _CLAIM_TABLE.values() for row in run(cfg)]

@@ -149,6 +149,11 @@ DomainOracle = HalfPlaneDomain | DiskDomain
 
 
 def default_eps_stop(domain: DomainOracle) -> float:
+    """The stopping distance of every capacity estimator: 1e-4 times the domain's scale.
+
+    walk_mean and run_walks are the only entry points that take another
+    eps_stop; the estimators in capacity always pass None.
+    """
     return 1e-4 * domain.scale
 
 

@@ -69,7 +69,7 @@ def test_crad_exact_values():
 
 def test_dcap_ring_oracle():
     for rho in (0.6, 0.7, 0.8):
-        est = dcap_mc(ring(rho), n_walks=2000, eps_stop=1e-4, seed=1)
+        est = dcap_mc(ring(rho), n_walks=2000, seed=1)
         assert abs(est.mean - dcap_exact_ring(rho)) <= max(3 * est.std_error, 2e-4)
 
 
@@ -87,7 +87,7 @@ def test_dcap_monotone_nested():
 
 
 def test_layer_sum_ring():
-    ls = dcap_layer_sum(ring(0.7), n_walks=2000, eps_stop=1e-4, seed=4)
+    ls = dcap_layer_sum(ring(0.7), n_walks=2000, seed=4)
     # depth 0.3 lies in [1/4, 1/2): layer 1 takes all the mass
     assert ls.omega == {1: 1.0}
     assert ls.lower == pytest.approx(0.25, abs=1e-12)

@@ -10,8 +10,6 @@ from hypcap.geom import (
     HalfDisk,
     HalfPlaneHull,
     InvalidHullError,
-    InvalidShapeError,
-    Point,
     RadialSlit,
     VSlit,
     validate_disk_shapes,
@@ -19,20 +17,15 @@ from hypcap.geom import (
 )
 
 
-def test_point_requires_finite():
-    with pytest.raises(InvalidShapeError):
-        Point(float("nan"), 0.0)
-
-
 def test_vslit_distances():
     s = VSlit(0, 1)
-    assert s.dist(Point(0, 2)) == 1.0
-    assert s.dist(Point(0, 1)) == 0.0
-    assert s.dist(Point(3, 0)) == 3.0
+    assert s.dist(2j) == 1.0
+    assert s.dist(1j) == 0.0
+    assert s.dist(3 + 0j) == 3.0
 
 
 def test_halfdisk_distance_radial():
-    assert HalfDisk(0, 1).dist(Point(3, 4)) == pytest.approx(4.0, abs=1e-15)
+    assert HalfDisk(0, 1).dist(3 + 4j) == pytest.approx(4.0, abs=1e-15)
 
 
 def test_halfdisk_distance_by_boundary_sampling():
@@ -75,8 +68,8 @@ def test_radial_slit_distance():
 
 def test_intersects_disk_closed():
     s = VSlit(0, 1)
-    assert s.dist(Point(0, 2)) <= 1.0
-    assert not s.dist(Point(0, 2)) <= 0.5
+    assert s.dist(2j) <= 1.0
+    assert not s.dist(2j) <= 0.5
 
 
 def test_metric_projection_property():

@@ -80,6 +80,9 @@ def test_non_obstacles_rejected():
         lambda: neighborhood_member(complex(NAN, 1), SLIT_HULL),
         lambda: hyp_dist_h(complex(NAN, 1), 1j),
         lambda: hyp_dist_d(complex(NAN, 0), 0j),
+        lambda: RectSet([0.1, 0.3], [0.2], [0.5], [0.6]),
+        lambda: RectSet([0.1], [NAN], [0.5], [0.6]),
+        lambda: RectSet([0.2], [0.1], [0.5], [0.6]),
     ],
     ids=[
         "eps_stop-nan",
@@ -101,6 +104,9 @@ def test_non_obstacles_rejected():
         "member-point-nan",
         "dist-h-nan",
         "dist-d-nan",
+        "rectset-lengths",
+        "rectset-nan",
+        "rectset-x0-above-x1",
     ],
 )
 def test_invalid_inputs_raise(call):

@@ -15,7 +15,7 @@ import pytest
 from hypcap import verify
 from hypcap.capacity import ring
 from hypcap.hyperbolic import filled_region, neighborhood_area
-from hypcap.verify import VerifyConfig, _limit_verdict, run_claim
+from hypcap.verify import CLAIMS, VerifyConfig, _limit_verdict, run_all, run_claim
 
 SMOKE = VerifyConfig(n_walks=2000, tol_area=1e-2, corpus_size=3, hp_corpus_size=3, omega_corpus_size=1)
 # claims run through dcap_transport, whose half-circle starts leave no row
@@ -32,6 +32,18 @@ def test_claim_smoke(claim):
     assert [r.name for r in out if r.failed] == []
     if claim in TRANSPORT_CLAIMS:
         assert [r.name for r in out if r.verdict == "inconclusive"] == []
+
+
+def test_unknown_claim_lists_exactly_the_claims():
+    with pytest.raises(ValueError) as err:
+        run_claim("all", SMOKE)
+    assert str(err.value).split("valid: ")[1].split(", ") == list(CLAIMS)
+
+
+def test_run_all_follows_claims_order(monkeypatch):
+    for claim in CLAIMS:
+        monkeypatch.setitem(verify._CLAIM_TABLE, claim, lambda cfg, claim=claim: [claim])
+    assert run_all(SMOKE) == list(CLAIMS)
 
 
 def test_claims_compute_each_area_once(monkeypatch):
