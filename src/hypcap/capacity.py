@@ -73,8 +73,8 @@ class CanonicalHull:
     def __post_init__(self):
         if self.kind not in ("halfdisk", "vslit"):
             raise ValueError(f"unknown canonical kind {self.kind!r}")
-        if self.param <= 0:
-            raise ValueError("param must be positive")
+        if not (math.isfinite(self.param) and self.param > 0):
+            raise ValueError("param must be positive and finite")
 
     def hull(self) -> HalfPlaneHull:
         shape = HalfDisk if self.kind == "halfdisk" else VSlit
@@ -113,11 +113,7 @@ def g_vslit(z, h: float):
 
 def crad_exact_at_i(kind: str, eps: float) -> float:
     """crad(H \\ A, i) for the canonical families of size eps at the origin."""
-    if kind == "halfdisk":
-        return 2.0 * (1.0 - eps * eps) / (1.0 + eps * eps)
-    if kind == "vslit":
-        return 2.0 * (1.0 - eps * eps)
-    raise ValueError(kind)
+    return crad_exact_at_iy(kind, eps, 1.0)
 
 
 def crad_exact_at_iy(kind: str, size: float, y: float) -> float:

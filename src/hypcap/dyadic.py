@@ -24,7 +24,6 @@ from .geom import (
     DiskCompact,
     HalfDisk,
     HalfPlaneHull,
-    PointProbe,
     RadialSlit,
     VSlit,
 )
@@ -80,18 +79,19 @@ def layer_of(z: complex) -> int:
     u = 1.0 - abs(complex(z))
     if not (0.0 < u < 0.5):
         raise ValueError("layer_of needs 1/2 < |z| < 1")
-    return int(layer_of_radius(np.array([u]))[0])
+    return int(layer_of_radius(u))
 
 
-def layer_of_radius(u: np.ndarray) -> np.ndarray:
-    """Vectorized layer index for depths u = 1 - |z| in (0, 1); [1/2, 1) is layer 0."""
+def layer_of_radius(u):
+    """Vectorized layer index for depths u = 1 - |z| in (0, 1); [1/2, 1) is layer 0.
+
+    A scalar or 0-d u gives a numpy integer scalar, an array u an array.
+    """
     u = np.asarray(u, dtype=float)
     n = np.floor(-np.log2(u)).astype(np.int64)
-    too_deep = np.ldexp(1.0, -n) <= u
-    n[too_deep] -= 1
-    too_shallow = u < np.ldexp(1.0, -(n + 1))
-    n[too_shallow] += 1
-    return n
+    # log2 may round across a power of two: step back into the band
+    n = n - (np.ldexp(1.0, -n) <= u)
+    return n + (u < np.ldexp(1.0, -(n + 1)))
 
 
 def _shape_min_scale(max_depth_from_circle: float) -> int:
@@ -180,7 +180,7 @@ def _band_cross_section(s, k: int) -> tuple[float, float] | None:
     y0, y1 = s.y_range
     if lo_y > y1 or hi_y < y0:
         return None
-    if isinstance(s, (VSlit, BoxShape, PointProbe)):
+    if isinstance(s, (VSlit, BoxShape)):
         return s.x_range
     if isinstance(s, HalfDisk):
         y_at = max(lo_y, y0)
@@ -288,11 +288,6 @@ def _pieces_for_shape(s) -> list[tuple]:
         return [
             (s.x - s.h, s.x, "lin", (s.h - s.x, 1.0)),
             (s.x, s.x + s.h, "lin", (s.h + s.x, -1.0)),
-        ]
-    if isinstance(s, PointProbe):
-        return [
-            (s.x - s.y, s.x, "lin", (s.y - s.x, 1.0)),
-            (s.x, s.x + s.y, "lin", (s.y + s.x, -1.0)),
         ]
     if isinstance(s, BoxShape):
         top = s.y1

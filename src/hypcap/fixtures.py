@@ -4,7 +4,8 @@ The comparability theorems assert existence of universal constants without
 giving values, so the harness checks against brackets measured once on the
 default seeded corpora (seed 7) and widened by a 1.5x margin on each
 side.  The script that produced them is not in the repository; tooling that
-reproduces each bracket from the repository is pending (ROADMAP item 4).
+reproduces each bracket from the repository is pending (ROADMAP item 8,
+`make-fixtures`).
 """
 
 # hcap(A) / |N(A)| over the mixed half-plane corpus

@@ -288,35 +288,7 @@ class ArcBox:
         return (float(_norm_angle(self.theta0)), float(self.width))
 
 
-@dataclass(frozen=True)
-class PointProbe:
-    """Degenerate single-point obstacle, used by tests and area oracles."""
-
-    x: float
-    y: float
-
-    def dist(self, z) -> np.ndarray:
-        z = _as_complex(z)
-        return np.abs(z - complex(self.x, self.y))
-
-    def nearest(self, z) -> np.ndarray:
-        z = _as_complex(z)
-        return np.full_like(z, complex(self.x, self.y))
-
-    @property
-    def sup_abs(self) -> float:
-        return math.hypot(self.x, self.y)
-
-    @property
-    def y_range(self) -> tuple[float, float]:
-        return (self.y, self.y)
-
-    @property
-    def x_range(self) -> tuple[float, float]:
-        return (self.x, self.x)
-
-
-HalfPlaneShape = Union[VSlit, BoxShape, HalfDisk, PointProbe]
+HalfPlaneShape = Union[VSlit, BoxShape, HalfDisk]
 DiskShape = Union[RadialSlit, ArcBox]
 
 
@@ -458,9 +430,6 @@ class _ShapeUnion(Obstacle):
                 point[m] = s.nearest(z[m])
         return np.min(ds, axis=0), label, point
 
-    def member(self, z) -> np.ndarray:
-        return self.dist(z) <= 0.0
-
     @property
     def is_empty(self) -> bool:
         return len(self.shapes) == 0
@@ -537,6 +506,4 @@ def _affine(s: HalfPlaneShape, a: float, b: float) -> HalfPlaneShape:
         return BoxShape(x0, x1, k * s.y0, k * s.y1)
     if isinstance(s, HalfDisk):
         return HalfDisk(a * s.c + b, k * s.r)
-    if isinstance(s, PointProbe):
-        return PointProbe(a * s.x + b, k * s.y)
     raise TypeError(type(s).__name__)

@@ -222,30 +222,19 @@ class FilledRegion:
     Cells certified free of N that are grid-connected to the cell holding
     the origin form the *passable* region, a guaranteed subset of the
     complement of the filled neighborhood; everything else is *blocked*.
+    The *frontier* is the blocked cells that touch a passable cell.
     """
 
     leaves: Leaves
     bounds: AreaBounds
     passable: np.ndarray
+    frontier: np.ndarray
 
     def blocked_rects(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Geometric rects of blocked cells adjacent to the passable region.
-
-        Only cells meeting the closed bounding box of the passable cells can
-        touch one, so the adjacency runs over those alone; the box is taken
-        in the exact integer coordinates of the quadtree.
-        """
-        frontier = np.zeros(self.passable.shape, dtype=bool)
-        if self.passable.any():
-            X0, X1, Y0, Y1 = self.leaves.int_rects()
-            p = self.passable
-            near = (X1 >= X0[p].min()) & (X0 <= X1[p].max()) & (Y1 >= Y0[p].min()) & (Y0 <= Y1[p].max())
-            pi, pj = quadtree.adjacency_pairs(self.leaves, near, corners=True)
-            blocked = ~p
-            frontier[pj[p[pi] & blocked[pj]]] = True
-            frontier[pi[p[pj] & blocked[pi]]] = True
+        """Geometric rects of the frontier cells."""
         x0, x1, y0, y1 = self.leaves.rects()
-        return x0[frontier], x1[frontier], y0[frontier], y1[frontier]
+        f = self.frontier
+        return x0[f], x1[f], y0[f], y1[f]
 
 
 def _segment_reaches_disk(p0x, p0y, p1x, p1y) -> np.ndarray:
@@ -269,35 +258,46 @@ def _cell_of_origin(leaves: Leaves) -> int:
     return int(hit[0])
 
 
-def _flood_masks(leaves: Leaves, cls: np.ndarray):
-    """(reached_strict, reached_generous) connectivity to the origin cell."""
+def _flood_masks(leaves: Leaves):
+    """(reached_strict, reached_generous, frontier) from one contact pass.
+
+    A closed INSIDE cell lies in N and a closed free cell misses it, so the
+    two never touch: the contacts among the other cells feed both floods
+    and the frontier of the strict one.
+    """
+    cls = leaves.cls
     n = cls.size
     free = cls == OUTSIDE
     origin = _cell_of_origin(leaves)
+    pi, pj, edge = quadtree.adjacency_pairs(leaves, cls != INSIDE)
 
-    def components(passable: np.ndarray, corners: bool, check_edges: bool) -> np.ndarray:
+    def reached(passable: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         if not passable[origin]:
             return np.zeros(n, dtype=bool)
-        pi, pj = quadtree.adjacency_pairs(leaves, passable, corners=corners)
-        if check_edges and pi.size:
-            x0, x1, y0, y1 = leaves.rects()
-            ex0 = np.maximum(x0[pi], x0[pj])
-            ex1 = np.minimum(x1[pi], x1[pj])
-            ey0 = np.maximum(y0[pi], y0[pj])
-            ey1 = np.minimum(y1[pi], y1[pj])
-            ok = _segment_reaches_disk(ex0, ey0, ex1, ey1)
-            pi, pj = pi[ok], pj[ok]
-        graph = sparse.coo_matrix(
-            (np.ones(pi.size, dtype=np.int8), (pi, pj)), shape=(n, n)
-        )
+        graph = sparse.coo_matrix((np.ones(i.size, dtype=np.int8), (i, j)), shape=(n, n))
         _, labels = connected_components(graph, directed=False)
         return passable & (labels == labels[origin])
 
-    reached_strict = components(free, corners=False, check_edges=True)
+    def strict_pairs() -> tuple[np.ndarray, np.ndarray]:
+        # free cells only, through shared edges that reach into the open
+        # disk; the temporaries go before the generous flood builds its graph
+        keep = edge & free[pi] & free[pj]
+        si, sj = pi[keep], pj[keep]
+        x0, x1, y0, y1 = leaves.rects()
+        ok = _segment_reaches_disk(
+            np.maximum(x0[si], x0[sj]), np.maximum(y0[si], y0[sj]),
+            np.minimum(x1[si], x1[sj]), np.minimum(y1[si], y1[sj]),
+        )
+        return si[ok], sj[ok]
+
+    reached_strict = reached(free, *strict_pairs())
     # a genuine path in the disk complement only ever crosses free or
     # unknown cells, possibly through corners
-    reached_gen = components(free | (cls == UNKNOWN), corners=True, check_edges=False)
-    return reached_strict, reached_gen
+    reached_gen = reached(cls != INSIDE, pi, pj)
+    frontier = np.zeros(n, dtype=bool)
+    frontier[pj[reached_strict[pi] & ~reached_strict[pj]]] = True
+    frontier[pi[reached_strict[pj] & ~reached_strict[pi]]] = True
+    return reached_strict, reached_gen, frontier
 
 
 def _unit_disk_chord_integral(x: float) -> float:
@@ -391,7 +391,7 @@ def filled_region(
         leaves, n_bounds = quadtree.refine(
             -1.05, -1.05, 2.10, classify, lambda lo, up: goal, max_depth
         )
-        reached_strict, reached_gen = _flood_masks(leaves, leaves.cls)
+        reached_strict, reached_gen, frontier = _flood_masks(leaves)
         free = leaves.cls == OUTSIDE
         indisk = _indisk_areas(leaves)
         fill_lo = float(np.sum(indisk[free & ~reached_gen]))
@@ -405,9 +405,8 @@ def filled_region(
         plateau = gap >= 0.7 * prev_gap
         done = met or not n_bounds.tolerance_met or plateau or goal < tol / 64.0
         if done:
-            passable = reached_strict
             bounds = AreaBounds(lower, upper, n_bounds.cells_refined, met)
-            return FilledRegion(leaves, bounds, passable)
+            return FilledRegion(leaves, bounds, reached_strict, frontier)
         prev_gap = gap
         goal /= 4.0
 

@@ -158,27 +158,24 @@ def refine(
     return leaves, bounds
 
 
-def adjacency_pairs(
-    leaves: Leaves, active: np.ndarray, corners: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Undirected adjacency pairs among cells flagged active.
+def adjacency_pairs(leaves: Leaves, active: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Undirected contact pairs (i, j, edge) among cells flagged active.
 
-    Two cells are adjacent when they share an edge segment of positive
-    length; with corners=True point contacts (shared corners, zero-length
-    edge overlaps) count as well.  Pairs may repeat; callers using them for
-    connectivity do not care.
+    Two closed cells are in contact when they share a point; edge is True
+    where the shared segment has positive length and False at a point
+    contact.  Pairs may repeat (a corner contact shows up in both passes);
+    callers using them for connectivity do not care.
     """
     idx = np.flatnonzero(active)
-    if idx.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     X0, X1, Y0, Y1 = leaves.int_rects()
     X0, X1, Y0, Y1 = X0[idx], X1[idx], Y0[idx], Y1[idx]
     # interval coordinates fit well below this stride, so (key, coord) pairs
     # can be packed into one sortable integer
     stride = np.int64(1) << np.int64(leaves.depth_max + 2)
 
-    pairs_i: list[np.ndarray] = []
-    pairs_j: list[np.ndarray] = []
+    pairs_i: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    pairs_j: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    edges: list[np.ndarray] = [np.empty(0, dtype=bool)]
 
     def match(lo_a, hi_a, key_a, lo_b, hi_b, key_b):
         # cells tile, so within a key group the b intervals are disjoint and
@@ -188,26 +185,27 @@ def adjacency_pairs(
         b_key_hi = (key_b * stride + hi_b)[order]
         a_key_lo = key_a * stride + lo_a
         a_key_hi = key_a * stride + hi_a
-        if corners:
-            starts = np.searchsorted(b_key_hi, a_key_lo, side="left")
-            ends = np.searchsorted(b_key_lo, a_key_hi, side="right")
-        else:
-            starts = np.searchsorted(b_key_hi, a_key_lo, side="right")
-            ends = np.searchsorted(b_key_lo, a_key_hi, side="left")
+        # the run of b intervals meeting the closed a interval
+        starts = np.searchsorted(b_key_hi, a_key_lo, side="left")
+        ends = np.searchsorted(b_key_lo, a_key_hi, side="right")
         counts = np.maximum(ends - starts, 0)
         total = int(counts.sum())
         if total == 0:
             return
-        arep = np.repeat(np.arange(idx.size), counts)
-        cum = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        pos = np.arange(total) - np.repeat(cum, counts)
-        brep = order[np.repeat(starts, counts) + pos]
-        pairs_i.append(idx[arep])
+        cum = np.cumsum(counts) - counts
+        brep = order[np.repeat(starts - cum, counts) + np.arange(total)]
+        # disjoint sorted b intervals: only the first and the last of a run
+        # can meet a at a single point
+        edge = np.ones(total, dtype=bool)
+        run = counts > 0
+        first, last = cum[run], cum[run] + counts[run] - 1
+        edge[first[b_key_hi[starts[run]] == a_key_lo[run]]] = False
+        edge[last[b_key_lo[ends[run] - 1] == a_key_hi[run]]] = False
+        pairs_i.append(np.repeat(idx, counts))
         pairs_j.append(idx[brep])
+        edges.append(edge)
 
     match(Y0, Y1, X1, Y0, Y1, X0)  # right edge of a meets left edge of b
     match(X0, X1, Y1, X0, X1, Y0)  # top edge of a meets bottom edge of b
 
-    if not pairs_i:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(pairs_i), np.concatenate(pairs_j)
+    return np.concatenate(pairs_i), np.concatenate(pairs_j), np.concatenate(edges)

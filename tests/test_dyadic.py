@@ -43,6 +43,17 @@ def test_layer_of_radius_vector_agrees():
         assert layer_of((1 - ui) + 0j) == ni
 
 
+def test_layer_of_radius_scalar_and_array_agree():
+    # at each power of two and one ulp either side, where log2 rounds
+    for k in range(2, 40):
+        u = 2.0**-k
+        for v in (np.nextafter(u, 0.0), u, np.nextafter(u, 1.0)):
+            n = layer_of_radius(v)
+            assert layer_of_radius(np.array(v)) == n == layer_of_radius(np.array([v]))[0]
+            assert 0.5 ** (n + 1) <= v < 0.5**n
+        assert layer_of_radius(u) == k - 1
+
+
 def test_layer_partition_is_exact():
     # the bands 2^-(n+1) <= u < 2^-n tile (0, 1/2): every sample point of a
     # compact belongs to exactly one layer piece
@@ -51,7 +62,7 @@ def test_layer_partition_is_exact():
     pts = []
     while len(pts) < 1000:
         z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if abs(z) < 1 and bool(B.member(np.asarray([z]))[0]):
+        if abs(z) < 1 and B.dist(z) <= 0:
             pts.append(z)
     for z in pts:
         n = layer_of(z)
@@ -82,7 +93,7 @@ def test_dyadic_cover_contains_set():
     hits = 0
     while hits < 1000:
         z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if abs(z) >= 1 or not bool(B.member(np.asarray([z]))[0]):
+        if abs(z) >= 1 or B.dist(z) > 0:
             continue
         hits += 1
         assert any(q.contains(z) for q in squares), z
@@ -109,14 +120,12 @@ def test_dyadic_cover_rejects_too_deep():
         dyadic_cover(B)
 
 
-def test_whitney_point_square():
-    # degenerate one-point set: the single square [0,1] x [1,2]
-    from hypcap.geom import PointProbe
-
-    probe = HalfPlaneHull([PointProbe(0.5, 1.5)], validate=False)
-    ab = whitney_cover_area(probe)
-    assert ab.lower == pytest.approx(1.0, abs=1e-9)
-    assert ab.upper == pytest.approx(1.0, abs=1e-9)
+def test_whitney_one_square():
+    # an unrooted box inside the level-0 square [0, 1] x [1, 2] is covered
+    # by that one square
+    box = HalfPlaneHull([BoxShape(0.4, 0.6, 1.2, 1.8)], validate=False)
+    ab = whitney_cover_area(box)
+    assert ab.lower == ab.upper == 1.0
 
 
 def test_whitney_slit_exact():

@@ -144,7 +144,7 @@ def test_union_dist_and_member():
     assert d[0] == pytest.approx(1.0)
     assert d[1] == 0.0
     assert d[2] == pytest.approx(3.0)
-    assert list(h.member(z)) == [False, True, False]
+    assert list(h.dist(z) <= 0) == [False, True, False]
 
 
 def test_scale_and_mirror():

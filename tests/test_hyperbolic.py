@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from hypcap import quadtree
 from hypcap.capacity import ring
 from hypcap.geom import (
     ArcBox,
     DiskCompact,
+    HalfDisk,
     HalfPlaneHull,
-    PointProbe,
     RadialSlit,
     VSlit,
 )
@@ -16,6 +17,7 @@ from hypcap.hyperbolic import (
     DomainError,
     _ball_disk,
     _ball_halfplane,
+    _classifier,
     _disk_rect_areas,
     _indisk_areas,
     circle_rect_area,
@@ -119,14 +121,33 @@ def test_neighborhood_member_monotone_in_set():
             assert neighborhood_member(z, S2, 1.0)
 
 
-def test_neighborhood_area_point_ball():
-    # neighborhood of a single point is one hyperbolic ball
-    S = HalfPlaneHull([PointProbe(0, 1)], validate=False)
-    ab = neighborhood_area(S, 1.0, 1e-3)
-    true = math.pi * math.sinh(1.0) ** 2
-    assert ab.tolerance_met
-    assert ab.lower <= true <= ab.upper
-    assert ab.gap <= 1e-3
+def test_neighborhood_area_closed_forms():
+    # |N_rho| at rho = 1, with sh = sinh rho, ch = cosh rho and the
+    # Gudermannian gd = arcsin(tanh rho):
+    # - VSlit(x, h): the wedge of points within rho of the geodesic through
+    #   the slit, under the circle |z - x| = h, plus the ball about the tip
+    #   above that circle: h^2 (sh + sh^2 (pi/2 + gd));
+    # - HalfDisk(c, r): its arc is a geodesic, and N is the disk of radius
+    #   r ch about c + i r sh, cut by the axis: r^2 (sh + ch^2 (pi/2 + gd));
+    # - ring(a) = {a <= |z| < 1}: the annulus tanh(artanh a - rho/2) <= |z| < 1.
+    rho = 1.0
+    sh, ch, gd = math.sinh(rho), math.cosh(rho), math.asin(math.tanh(rho))
+    slit = sh + sh * sh * (math.pi / 2 + gd)
+    disk = sh + ch * ch * (math.pi / 2 + gd)
+    r_in = math.tanh(math.atanh(0.7) - rho / 2)
+    annulus = math.pi * (1.0 - r_in * r_in)
+    assert slit == pytest.approx(4.540336984403, abs=1e-12)
+    assert disk == pytest.approx(6.976902794438, abs=1e-12)
+    assert annulus == pytest.approx(2.753158496664, abs=1e-12)
+    cases = [
+        (HalfPlaneHull([VSlit(-0.5, 1.5)]), 1.5**2 * slit),
+        (HalfPlaneHull([HalfDisk(0.3, 0.8)]), 0.8**2 * disk),
+        (ring(0.7), annulus),
+    ]
+    for S, true in cases:
+        ab = neighborhood_area(S, rho, 1e-4, relative=True)
+        assert ab.tolerance_met
+        assert ab.lower <= true <= ab.upper
 
 
 def test_neighborhood_area_empty():
@@ -262,3 +283,53 @@ def test_filled_region_walk_surface():
     assert np.all(d > 0)
     _, _, near = rs.nearest(z)
     assert np.allclose(np.abs(near - z), d)
+
+
+def _closed_contacts(leaves, rows, cols):
+    """(touch, edge) matrices of the closed cells rows x cols, by brute force.
+
+    Leaf interiors are disjoint, so two closed cells meet in a segment or a
+    point, and the contact is an edge when that segment has positive length.
+    """
+    X0, X1, Y0, Y1 = leaves.int_rects()
+    ox = np.minimum(X1[rows, None], X1[None, cols]) - np.maximum(X0[rows, None], X0[None, cols])
+    oy = np.minimum(Y1[rows, None], Y1[None, cols]) - np.maximum(Y0[rows, None], Y0[None, cols])
+    touch = (ox >= 0) & (oy >= 0)
+    return touch, touch & ((ox > 0) | (oy > 0))
+
+
+def test_adjacency_pairs_match_closed_square_contacts():
+    B = DiskCompact([RadialSlit(0.5, 0.7), ArcBox(2.0, 2.8, 0.8)])
+    leaves, _ = quadtree.refine(-1.05, -1.05, 2.10, _classifier(B, 1.0), lambda lo, up: 0.0, 7)
+    assert np.unique(leaves.depth).size > 3
+    rng = np.random.default_rng(5)
+    for active in (leaves.cls != quadtree.INSIDE, rng.uniform(size=leaves.cls.size) < 0.7):
+        pi, pj, edge = quadtree.adjacency_pairs(leaves, active)
+        got = {}
+        for i, j, e in zip(pi.tolist(), pj.tolist(), edge.tolist()):
+            key = (min(i, j), max(i, j))
+            # a corner contact may show up twice, always as a point contact
+            assert got.setdefault(key, e) == e
+        idx = np.flatnonzero(active)
+        touch, full = _closed_contacts(leaves, idx, idx)
+        a, b = np.nonzero(np.triu(touch, 1))
+        want = dict(zip(zip(idx[a].tolist(), idx[b].tolist()), full[a, b].tolist()))
+        assert got == want
+        assert 0 < sum(want.values()) < len(want)
+
+
+def test_frontier_matches_brute_force():
+    B = DiskCompact([RadialSlit(0.5, 0.7), ArcBox(2.0, 2.8, 0.8)])
+    fr = filled_region(B, 1.0, 1e-2, max_depth=8)
+    passable = np.flatnonzero(fr.passable)
+    assert passable.size > 0
+    want = np.zeros(fr.passable.size, dtype=bool)
+    for start in range(0, want.size, 512):
+        rows = np.arange(start, min(start + 512, want.size))
+        touch, _ = _closed_contacts(fr.leaves, rows, passable)
+        want[rows] = touch.any(axis=1) & ~fr.passable[rows]
+    assert np.array_equal(fr.frontier, want)
+    x0, x1, y0, y1 = fr.leaves.rects()
+    got = fr.blocked_rects()
+    for a, b in zip(got, (x0, x1, y0, y1)):
+        assert np.array_equal(a, b[want])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hypcap.capacity import dcap_layer_sum, dcap_mc, dcap_transport, hcap_mc, ring
+from hypcap.capacity import CanonicalHull, dcap_layer_sum, dcap_mc, dcap_transport, hcap_mc, ring
 from hypcap.geom import ArcBox, BoxShape, DiskCompact, HalfDisk, HalfPlaneHull, RadialSlit, VSlit
 from hypcap.hyperbolic import RectSet, filled_region, hyp_dist_d, hyp_dist_h, neighborhood_area, neighborhood_member
 from hypcap.wos import DiskDomain, run_walks
@@ -83,6 +83,8 @@ def test_non_obstacles_rejected():
         lambda: RectSet([0.1, 0.3], [0.2], [0.5], [0.6]),
         lambda: RectSet([0.1], [NAN], [0.5], [0.6]),
         lambda: RectSet([0.2], [0.1], [0.5], [0.6]),
+        lambda: CanonicalHull("halfdisk", NAN),
+        lambda: CanonicalHull("vslit", math.inf),
     ],
     ids=[
         "eps_stop-nan",
@@ -107,6 +109,8 @@ def test_non_obstacles_rejected():
         "rectset-lengths",
         "rectset-nan",
         "rectset-x0-above-x1",
+        "canonical-param-nan",
+        "canonical-param-inf",
     ],
 )
 def test_invalid_inputs_raise(call):

@@ -7,7 +7,7 @@ SRC = Path(hypcap.__file__).parent
 # Defaulted parameters plus defaulted dataclass fields in src/hypcap.  Each
 # one doubles the configurations that tests must cover, so a change that adds
 # a knob shows its measured benefit and raises this number in the same change.
-KNOB_BUDGET = 60
+KNOB_BUDGET = 59
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -2,12 +2,10 @@
 
 "fattening" and "omega" are left out until their filled regions certify in
 bounded memory (ROADMAP item 1); their RectSet distance queries are already
-cheap and bounded.  At this config, on a 2-core x86 VM, "fattening" takes
-about 226 s: 155 s go to filled_region on the RectSet obstacles of the
-iterated arcbox fattenings, and the radial-slit corpus element peaks at
-2.5 GB RSS (7.7M leaves, 1.6M frontier cells).  "omega" takes 17 s and
-peaks at 1.4 GB RSS in filled_region on the ring at rho = 0.125 (9.3M
-leaves).
+cheap and bounded.  At this config, on a 2-core x86 VM with 7.8 GB, one run
+each, "fattening" takes about 91 s and peaks at 2.47 GB RSS, and "omega"
+takes 7.1 s and peaks at 1.40 GB RSS in filled_region on the ring at
+rho = 0.125.
 """
 
 import pytest
