@@ -4,11 +4,10 @@ A dyadic "square" Q at scale n over the angular interval
 J = [(k-1)/2^n, k/2^n) is the tombstone {z : z/|z| in e^{2 pi i J},
 1 - |z| <= 2^-n}; its top half is the inner part 1 - |z| > 2^-(n+1).  The
 cover of a disk compact collects every square whose top half meets the
-set.  Because all primitive disk shapes are products of an angle set and
-a radial range reaching the unit circle, any square of the cover at a
-deeper scale is contained in its in-cover ancestor at the shape's coarsest
-populated scale, so the cover's union is a finite union of maximal squares
-and its area is an exact breakpoint sum.
+set.  Dyadic intervals are nested or disjoint, and each square reaches the
+unit circle, so two squares are nested or disjoint too: the maximal squares
+of the cover are pairwise disjoint, their union is the cover's union and its
+area is the sum of their areas.
 """
 
 from __future__ import annotations
@@ -64,6 +63,10 @@ class DyadicSquare:
     def as_arcbox(self) -> ArcBox:
         lo, hi = self.angle_fraction
         return ArcBox(TWO_PI * lo, TWO_PI * hi, 1.0 - self.depth)
+
+    def lies_in(self, q: DyadicSquare) -> bool:
+        """True iff this square is q or a descendant of q (q's interval holds ours)."""
+        return q.n <= self.n and (self.k - 1) >> (self.n - q.n) == q.k - 1
 
     def contains(self, z: complex) -> bool:
         u = 1.0 - abs(z)
@@ -136,36 +139,26 @@ def _squares_for_footprint(n: int, start: float, width: float) -> list[int]:
 
 
 def dyadic_cover(B: DiskCompact) -> tuple[list[DyadicSquare], AreaBounds]:
-    """Maximal squares of the cover Q(B) and the exact area of their union.
+    """Maximal squares of the cover Q(B), in angular order, and the area of their union.
 
-    The union is {1 - |z| <= f(angle)} for a piecewise-constant dyadic depth
-    profile f, so the area is an exact sum over angular breakpoints.
+    The maximal squares are pairwise disjoint, so the area of the union is
+    the sum of their areas.
     """
     if B.is_empty:
         return [], AreaBounds(0.0, 0.0, 0, True)
-    squares: list[DyadicSquare] = []
+    squares: set[DyadicSquare] = set()
     for s in B.shapes:
-        u = 1.0 - s.rho_min
-        n0 = _shape_min_scale(u)
+        n0 = _shape_min_scale(1.0 - s.rho_min)
         start, width = _angle_footprint(s)
-        for k in _squares_for_footprint(n0, start, width):
-            squares.append(DyadicSquare(n0, k))
-    squares = sorted(set(squares), key=lambda q: (q.n, q.k))
-
-    # breakpoint sweep: depth profile is the max square depth per arc
-    events = sorted({frac for q in squares for frac in q.angle_fraction})
-    events.append(events[0] + 1.0)
-    area = 0.0
-    for lo, hi in zip(events[:-1], events[1:]):
-        mid = 0.5 * (lo + hi) % 1.0
-        depth = 0.0
-        for q in squares:
-            qlo, qhi = q.angle_fraction
-            if qlo <= mid < qhi:
-                depth = max(depth, q.depth)
-        if depth > 0.0:
-            area += math.pi * (hi - lo) * (2.0 * depth - depth * depth)
-    return squares, AreaBounds(area, area, 0, True)
+        squares.update(DyadicSquare(n0, k) for k in _squares_for_footprint(n0, start, width))
+    # by left end, coarser first: a square nested in a kept one follows it
+    # before any square outside it, so it lies in the last kept square
+    maximal: list[DyadicSquare] = []
+    for q in sorted(squares, key=lambda q: (q.angle_fraction[0], q.n)):
+        if not (maximal and q.lies_in(maximal[-1])):
+            maximal.append(q)
+    area = math.fsum(q.area for q in maximal)
+    return maximal, AreaBounds(area, area, 0, True)
 
 
 # ---------------------------------------------------------------------------

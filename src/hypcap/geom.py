@@ -298,28 +298,16 @@ DiskShape = Union[RadialSlit, ArcBox]
 
 
 def _overlap_off_axis(a: HalfPlaneShape, b: HalfPlaneShape) -> bool:
-    """True iff the closures of a and b share a point strictly above the axis."""
-    if isinstance(a, (BoxShape, HalfDisk)) and isinstance(b, VSlit):
-        return _overlap_off_axis(b, a)
-    if isinstance(a, HalfDisk) and isinstance(b, BoxShape):
-        return _overlap_off_axis(b, a)
+    """True iff the closures of rooted shapes a and b share a point strictly above the axis.
 
-    if isinstance(a, VSlit) and isinstance(b, VSlit):
-        return a.x == b.x
-    if isinstance(a, VSlit) and isinstance(b, BoxShape):
-        return b.x0 <= a.x <= b.x1 and b.y0 <= a.h
-    if isinstance(a, VSlit) and isinstance(b, HalfDisk):
-        return abs(a.x - b.c) < b.r
-    if isinstance(a, BoxShape) and isinstance(b, BoxShape):
-        return max(a.x0, b.x0) <= min(a.x1, b.x1) and max(a.y0, b.y0) <= min(a.y1, b.y1)
-    if isinstance(a, BoxShape) and isinstance(b, HalfDisk):
-        dx = max(0.0, a.x0 - b.c, b.c - a.x1)
-        if a.y0 > 0:
-            return math.hypot(dx, a.y0) <= b.r
-        return dx < b.r
-    if isinstance(a, HalfDisk) and isinstance(b, HalfDisk):
-        return abs(a.c - b.c) < a.r + b.r
-    raise TypeError(f"no overlap predicate for {type(a).__name__}/{type(b).__name__}")
+    Each rises from its foot x_range, so they do iff their feet share a point
+    over which both rise: a half-disk has height 0 at the ends of its foot.
+    """
+    lo = max(a.x_range[0], b.x_range[0])
+    hi = min(a.x_range[1], b.x_range[1])
+    return lo < hi or (
+        lo == hi and all(s.x_range[0] < lo < s.x_range[1] for s in (a, b) if isinstance(s, HalfDisk))
+    )
 
 
 def _arc_intervals_touch(i0: tuple[float, float], i1: tuple[float, float]) -> bool:

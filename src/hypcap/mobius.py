@@ -20,10 +20,14 @@ class AnnulusError(ValueError):
     """The transported set leaves the annulus 1/2 < |w| < 1."""
 
 
+def _require_height(y: float) -> None:
+    if not (math.isfinite(y) and y > 0):
+        raise ValueError("y must be positive and finite")
+
+
 def t_y(y: float, z) -> np.ndarray | complex:
     """Apply T_y; accepts scalars or arrays, defined on the closed half-plane."""
-    if y <= 0:
-        raise ValueError("y must be positive")
+    _require_height(y)
     zz = _as_complex(z)
     out = (zz - 1j * y) / (zz + 1j * y)
     return complex(out[()]) if out.shape == () else out
@@ -31,8 +35,7 @@ def t_y(y: float, z) -> np.ndarray | complex:
 
 def require_annulus(A: HalfPlaneHull, y: float) -> None:
     """Raise AnnulusError unless T_y(A) surely lies in 1/2 < |w| < 1."""
-    if not (math.isfinite(y) and y > 0):
-        raise ValueError("y must be positive and finite")
+    _require_height(y)
     if A.is_empty:
         return
     r = A.sup_abs

@@ -172,8 +172,6 @@ class WalkEnsemble:
     stop_dists: np.ndarray
     flagged: np.ndarray
     eps_stop: float
-    seed: int
-    space: str
 
     @property
     def n_walks(self) -> int:
@@ -293,7 +291,7 @@ def run_walks(
         stopd[sl] = sd
         flagged[sl] = fl
 
-    return WalkEnsemble(term, labels, steps, stopd, flagged, eps, seed, domain.space)
+    return WalkEnsemble(term, labels, steps, stopd, flagged, eps)
 
 
 # ---------------------------------------------------------------------------

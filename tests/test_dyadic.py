@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from hypcap.corpus import generate_element, mixed_disk_corpus
 from hypcap.dyadic import (
     DyadicSquare,
+    _angle_footprint,
+    _shape_min_scale,
+    _squares_for_footprint,
     dyadic_cover,
     layer_of,
     layer_of_radius,
@@ -79,6 +83,61 @@ def test_dyadic_square_geometry():
     assert ab.rho == 1 - d
     with pytest.raises(ValueError):
         DyadicSquare(1, 3)
+
+
+def test_nesting_rule_matches_intervals():
+    squares = [DyadicSquare(n, k) for n in range(1, 7) for k in range(1, 2**n + 1)]
+    for p in squares:
+        p0, p1 = p.angle_fraction
+        for q in squares:
+            q0, q1 = q.angle_fraction
+            assert p.lies_in(q) == (q0 <= p0 and p1 <= q1), (p, q)
+
+
+@pytest.fixture(scope="module")
+def disk_sample():
+    """420 disk compacts: three corpora of 60 and 40 elements of each kind, at three seeds."""
+    out = []
+    for seed in (7, 11, 2024):
+        out += mixed_disk_corpus(60, seed)
+        for kind in ("radial-slit-set", "arcbox-set"):
+            out += [generate_element(kind, seed, 100 + i) for i in range(40)]
+    return out
+
+
+def _footprint_squares(B: DiskCompact) -> list[DyadicSquare]:
+    """Every square of the cover, nested ones included: each shape's squares at its coarsest scale."""
+    out = []
+    for s in B.shapes:
+        n0 = _shape_min_scale(1.0 - s.rho_min)
+        out += [DyadicSquare(n0, k) for k in _squares_for_footprint(n0, *_angle_footprint(s))]
+    return out
+
+
+def _profile_area(squares: list[DyadicSquare]) -> float:
+    """Reference area of the union: the depth profile, the deepest square over each arc between breakpoints."""
+    events = sorted({f for q in squares for f in q.angle_fraction})
+    events.append(events[0] + 1.0)
+    area = 0.0
+    for lo, hi in zip(events[:-1], events[1:]):
+        mid = 0.5 * (lo + hi) % 1.0
+        depth = max((q.depth for q in squares if q.angle_fraction[0] <= mid < q.angle_fraction[1]), default=0.0)
+        area += math.pi * (hi - lo) * (2.0 * depth - depth * depth)
+    return area
+
+
+def test_dyadic_cover_is_the_disjoint_maximal_squares(disk_sample):
+    for B in disk_sample:
+        squares, area = dyadic_cover(B)
+        for i, p in enumerate(squares):
+            for q in squares[i + 1 :]:
+                assert not (p.lies_in(q) or q.lies_in(p)), (p, q)
+        everything = _footprint_squares(B)
+        for p in everything:
+            assert sum(p.lies_in(q) for q in squares) == 1, p
+        ref = _profile_area(everything)
+        assert area.lower == area.upper
+        assert abs(area.lower - ref) <= 2 * math.ulp(ref)
 
 
 def test_dyadic_cover_empty():

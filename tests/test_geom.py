@@ -108,6 +108,15 @@ def test_validate_hull_cases():
     assert validate_halfplane_shapes([HalfDisk(0, 1), HalfDisk(2, 1)]) is None
     # box touching a slit shares a vertical segment: rejected
     assert validate_halfplane_shapes([VSlit(0, 1), BoxShape(0, 1, 0, 0.5)]) is not None
+    # feet that touch at one point: a half-disk has height 0 at its ends,
+    # slits and boxes rise from every point of their feet
+    assert validate_halfplane_shapes([HalfDisk(0, 1), VSlit(1, 2)]) is None
+    assert validate_halfplane_shapes([BoxShape(-2, -1, 0, 1), HalfDisk(0, 1)]) is None
+    assert validate_halfplane_shapes([HalfDisk(0, 1), VSlit(0.999, 0.01)]) is not None
+    assert validate_halfplane_shapes([BoxShape(0, 1, 0, 1), BoxShape(1, 2, 0, 0.5)]) is not None
+    assert validate_halfplane_shapes([VSlit(0, 1), VSlit(0, 2)]) is not None
+    # overlapping feet: the box's corner (0.9, 0.1) lies in the half-disk
+    assert validate_halfplane_shapes([BoxShape(0.9, 2, 0, 0.1), HalfDisk(0, 1)]) is not None
     # unrooted box rejected at hull level
     assert validate_halfplane_shapes([BoxShape(0, 1, 0.1, 0.5)]) is not None
 

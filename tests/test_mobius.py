@@ -11,6 +11,12 @@ def test_t_y_special_points():
     assert t_y(1.0, 0j) == pytest.approx(-1.0, abs=1e-15)
 
 
+def test_t_y_rejects_bad_heights():
+    for y in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="y must be positive and finite"):
+            t_y(y, 1j)
+
+
 def test_round_trip():
     rng = np.random.default_rng(0)
     for y in (1.0, 10.0, 100.0):

@@ -8,16 +8,22 @@ takes 7.1 s and peaks at 1.40 GB RSS in filled_region on the ring at
 rho = 0.125.
 """
 
+import dataclasses
+
 import pytest
 
 from hypcap import verify
-from hypcap.capacity import ring
+from hypcap.capacity import crad_halfplane, ring
+from hypcap.dyadic import DyadicSquare
 from hypcap.hyperbolic import filled_region, neighborhood_area
 from hypcap.verify import CLAIMS, VerifyConfig, _limit_verdict, run_all, run_claim
 
 SMOKE = VerifyConfig(n_walks=2000, tol_area=1e-2, corpus_size=3, hp_corpus_size=3, omega_corpus_size=1)
+# hcap-crad's mc rows are judged against brackets down to 0.09 up to 3 sigma;
+# at 2000 walks sigma is too wide for that, at 100,000 (about 1 s) it is not
+HCAP_CRAD_SMOKE = dataclasses.replace(SMOKE, n_walks=100_000)
 # claims run through dcap_transport, whose half-circle starts leave no row
-# inconclusive even at 2000 walks
+# inconclusive
 TRANSPORT_CLAIMS = ("hcap-crad", "corollary", "remark")
 
 
@@ -25,11 +31,34 @@ TRANSPORT_CLAIMS = ("hcap-crad", "corollary", "remark")
     "claim", ["t1", "t2", "prop1", "prop1-induction", "hcap-crad", "corollary", "remark"]
 )
 def test_claim_smoke(claim):
-    out = run_claim(claim, SMOKE)
+    out = run_claim(claim, HCAP_CRAD_SMOKE if claim == "hcap-crad" else SMOKE)
     assert out
     assert [r.name for r in out if r.failed] == []
     if claim in TRANSPORT_CLAIMS:
         assert [r.name for r in out if r.verdict == "inconclusive"] == []
+
+
+def test_hcap_crad_mc_rows_fail_on_a_wrong_crad(monkeypatch):
+    # crad 1% low moves every residual by about 0.02 / hcap, well past the
+    # brackets HCAP_CRAD_C * eps for eps <= 0.1
+    def scaled(*args):
+        crad, est = crad_halfplane(*args)
+        return 0.99 * crad, est
+
+    monkeypatch.setattr(verify, "crad_halfplane", scaled)
+    rows = {r.name: r.verdict for r in run_claim("hcap-crad", HCAP_CRAD_SMOKE)}
+    for kind in ("halfdisk", "vslit"):
+        for eps in (0.1, 0.03):
+            assert rows[f"mc[{kind},{eps}]"] == "fail"
+
+
+def test_induction_rejects_overlapping_squares():
+    cfg = VerifyConfig(n_walks=64)
+    for squares in ([DyadicSquare(2, 1), DyadicSquare(3, 1)], [DyadicSquare(2, 1), DyadicSquare(2, 1)]):
+        with pytest.raises(ValueError, match="disjoint"):
+            verify.prop1_induction_check(squares, cfg)
+    # adjacent squares share only a boundary
+    assert len(verify.prop1_induction_check([DyadicSquare(2, 1), DyadicSquare(2, 2)], cfg)) == 2
 
 
 def test_unknown_claim_lists_exactly_the_claims():
