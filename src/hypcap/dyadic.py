@@ -90,23 +90,17 @@ def layer_of_radius(u):
 
     A scalar or 0-d u gives a numpy integer scalar, an array u an array.
     """
-    u = np.asarray(u, dtype=float)
-    n = np.floor(-np.log2(u)).astype(np.int64)
-    # log2 may round across a power of two: step back into the band
-    n = n - (np.ldexp(1.0, -n) <= u)
-    return n + (u < np.ldexp(1.0, -(n + 1)))
+    # u = m 2^e with 1/2 <= m < 1 puts u in [2^(e-1), 2^e), layer -e
+    return -np.frexp(np.asarray(u, dtype=float))[1].astype(np.int64)
 
 
 def _shape_min_scale(max_depth_from_circle: float) -> int:
     """Smallest n whose top-half band (2^-(n+1), 2^-n] meets (0, u]."""
-    u = max_depth_from_circle
-    n = 1
-    while 0.5 ** (n + 1) >= u:
-        n += 1
-        if n > N_MAX:
-            raise ValueError(
-                f"set reaches deeper than scale N_MAX={N_MAX}; cover would be incomplete"
-            )
+    # u = m 2^e: 2^-(n+1) < u iff n >= -e, or n > -e when u = 2^(e-1)
+    m, e = math.frexp(max_depth_from_circle)
+    n = max(1, -e + (m == 0.5))
+    if n > N_MAX:
+        raise ValueError(f"set reaches deeper than scale N_MAX={N_MAX}; cover would be incomplete")
     return n
 
 
@@ -224,11 +218,8 @@ def whitney_cover_area(A: HalfPlaneHull) -> AreaBounds:
     if A.is_empty:
         return AreaBounds(0.0, 0.0, 0, True)
     y_max = A.y_max
-    k_top = int(math.floor(math.log2(y_max)))
-    while 2.0**k_top > y_max:
-        k_top -= 1
-    while 2.0 ** (k_top + 1) <= y_max:
-        k_top += 1
+    # the top level k has 2^k <= y_max < 2^(k+1)
+    k_top = math.frexp(y_max)[1] - 1
 
     area = 0.0
     levels = 0

@@ -378,37 +378,28 @@ def filled_region(
     tol: float = 1e-3,
     max_depth: int = 24,
 ) -> FilledRegion:
-    """Refine until the filled-neighborhood area bracket is tol-tight."""
+    """Bracket the area of the filled rho-neighborhood of B with one refinement.
+
+    N is refined to an area gap of tol/2 and flooded once.  The pockets the
+    floods cannot settle add to the gap, so bounds.tolerance_met says
+    whether the bracket is tol-tight; a region that misses it is returned
+    as it stands for the caller to report.
+    """
     require_obstacle(B, "disk")
     _check_rho_tol(rho, tol)
     if neighborhood_member(0j, B, rho):
         raise DomainError("the origin lies in the rho-neighborhood; filling undefined")
 
-    classify = _classifier(B, rho)
-    goal = tol / 2.0
-    prev_gap = math.inf
-    while True:
-        leaves, n_bounds = quadtree.refine(
-            -1.05, -1.05, 2.10, classify, lambda lo, up: goal, max_depth
-        )
-        reached_strict, reached_gen, frontier = _flood_masks(leaves)
-        free = leaves.cls == OUTSIDE
-        indisk = _indisk_areas(leaves)
-        fill_lo = float(np.sum(indisk[free & ~reached_gen]))
-        fill_hi = float(np.sum(indisk[free & ~reached_strict]))
-        lower = n_bounds.lower + fill_lo
-        upper = n_bounds.upper + fill_hi
-        gap = upper - lower
-        met = gap <= tol
-        # a pinched boundary can leave the trapped-or-not status of a pocket
-        # undecidable at any finite depth; stop once refining stops helping
-        plateau = gap >= 0.7 * prev_gap
-        done = met or not n_bounds.tolerance_met or plateau or goal < tol / 64.0
-        if done:
-            bounds = AreaBounds(lower, upper, n_bounds.cells_refined, met)
-            return FilledRegion(leaves, bounds, reached_strict, frontier)
-        prev_gap = gap
-        goal /= 4.0
+    leaves, n_bounds = quadtree.refine(
+        -1.05, -1.05, 2.10, _classifier(B, rho), lambda lo, up: tol / 2.0, max_depth
+    )
+    reached_strict, reached_gen, frontier = _flood_masks(leaves)
+    free = leaves.cls == OUTSIDE
+    indisk = _indisk_areas(leaves)
+    lower = n_bounds.lower + float(np.sum(indisk[free & ~reached_gen]))
+    upper = n_bounds.upper + float(np.sum(indisk[free & ~reached_strict]))
+    bounds = AreaBounds(lower, upper, n_bounds.cells_refined, upper - lower <= tol)
+    return FilledRegion(leaves, bounds, reached_strict, frontier)
 
 
 # ---------------------------------------------------------------------------

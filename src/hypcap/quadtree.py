@@ -152,10 +152,10 @@ def refine(
     clss = np.concatenate(acc_cls) if acc_cls else np.empty(0, dtype=np.int8)
     dmax = int(depths.max()) if depths.size else 0
 
+    # the unknown leaves are the last level's unknown cells, whose area the
+    # loop summed into gap
     leaves = Leaves(gx0, gy0, size, dmax, ixs, iys, depths, clss)
-    gap = float(np.sum(leaves.areas()[leaves.cls == UNKNOWN]))
-    bounds = AreaBounds(lower, lower + gap, cells_refined, met)
-    return leaves, bounds
+    return leaves, AreaBounds(lower, lower + gap, cells_refined, met)
 
 
 def adjacency_pairs(leaves: Leaves, active: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

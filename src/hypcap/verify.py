@@ -158,6 +158,8 @@ def thm1_report(corpus: list[HalfPlaneHull], cfg: VerifyConfig) -> list[CheckRes
         )
     # Figure-1 comparators: Whitney and Lipschitz areas against |N|
     for i, (A, area) in enumerate(zip(corpus[:5], areas)):
+        if A.is_empty:
+            continue
         area_n = area.midpoint
         w = whitney_cover_area(A).midpoint
         lip = lipschitz_majorant_area(A)
@@ -183,6 +185,8 @@ def thm2_report(corpus: list[DiskCompact], cfg: VerifyConfig) -> list[CheckResul
         out.append(_ratio_row("t2", f"ratio[{i}]", values, fixtures.THM2_RATIO))
     out += _spread_rows("t2", ratios, fixtures.THM2_SPREAD)
     for i, (B, area) in enumerate(zip(corpus[:5], areas)):
+        if B.is_empty:
+            continue
         area_n = area.midpoint
         _, qb = dyadic_cover(B)
         values = {"area_qb": qb.midpoint, "area_n": area_n, "ratio": qb.midpoint / area_n}
@@ -280,8 +284,8 @@ def prop1_induction_check(
 def _filled_verdict(ok: bool, regions: list, note: str) -> tuple[str, str, float]:
     """(verdict, note, area_gap) for a check that consumes filled regions.
 
-    A region whose area bracket stopped short of its tolerance (the plateau
-    rule of filled_region) cannot decide the check: the row is
+    A region whose area bracket missed its tolerance (filled_region refines
+    once and reports the miss) cannot decide the check: the row is
     "inconclusive" and area_gap is the widest gap among the regions.
     """
     area_gap = max(r.bounds.gap for r in regions)

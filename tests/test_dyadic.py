@@ -7,6 +7,7 @@ from hypcap.corpus import generate_element, mixed_disk_corpus
 from hypcap.dyadic import (
     DyadicSquare,
     _angle_footprint,
+    _merged_count,
     _shape_min_scale,
     _squares_for_footprint,
     dyadic_cover,
@@ -199,6 +200,16 @@ def test_whitney_slit_exact():
         assert ranges == [(-1, 0)]
 
 
+def test_whitney_touching_feet_bracket():
+    # the feet of the half-disk and the slit share x = 1, so the tail's lower
+    # bound must not count their shared squares twice
+    A = HalfPlaneHull([HalfDisk(0, 1), VSlit(1, 0.5)])
+    total = sum(_merged_count(whitney_ranges(A, k)) * 4.0**k for k in range(0, -46, -1))
+    ab = whitney_cover_area(A)
+    assert ab.lower <= total <= ab.upper
+    assert ab.gap < 1e-9
+
+
 def test_whitney_empty():
     assert whitney_cover_area(HalfPlaneHull([])).upper == 0.0
 
@@ -255,3 +266,30 @@ def test_lipschitz_box_and_halfdisk():
     env = np.maximum(box_prof, disk_prof)
     oracle = np.trapezoid(env, xs)
     assert lipschitz_majorant_area(A) == pytest.approx(oracle, abs=1e-5)
+
+
+def _profile(s, xs):
+    """The norm-1 Lipschitz majorant of one VSlit or HalfDisk at xs."""
+    if isinstance(s, VSlit):
+        return np.maximum(s.h - np.abs(xs - s.x), 0)
+    t = np.abs(xs - s.c)
+    return np.where(
+        t <= s.r / math.sqrt(2),
+        np.sqrt(np.maximum(s.r * s.r - t * t, 0)),
+        np.maximum(s.r * math.sqrt(2) - t, 0),
+    )
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        # a tent crosses a circle cap
+        HalfPlaneHull([HalfDisk(0, 1), VSlit(1.2, 1.0)]),
+        # two circle caps cross at x = 0.44, inside both arc spans
+        HalfPlaneHull([HalfDisk(0, 1), HalfDisk(0.5, 0.9)], validate=False),
+    ],
+)
+def test_lipschitz_envelope_crossings(A):
+    xs = np.linspace(-2.0, 3.5, 1_100_001)
+    env = np.max([_profile(s, xs) for s in A.shapes], axis=0)
+    assert lipschitz_majorant_area(A) == pytest.approx(np.trapezoid(env, xs), abs=1e-8)

@@ -5,6 +5,7 @@ import pytest
 
 from hypcap import quadtree
 from hypcap.capacity import ring
+from hypcap.corpus import generate_element
 from hypcap.geom import (
     ArcBox,
     DiskCompact,
@@ -259,6 +260,23 @@ def test_filled_nearly_closed_ring_traps_pocket():
     # in that order even though they come from independent refinements
     assert fb.upper >= nb.lower - 1e-12
     assert fb.lower >= nb.lower - 1e-12
+
+
+def test_filled_region_refines_once(monkeypatch):
+    # this region misses its tolerance: it is reported as it stands, without
+    # a second refinement from the root
+    calls = []
+    refine = quadtree.refine
+
+    def counting(*args):
+        calls.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(quadtree, "refine", counting)
+    fr = filled_region(generate_element("radial-slit-set", 7, 8), 0.25, 4e-3)
+    assert len(calls) == 1
+    assert not fr.bounds.tolerance_met
+    assert fr.bounds.gap > 4e-3
 
 
 def test_filled_region_rejects_origin_in_neighborhood():

@@ -1,20 +1,26 @@
 """Smoke tier for the claim harness: small walk counts, coarse areas, tiny corpora.
 
-"fattening" and "omega" are left out until their filled regions certify in
-bounded memory (ROADMAP item 1); their RectSet distance queries are already
-cheap and bounded.  At this config, on a 2-core x86 VM with 7.8 GB, one run
-each, "fattening" takes about 91 s and peaks at 2.47 GB RSS, and "omega"
-takes 7.1 s and peaks at 1.40 GB RSS in filled_region on the ring at
-rho = 0.125.
+"fattening" runs in a child process under a 1 GB max-RSS gate; "omega" is
+left out until its filled regions certify in bounded memory (ROADMAP item
+1).  At this config, on a 2-core x86 VM with 7.8 GB, one run each,
+"fattening" takes about 21 s and peaks at 0.53 GB RSS, and "omega" takes
+about 7 s and peaks at 1.40 GB RSS in filled_region's one refinement of the
+ring at rho = 0.125.
 """
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hypcap
 from hypcap import verify
 from hypcap.capacity import crad_halfplane, ring
 from hypcap.dyadic import DyadicSquare
+from hypcap.geom import DiskCompact, HalfPlaneHull, RadialSlit, VSlit
 from hypcap.hyperbolic import filled_region, neighborhood_area
 from hypcap.verify import CLAIMS, VerifyConfig, _limit_verdict, run_all, run_claim
 
@@ -36,6 +42,48 @@ def test_claim_smoke(claim):
     assert [r.name for r in out if r.failed] == []
     if claim in TRANSPORT_CLAIMS:
         assert [r.name for r in out if r.verdict == "inconclusive"] == []
+
+
+# run in a fresh interpreter so that ru_maxrss is this claim's peak alone
+_FATTENING_CHILD = """
+import json, resource
+from hypcap.verify import VerifyConfig, run_claim
+cfg = VerifyConfig(**json.loads(input()))
+rows = {r.name: r.verdict for r in run_claim("fattening", cfg)}
+print(json.dumps({"rows": rows, "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+
+
+def test_fattening_smoke_in_bounded_memory():
+    src = os.path.dirname(os.path.dirname(hypcap.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", _FATTENING_CHILD],
+        input=json.dumps(dataclasses.asdict(SMOKE)),
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    out = json.loads(child.stdout.splitlines()[-1])
+    rows = out["rows"]
+    assert [name for name, v in rows.items() if v == "fail"] == []
+    for tag in ("[arcbox]", "[ring]"):
+        assert rows[f"ratio{tag}"] == rows[f"schwarz{tag}"] == "pass"
+    # ru_maxrss is in KB on Linux
+    assert out["maxrss_kb"] < 1 << 20
+
+
+def test_theorem_reports_skip_empty_elements():
+    cfg = dataclasses.replace(SMOKE, n_walks=400)
+    rows = verify.thm1_report([HalfPlaneHull([]), HalfPlaneHull([VSlit(0, 1)])], cfg)
+    names = [r.name for r in rows]
+    assert not any("[0]" in n for n in names)
+    assert {"ratio[1]", "whitney-over-n[1]", "lipschitz-over-n[1]"} <= set(names)
+    rows = verify.thm2_report([DiskCompact([]), DiskCompact([RadialSlit(0.5, 0.7)])], cfg)
+    names = [r.name for r in rows]
+    assert not any("[0]" in n for n in names)
+    assert {"ratio[1]", "qb-over-n[1]"} <= set(names)
 
 
 def test_hcap_crad_mc_rows_fail_on_a_wrong_crad(monkeypatch):
