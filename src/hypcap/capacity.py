@@ -13,8 +13,9 @@ R about x_c contains A (Lawler, Conformally Invariant Processes in the
 Plane, AMS 2005, ch. 3; Lalley-Lawler-Narayanan, arXiv:0909.0438).  The
 only bias is the O(eps_stop) projection at the stopping distance.  Every
 estimator here stops at wos.default_eps_stop: 1e-4 on the disk and
-1e-4 (max(width, y_max) + 1) on the half-plane.  Another stopping distance
-is set only through wos.walk_mean or run_walks.
+1e-4 (max(width, y_max) + 1) on the half-plane.  Only wos.run_walks
+takes another stopping distance; every walk stops after at most
+wos.STEP_CAP steps.
 
 Transport: crad(H \\ A, iy) = 2 y exp(-dcap(T_y(A))), and dcap of the
 pushforward is -E_{iy}[log |T_y(W_exit)|] by conformal invariance of the

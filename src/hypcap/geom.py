@@ -113,10 +113,6 @@ class BoxShape:
     def x_range(self) -> tuple[float, float]:
         return (self.x0, self.x1)
 
-    @property
-    def area(self) -> float:
-        return (self.x1 - self.x0) * (self.y1 - self.y0)
-
 
 @dataclass(frozen=True)
 class HalfDisk:
@@ -161,10 +157,6 @@ class HalfDisk:
     @property
     def x_range(self) -> tuple[float, float]:
         return (self.c - self.r, self.c + self.r)
-
-    @property
-    def area(self) -> float:
-        return 0.5 * math.pi * self.r * self.r
 
 
 def _norm_angle(a) -> np.ndarray:
@@ -372,7 +364,7 @@ class Obstacle(ABC):
     Disk-space obstacles also have ``min_abs``, a lower bound on |z| over
     the set.  The walkable ones (HalfPlaneHull, DiskCompact and RectSet)
     have ``nearest(z) -> (dist, label, point)``: ``dist(z)`` itself, the
-    index of the first nearest part, and a nearest point of the set.
+    index of a nearest part, and a nearest point of the set.
     """
 
     space: str

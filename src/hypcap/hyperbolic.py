@@ -194,7 +194,6 @@ def neighborhood_area(
     rho: float = 1.0,
     tol: float = 1e-3,
     relative: bool = False,
-    max_depth: int = 24,
 ) -> AreaBounds:
     """Certified bounds on the euclidean area of the rho-neighborhood of S."""
     require_obstacle(S)
@@ -206,7 +205,7 @@ def neighborhood_area(
     else:
         gx0, gy0, size = -1.05, -1.05, 2.10
     goal = (lambda lo, up: tol * up) if relative else (lambda lo, up: tol)
-    _, bounds = quadtree.refine(gx0, gy0, size, _classifier(S, rho), goal, max_depth)
+    _, bounds = quadtree.refine(gx0, gy0, size, _classifier(S, rho), goal)
     return bounds
 
 
@@ -376,7 +375,6 @@ def filled_region(
     B: Obstacle,
     rho: float = 1.0,
     tol: float = 1e-3,
-    max_depth: int = 24,
 ) -> FilledRegion:
     """Bracket the area of the filled rho-neighborhood of B with one refinement.
 
@@ -390,9 +388,7 @@ def filled_region(
     if neighborhood_member(0j, B, rho):
         raise DomainError("the origin lies in the rho-neighborhood; filling undefined")
 
-    leaves, n_bounds = quadtree.refine(
-        -1.05, -1.05, 2.10, _classifier(B, rho), lambda lo, up: tol / 2.0, max_depth
-    )
+    leaves, n_bounds = quadtree.refine(-1.05, -1.05, 2.10, _classifier(B, rho), lambda lo, up: tol / 2.0)
     reached_strict, reached_gen, frontier = _flood_masks(leaves)
     free = leaves.cls == OUTSIDE
     indisk = _indisk_areas(leaves)
@@ -421,21 +417,22 @@ class RectSet(Obstacle):
 
     The rectangles are grouped by octave of half-diagonal h.  An octave
     with more than _TREE_MIN rectangles gets a cKDTree on their centers;
-    the others share one block that every query scans by brute force.  A
-    k-NN pass on an octave's tree is certified for a point once the best
-    distance found so far, over all groups, is below d_k - h_max (less
-    _CERT_SLACK): d_k is the k-th center distance and h_max the octave's
-    largest half-diagonal, so every rectangle past the k-th center is at
-    least that far away.  Open points retry with 4k neighbours and scan the
-    whole octave once 16k reaches its size.  Like-sized octaves keep k
-    small where one global h_max drove it toward the number of rectangles.
+    the others share one block that every query scans by brute force first.
+    Then each tree octave runs one k-NN loop: a point is certified once the
+    best distance found so far is below d_k - h_max (less _CERT_SLACK),
+    where d_k is its k-th center distance and h_max the octave's largest
+    half-diagonal, so every rectangle past the k-th center is at least that
+    far away.  Open points retry with 4k neighbours, starting from k = 8,
+    and the loop scans the whole octave once 16k reaches its size or 4k
+    exceeds _QUERY_BLOCK.
+    Like-sized octaves keep k small where one global h_max drove it toward
+    the number of rectangles.
 
     Each pass runs in blocks of at most _QUERY_BLOCK (point, rectangle)
     entries, so a query allocates O(points) plus a constant, whatever the
     number of rectangles and however high k climbs.  dist is the exact
     minimum over all rectangles, bit-identical to a brute-force scan; the
-    label of nearest is the lowest index among the rectangles at exactly
-    that distance.
+    label of nearest names a rectangle at exactly that distance.
     """
 
     space = "disk"
@@ -488,12 +485,12 @@ class RectSet(Obstacle):
         dx = np.maximum(np.maximum(self.x0[cand] - zr, zr - self.x1[cand]), 0.0)
         dy = np.maximum(np.maximum(self.y0[cand] - zi, zi - self.y1[cand]), 0.0)
         d = np.hypot(dx, dy)
-        m = d.min(axis=1)
-        label = np.where(d == m[:, None], cand, self.x0.size).min(axis=1)
-        cur = dist[rows]
-        better = (m < cur) | ((m == cur) & (label < best[rows]))
+        at = np.arange(d.shape[0])
+        j = d.argmin(axis=1)
+        m = d[at, j]
+        better = m < dist[rows]
         dist[rows[better]] = m[better]
-        best[rows[better]] = label[better]
+        best[rows[better]] = np.broadcast_to(cand, d.shape)[at, j][better]
 
     def _scan(self, z, rows, cols, dist, best) -> None:
         """Brute force from z[rows] over the rectangles cols, block by block."""
@@ -512,31 +509,21 @@ class RectSet(Obstacle):
         if self._small.size:
             self._scan(z, every, self._small, dist, best)
         pts = np.column_stack([z.real, z.imag])
-        # (tree group, points it has not certified, k): one pass per group and
-        # round, then certify against the best distance over all groups
-        state = [(group, every, 8) for group in self._trees]
-        while state:
-            kth = []
-            for (tree, idx, _), rows, k in state:
+        for tree, idx, h_max in self._trees:
+            rows, k = every, 8
+            while rows.size:
                 d_k = np.empty(rows.size)
                 height = max(1, _QUERY_BLOCK // k)
                 for i in range(0, rows.size, height):
                     r = rows[i : i + height]
                     d_center, near = tree.query(pts[r], k=k)
-                    self._merge(z, r, idx[near.reshape(r.size, k)], dist, best)
-                    d_k[i : i + height] = d_center.reshape(r.size, k)[:, -1]
-                kth.append(d_k)
-            pending = []
-            for (group, rows, k), d_k in zip(state, kth):
-                _, idx, h_max = group
+                    self._merge(z, r, idx[near], dist, best)
+                    d_k[i : i + height] = d_center[:, -1]
                 rows = rows[~(dist[rows] < d_k - h_max - _CERT_SLACK)]
-                if rows.size == 0:
-                    continue
-                if 16 * k >= idx.size or 4 * k > _QUERY_BLOCK:
+                if rows.size and (16 * k >= idx.size or 4 * k > _QUERY_BLOCK):
                     self._scan(z, rows, idx, dist, best)
-                else:
-                    pending.append((group, rows, 4 * k))
-            state = pending
+                    break
+                k *= 4
         return dist, best
 
     def dist(self, z) -> np.ndarray:

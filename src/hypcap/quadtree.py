@@ -4,7 +4,8 @@ Cells are classified INSIDE / OUTSIDE / UNKNOWN by a caller-supplied
 vectorized predicate that must be *sound*: INSIDE means the whole cell is
 certainly in the target set, OUTSIDE means certainly disjoint.  UNKNOWN
 cells are split until the residual unknown area meets the requested gap or
-the depth cap is reached, so [lower, upper] always brackets the true area.
+the depth cap MAX_DEPTH is reached, so [lower, upper] always brackets the
+true area.
 
 Refinement is level-synchronous and purely array-ordered, which makes the
 result independent of thread counts and platform scheduling.
@@ -18,6 +19,8 @@ from typing import Callable
 import numpy as np
 
 UNKNOWN, INSIDE, OUTSIDE = 0, 1, 2
+# refine splits no cell deeper than this; it reads the value at call time
+MAX_DEPTH = 24
 
 
 @dataclass
@@ -98,7 +101,6 @@ def refine(
     size: float,
     classify: Classifier,
     gap_goal: Callable[[float, float], float],
-    max_depth: int = 24,
 ) -> tuple[Leaves, AreaBounds]:
     """Refine the root square until upper - lower <= gap_goal(lower, upper).
 
@@ -135,7 +137,7 @@ def refine(
             acc_cls.append(cls[settled])
 
         target = gap_goal(lower, lower + gap)
-        at_cap = unknown.any() and int(depth.max()) >= max_depth
+        at_cap = unknown.any() and int(depth.max()) >= MAX_DEPTH
         if gap <= target or not unknown.any() or at_cap:
             met = gap <= target
             if unknown.any():

@@ -5,13 +5,16 @@ geom.Obstacle of the same space removed: a HalfPlaneHull, or a DiskCompact
 or hyperbolic.RectSet.  A walk jumps from z to a uniform point on the
 circle of radius dist(z, boundary), the smaller of the obstacle's dist(z)
 and the distance to the outer boundary (real axis or unit circle), until
-that distance drops below eps_stop.  Its terminal is then the obstacle's
-nearest(z) point, labelled with the index of the nearest part, or, when
-the outer boundary is closer, the nearest point there, labelled
-LABEL_OUTER.  Angles come from counter-based substreams
-keyed by (seed, global walk index, step), and aggregation uses a
-fixed-order pairwise tree, so estimates are bit-identical for any worker
-count.
+that distance drops below eps_stop, or until STEP_CAP steps, when the
+walk is flagged.  Its terminal is then the obstacle's nearest(z) point,
+labelled with the index of a nearest part, or, when the outer boundary is
+closer, the nearest point there, labelled LABEL_OUTER.  eps_stop is
+default_eps_stop(domain) unless a caller of run_walks passes another.
+Angles come from counter-based substreams keyed by (seed, global walk
+index, step), and aggregation uses a fixed-order pairwise tree, so
+estimates are bit-identical for any worker count.  run_walks allocates
+the ensemble once, and each chunk of _CHUNK walks writes its own slice of
+it in place.
 
 The walks of a shared start all take the one distance run_walks computes
 to check that start as their step-0 distance, so the start is queried once
@@ -45,7 +48,7 @@ from .geom import HalfPlaneHull, Obstacle, require_obstacle
 from .rng import uniform_angle
 
 LABEL_OUTER = -1
-DEFAULT_STEP_CAP = 100_000
+STEP_CAP = 100_000
 # substream counter for per-walk start draws; step k of a walk draws counter k
 START_COUNTER = 1 << 63
 MAX_FLAGGED_FRACTION = 1e-3
@@ -151,8 +154,8 @@ DomainOracle = HalfPlaneDomain | DiskDomain
 def default_eps_stop(domain: DomainOracle) -> float:
     """The stopping distance of every capacity estimator: 1e-4 times the domain's scale.
 
-    walk_mean and run_walks are the only entry points that take another
-    eps_stop; the estimators in capacity always pass None.
+    run_walks is the only entry point that takes another eps_stop;
+    walk_mean, and so every estimator in capacity, stops here.
     """
     return 1e-4 * domain.scale
 
@@ -185,32 +188,26 @@ class WalkEnsemble:
             )
 
 
-def _simulate_chunk(domain, starts, d, first_id, eps, seed, step_cap):
-    """Walk from starts, whose boundary distances d are already known."""
-    m = starts.size
-    term = np.empty(m, dtype=complex)
-    labels = np.empty(m, dtype=np.int64)
-    steps_out = np.zeros(m, dtype=np.int64)
-    stopd = np.zeros(m, dtype=float)
-    flagged = np.zeros(m, dtype=bool)
+def _simulate_chunk(domain, ens, sl, pos, d, eps, seed):
+    """Walk the walks sl of ens from pos, whose boundary distances d are already known.
 
-    pos = np.asarray(starts, dtype=complex)
-    ids = np.arange(first_id, first_id + m, dtype=np.uint64)
-    local = np.arange(m)
-    nstep = np.zeros(m, dtype=np.int64)
+    Each walk's terminal, label, steps, stop distance and flag are written
+    into ens in place; chunks own disjoint slices, so threads may share ens.
+    """
+    local = np.arange(sl.start, sl.stop)
+    ids = local.astype(np.uint64)
+    nstep = np.zeros(local.size, dtype=np.int64)
 
     while local.size:
         fin = d <= eps
-        capped = (~fin) & (nstep >= step_cap)
+        capped = (~fin) & (nstep >= STEP_CAP)
         done = fin | capped
         if np.any(done):
-            tz, tl = domain.terminal(pos[done])
             sel = local[done]
-            term[sel] = tz
-            labels[sel] = tl
-            steps_out[sel] = nstep[done]
-            stopd[sel] = d[done]
-            flagged[sel] = capped[done]
+            ens.terminals[sel], ens.labels[sel] = domain.terminal(pos[done])
+            ens.steps[sel] = nstep[done]
+            ens.stop_dists[sel] = d[done]
+            ens.flagged[sel] = capped[done]
         cont = ~done
         if not np.any(cont):
             break
@@ -220,8 +217,6 @@ def _simulate_chunk(domain, starts, d, first_id, eps, seed, step_cap):
         local = local[cont]
         nstep = nstep[cont] + 1
         d = domain.dist(pos)
-
-    return term, labels, steps_out, stopd, flagged
 
 
 def _stop_distance(domain: DomainOracle, eps_stop: float | None) -> float:
@@ -237,7 +232,6 @@ def run_walks(
     n_walks: int,
     eps_stop: float | None = None,
     seed: int = 0,
-    step_cap: int = DEFAULT_STEP_CAP,
     threads: int = 1,
 ) -> WalkEnsemble:
     """Run n_walks independent walks; reproducible per (seed, index).
@@ -265,33 +259,28 @@ def run_walks(
     elif not np.all(np.isfinite(starts) & (domain._outer_dist(starts) >= 0)):
         raise ValueError("per-walk starts must be finite and inside the outer boundary")
 
-    term = np.empty(n_walks, dtype=complex)
-    labels = np.empty(n_walks, dtype=np.int64)
-    steps = np.zeros(n_walks, dtype=np.int64)
-    stopd = np.zeros(n_walks, dtype=float)
-    flagged = np.zeros(n_walks, dtype=bool)
-
-    chunks = [slice(i, min(i + _CHUNK, n_walks)) for i in range(0, n_walks, _CHUNK)]
+    ens = WalkEnsemble(
+        np.empty(n_walks, dtype=complex),
+        np.empty(n_walks, dtype=np.int64),
+        np.zeros(n_walks, dtype=np.int64),
+        np.zeros(n_walks, dtype=float),
+        np.zeros(n_walks, dtype=bool),
+        eps,
+    )
 
     def work(sl):
         chunk = starts[sl]
         d = domain.dist(chunk) if shared_d is None else np.full(chunk.size, shared_d)
-        return sl, _simulate_chunk(domain, chunk, d, sl.start, eps, seed, step_cap)
+        _simulate_chunk(domain, ens, sl, chunk, d, eps, seed)
 
+    chunks = [slice(i, min(i + _CHUNK, n_walks)) for i in range(0, n_walks, _CHUNK)]
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, chunks))
+            list(pool.map(work, chunks))
     else:
-        results = [work(c) for c in chunks]
-
-    for sl, (t, l, s, sd, fl) in results:
-        term[sl] = t
-        labels[sl] = l
-        steps[sl] = s
-        stopd[sl] = sd
-        flagged[sl] = fl
-
-    return WalkEnsemble(term, labels, steps, stopd, flagged, eps)
+        for sl in chunks:
+            work(sl)
+    return ens
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +368,6 @@ def walk_mean(
     n_walks: int,
     value: Callable[[WalkEnsemble], np.ndarray],
     seed: int = 0,
-    eps_stop: float | None = None,
     threads: int = 1,
     bias_note: str = "",
     controls: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -408,7 +396,7 @@ def walk_mean(
     """
     if n_walks < 2:
         raise ValueError(f"walk_mean needs at least 2 walks for a standard error, got {n_walks}")
-    ens = run_walks(domain, start, n_walks, eps_stop, seed, threads=threads)
+    ens = run_walks(domain, start, n_walks, seed=seed, threads=threads)
     ens.check_flagged()
     values = np.asarray(value(ens), dtype=float)
     mean, se = _mean_and_se(values)

@@ -316,9 +316,10 @@ def _closed_contacts(leaves, rows, cols):
     return touch, touch & ((ox > 0) | (oy > 0))
 
 
-def test_adjacency_pairs_match_closed_square_contacts():
+def test_adjacency_pairs_match_closed_square_contacts(monkeypatch):
     B = DiskCompact([RadialSlit(0.5, 0.7), ArcBox(2.0, 2.8, 0.8)])
-    leaves, _ = quadtree.refine(-1.05, -1.05, 2.10, _classifier(B, 1.0), lambda lo, up: 0.0, 7)
+    monkeypatch.setattr(quadtree, "MAX_DEPTH", 7)
+    leaves, _ = quadtree.refine(-1.05, -1.05, 2.10, _classifier(B, 1.0), lambda lo, up: 0.0)
     assert np.unique(leaves.depth).size > 3
     rng = np.random.default_rng(5)
     for active in (leaves.cls != quadtree.INSIDE, rng.uniform(size=leaves.cls.size) < 0.7):
@@ -336,9 +337,10 @@ def test_adjacency_pairs_match_closed_square_contacts():
         assert 0 < sum(want.values()) < len(want)
 
 
-def test_frontier_matches_brute_force():
+def test_frontier_matches_brute_force(monkeypatch):
     B = DiskCompact([RadialSlit(0.5, 0.7), ArcBox(2.0, 2.8, 0.8)])
-    fr = filled_region(B, 1.0, 1e-2, max_depth=8)
+    monkeypatch.setattr(quadtree, "MAX_DEPTH", 8)
+    fr = filled_region(B, 1.0, 1e-2)
     passable = np.flatnonzero(fr.passable)
     assert passable.size > 0
     want = np.zeros(fr.passable.size, dtype=bool)

@@ -5,9 +5,31 @@ import math
 import numpy as np
 import pytest
 
-from hypcap.capacity import CanonicalHull, dcap_layer_sum, dcap_mc, dcap_transport, hcap_mc, ring
-from hypcap.geom import ArcBox, BoxShape, DiskCompact, HalfDisk, HalfPlaneHull, RadialSlit, VSlit
-from hypcap.hyperbolic import RectSet, filled_region, hyp_dist_d, hyp_dist_h, neighborhood_area, neighborhood_member
+from hypcap.capacity import CanonicalHull, crad_exact_at_iy, dcap_layer_sum, dcap_mc, dcap_transport, hcap_mc, ring
+from hypcap.corpus import generate_element
+from hypcap.dyadic import DyadicSquare
+from hypcap.geom import (
+    ArcBox,
+    BoxShape,
+    DiskCompact,
+    HalfDisk,
+    HalfPlaneHull,
+    InvalidHullError,
+    InvalidShapeError,
+    RadialSlit,
+    VSlit,
+)
+from hypcap.hyperbolic import (
+    DomainError,
+    RectSet,
+    filled_region,
+    hyp_dist_d,
+    hyp_dist_h,
+    neighborhood_area,
+    neighborhood_member,
+)
+from hypcap.rng import CounterRNG
+from hypcap.verify import VerifyConfig, prop1_check, prop1_induction_check
 from hypcap.wos import DiskDomain, run_walks
 
 NAN = float("nan")
@@ -59,11 +81,11 @@ def test_non_obstacles_rejected():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: run_walks(DiskDomain(SLIT_DISK), 0j, 4, eps_stop=NAN, step_cap=50),
-        lambda: neighborhood_area(SLIT_HULL, tol=NAN, max_depth=6),
-        lambda: neighborhood_area(SLIT_HULL, rho=NAN, max_depth=6),
-        lambda: filled_region(SLIT_DISK, tol=NAN, max_depth=6),
-        lambda: filled_region(SLIT_DISK, rho=NAN, max_depth=6),
+        lambda: run_walks(DiskDomain(SLIT_DISK), 0j, 4, eps_stop=NAN),
+        lambda: neighborhood_area(SLIT_HULL, tol=NAN),
+        lambda: neighborhood_area(SLIT_HULL, rho=NAN),
+        lambda: filled_region(SLIT_DISK, tol=NAN),
+        lambda: filled_region(SLIT_DISK, rho=NAN),
         lambda: neighborhood_member(2j, SLIT_HULL, NAN),
         lambda: neighborhood_member(2j, SLIT_HULL, math.inf),
         lambda: neighborhood_member(2j, SLIT_HULL, -1.0),
@@ -115,4 +137,62 @@ def test_non_obstacles_rejected():
 )
 def test_invalid_inputs_raise(call):
     with pytest.raises(ValueError):
+        call()
+
+
+# each case pins the message of the check it means to reach
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: VSlit(0, 0), InvalidShapeError, "h > 0"),
+        (lambda: VSlit(NAN, 1), InvalidShapeError, "finite x"),
+        (lambda: BoxShape(0, 1, 0, math.inf), InvalidShapeError, "finite corners"),
+        (lambda: BoxShape(1, 0, 0, 1), InvalidShapeError, "x0 < x1"),
+        (lambda: HalfDisk(0, -1), InvalidShapeError, "r > 0"),
+        (lambda: RadialSlit(NAN, 0.7), InvalidShapeError, "finite parameters"),
+        (lambda: RadialSlit(0, 1.0), InvalidShapeError, r"rho in \(0, 1\)"),
+        (lambda: ArcBox(1, 0, 0.7), InvalidShapeError, "theta0 < theta1"),
+        (lambda: HalfPlaneHull([RadialSlit(0, 0.7)]), InvalidHullError, "not a half-plane hull family"),
+        (lambda: DiskCompact([VSlit(0, 1)]), InvalidHullError, "not a disk family"),
+        (lambda: SLIT_HULL.scale(0), ValueError, "scale factor"),
+        (lambda: RectSet([], [], [], []), ValueError, "at least one rectangle"),
+        (lambda: run_walks(DiskDomain(SLIT_DISK), 0j, 0), ValueError, "n_walks must be positive"),
+        (lambda: CounterRNG(1).randint(3, 2), ValueError, "empty range"),
+        (lambda: generate_element("nope", 7, 0), ValueError, "unknown corpus kind"),
+        (lambda: crad_exact_at_iy("box", 0.1, 1.0), ValueError, "box"),
+        # a radial slit has no area for the Prop. 1 constant
+        (lambda: prop1_check(SLIT_DISK, VerifyConfig()), ValueError, "positive area"),
+        (lambda: prop1_induction_check([], VerifyConfig()), ValueError, "between 1 and 8"),
+        (
+            lambda: prop1_induction_check([DyadicSquare(4, k) for k in range(1, 10)], VerifyConfig()),
+            ValueError,
+            "between 1 and 8",
+        ),
+        (lambda: neighborhood_member(1.5 + 0j, SLIT_DISK), DomainError, "open unit disk"),
+    ],
+    ids=[
+        "vslit-zero-height",
+        "vslit-nan",
+        "box-inf",
+        "box-x0-above-x1",
+        "halfdisk-negative-radius",
+        "radial-slit-nan",
+        "radial-slit-rho-one",
+        "arcbox-reversed",
+        "hull-of-disk-shape",
+        "compact-of-halfplane-shape",
+        "hull-scale-zero",
+        "rectset-empty",
+        "n_walks-zero",
+        "randint-empty-range",
+        "unknown-corpus-kind",
+        "unknown-crad-kind",
+        "prop1-no-area",
+        "induction-no-squares",
+        "induction-nine-squares",
+        "member-outside-disk",
+    ],
+)
+def test_typed_errors_raise(call, error, match):
+    with pytest.raises(error, match=match):
         call()

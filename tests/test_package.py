@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # Defaulted parameters plus defaulted dataclass fields in src/hypcap.  Each
 # one doubles the configurations that tests must cover, so a change that adds
 # a knob shows its measured benefit and raises this number in the same change.
-KNOB_BUDGET = 59
+KNOB_BUDGET = 54
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -21,14 +21,23 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
-def _knobs(tree: ast.AST) -> int:
-    n = 0
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            n += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
-        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-            n += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
-    return n
+def _knobs(node: ast.AST, where: str):
+    """function.param and Class.field of every knob under node, prefixed by where."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = where + getattr(child, "name", "<lambda>")
+            a = child.args
+            positional = a.posonlyargs + a.args
+            yield from (f"{name}.{p.arg}" for p in positional[len(positional) - len(a.defaults) :])
+            yield from (f"{name}.{p.arg}" for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+            yield from _knobs(child, name + ".")
+        elif isinstance(child, ast.ClassDef):
+            if _is_dataclass(child):
+                fields = [s.target.id for s in child.body if isinstance(s, ast.AnnAssign) and s.value is not None]
+                yield from (f"{where}{child.name}.{f}" for f in fields)
+            yield from _knobs(child, f"{where}{child.name}.")
+        else:
+            yield from _knobs(child, where)
 
 
 def test_all_names_resolve():
@@ -38,8 +47,8 @@ def test_all_names_resolve():
 
 
 def test_knob_budget():
-    count = sum(_knobs(ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py")))
-    assert count <= KNOB_BUDGET
+    knobs = [f"{path.name}:{k}" for path in sorted(SRC.glob("*.py")) for k in _knobs(ast.parse(path.read_text()), "")]
+    assert len(knobs) <= KNOB_BUDGET, "\n".join(knobs)
 
 
 def _module_names(tree: ast.Module):

@@ -17,11 +17,11 @@ import sys
 import pytest
 
 import hypcap
-from hypcap import verify
+from hypcap import quadtree, verify
 from hypcap.capacity import crad_halfplane, ring
 from hypcap.dyadic import DyadicSquare
 from hypcap.geom import DiskCompact, HalfPlaneHull, RadialSlit, VSlit
-from hypcap.hyperbolic import filled_region, neighborhood_area
+from hypcap.hyperbolic import neighborhood_area
 from hypcap.verify import CLAIMS, VerifyConfig, _limit_verdict, run_all, run_claim
 
 SMOKE = VerifyConfig(n_walks=2000, tol_area=1e-2, corpus_size=3, hp_corpus_size=3, omega_corpus_size=1)
@@ -149,7 +149,7 @@ def test_limit_verdict_accounts_for_noise():
 def test_unmet_area_tolerance_is_inconclusive(monkeypatch):
     # a depth-6 quadtree cannot reach the 2e-3 area tolerance: every row that
     # consumes a filled region must say so instead of passing or failing
-    monkeypatch.setattr(verify, "filled_region", lambda B, rho, tol: filled_region(B, rho, tol, max_depth=6))
+    monkeypatch.setattr(quadtree, "MAX_DEPTH", 6)
     cfg = VerifyConfig(n_walks=128)
     rows = verify.fattening_check(ring(0.7), cfg, iterated=True) + verify.smoothed_omega_check(ring(0.7), cfg)
     assert [r.name for r in rows][:3] == ["ratio", "schwarz", "iterated"]
@@ -163,7 +163,7 @@ def test_unmet_area_tolerance_is_inconclusive(monkeypatch):
 def test_iterated_fattening_without_passable_cell_is_inconclusive(monkeypatch):
     # at depth 5 the fourth quarter-radius fattening of the ring certifies no
     # cell free and connected to 0, so there is no frontier to walk against
-    monkeypatch.setattr(verify, "filled_region", lambda B, rho, tol: filled_region(B, rho, tol, max_depth=5))
+    monkeypatch.setattr(quadtree, "MAX_DEPTH", 5)
     rows = verify.fattening_check(ring(0.7), VerifyConfig(n_walks=128), iterated=True)
     assert [r.name for r in rows] == ["ratio", "schwarz", "iterated"]
     it = rows[-1]

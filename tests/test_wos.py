@@ -5,6 +5,7 @@ import pytest
 
 from hypcap.capacity import dcap_layer_sum, dcap_mc, dcap_transport, hcap_mc, ring
 from hypcap.geom import ArcBox, DiskCompact, HalfDisk, HalfPlaneHull, RadialSlit, VSlit
+from hypcap import wos
 from hypcap.hyperbolic import RectSet, filled_region
 from hypcap.wos import (
     DiskDomain,
@@ -103,6 +104,19 @@ def _same_ensemble(a, b):
     )
 
 
+def test_chunking_does_not_change_the_ensemble(monkeypatch):
+    # each chunk writes its own slice of the one ensemble, whatever its size
+    # and however many threads share the ensemble
+    rects = RectSet(*filled_region(ring(0.7), 1.0, 1e-2).blocked_rects())
+    for d in (DiskDomain(ring(0.7)), DiskDomain(rects)):
+        base = run_walks(d, 0j, 40_000, seed=13)
+        for chunk in (1000, 4096):
+            monkeypatch.setattr(wos, "_CHUNK", chunk)
+            for threads in (1, 2):
+                assert _same_ensemble(run_walks(d, 0j, 40_000, seed=13, threads=threads), base)
+        monkeypatch.undo()
+
+
 def test_shared_start_matches_per_walk_starts():
     # a shared start's distance is computed once and reused as every walk's
     # step 0; per-walk starts compute it per walk
@@ -127,7 +141,7 @@ def test_per_walk_starts_outside_rejected():
     cases = [(hp, 2j, 0.5 - 1j), (hp, 2j, complex("nan")), (hp, 2j, complex(0.0, math.inf)), (disk, 0j, 1.5 + 0j)]
     for d, good, bad in cases:
         with pytest.raises(ValueError):
-            run_walks(d, np.array([good, bad]), 2, seed=3, step_cap=2000)
+            run_walks(d, np.array([good, bad]), 2, seed=3)
     # the closed outer boundary is allowed, as for hcap_mc's starts at theta = 0
     ens = run_walks(hp, np.array([2j, 3 + 0j]), 2, seed=3)
     assert ens.labels[1] == LABEL_OUTER and ens.steps[1] == 0
@@ -178,15 +192,16 @@ def test_harmonic_measure_ring_is_certain():
 def test_expected_log_modulus_ring_values():
     for rho in (0.6, 0.7, 0.8):
         d = DiskDomain(ring(rho))
-        est, _ = walk_mean(d, 0j, 5000, _log_modulus, seed=6, eps_stop=1e-4)
+        est, _ = walk_mean(d, 0j, 5000, _log_modulus, seed=6)
         assert abs(est.mean - math.log(rho)) <= 3 * est.std_error + 2e-4
 
 
 def test_eps_stop_bias_bounded():
     for eps in (1e-3, 1e-4):
         d = DiskDomain(ring(0.7))
-        est, _ = walk_mean(d, 0j, 2000, _log_modulus, seed=7, eps_stop=eps)
-        assert abs(est.mean - math.log(0.7)) <= 2 * eps
+        ens = run_walks(d, 0j, 2000, eps_stop=eps, seed=7)
+        assert ens.eps_stop == eps
+        assert abs(pairwise_sum(_log_modulus(ens)) / ens.n_walks - math.log(0.7)) <= 2 * eps
 
 
 def test_log_modulus_monotone_in_obstacle():
@@ -219,10 +234,11 @@ def test_variance_scaling():
     assert 2.0 * 0.8 <= ratio <= 2.0 * 1.2
 
 
-def test_step_cap_flags_and_estimator_error():
+def test_step_cap_flags_and_estimator_error(monkeypatch):
     # a non-concentric obstacle: one jump cannot reach the boundary
     d = DiskDomain(DiskCompact([RadialSlit(0.3, 0.7)]))
-    ens = run_walks(d, 0j, 100, seed=12, step_cap=1)
+    monkeypatch.setattr(wos, "STEP_CAP", 1)
+    ens = run_walks(d, 0j, 100, seed=12)
     assert np.all(ens.flagged)
     with pytest.raises(EstimatorError):
         ens.check_flagged()
