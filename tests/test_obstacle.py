@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hypcap import hyperbolic
 from hypcap.capacity import CanonicalHull, crad_exact_at_iy, dcap_layer_sum, dcap_mc, dcap_transport, hcap_mc, ring
 from hypcap.corpus import generate_element
 from hypcap.dyadic import DyadicSquare
@@ -43,6 +44,13 @@ OBSTACLES = {
     "full-ring": lambda: ring(0.7),
     "rectset": lambda: RectSet(*filled_region(ring(0.7), 1.0, 1e-2).blocked_rects()),
 }
+
+
+def _tree_row():
+    """Equal square cells in a row along the real axis, enough for one tree octave."""
+    n = hyperbolic._TREE_MIN + 1
+    x = np.arange(n) * 2e-3
+    return RectSet(x, x + 1e-3, np.zeros(n), np.full(n, 1e-3))
 
 
 def _part_dists(S, z):
@@ -169,6 +177,9 @@ def test_invalid_inputs_raise(call):
             "between 1 and 8",
         ),
         (lambda: neighborhood_member(1.5 + 0j, SLIT_DISK), DomainError, "open unit disk"),
+        # one rectangle: scanned by brute force, no tree octave
+        (lambda: RectSet([0.5], [0.6], [0.1], [0.2]).dist([NAN]), DomainError, "query points must be finite"),
+        (lambda: _tree_row().nearest([complex(0.1, NAN)]), DomainError, "query points must be finite"),
     ],
     ids=[
         "vslit-zero-height",
@@ -191,6 +202,8 @@ def test_invalid_inputs_raise(call):
         "induction-no-squares",
         "induction-nine-squares",
         "member-outside-disk",
+        "rectset-block-query-nan",
+        "rectset-tree-query-nan",
     ],
 )
 def test_typed_errors_raise(call, error, match):

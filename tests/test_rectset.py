@@ -5,9 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hypcap import hyperbolic
 from hypcap.capacity import ring
 from hypcap.geom import ArcBox, DiskCompact
 from hypcap.hyperbolic import RectSet, filled_region
+from hypcap.wos import DiskDomain, run_walks
 
 
 def _rect_dist(S, z, i):
@@ -90,6 +92,26 @@ def test_rectset_ring_walk_points_match_brute_force():
     dist, label, _ = S.nearest(z)
     assert np.array_equal(dist, _brute(S, z))
     assert np.all(_at_distance(S, z, label, dist))
+
+
+def test_rectset_tree_matches_brute_force_on_walk_traffic(monkeypatch):
+    # near the origin the frontier's inner edge is an almost equidistant arc:
+    # the k-NN loop's hardest case, and the walks' first steps
+    rects = filled_region(DiskCompact([ArcBox(0.4, 1.2, 0.75)]), 1, 2e-3).blocked_rects()
+    S = RectSet(*rects)
+    assert len(S._trees) == 1
+    rng = np.random.default_rng(11)
+    z = 0.3 * np.sqrt(rng.uniform(0.0, 1.0, 500)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 500))
+    assert np.array_equal(S.dist(z), _brute(S, z))
+    monkeypatch.setattr(hyperbolic, "_TREE_MIN", rects[0].size)
+    brute = RectSet(*rects)
+    assert not brute._trees
+    for threads in (1, 2):
+        a = run_walks(DiskDomain(S), 0j, 200, seed=7000, threads=threads)
+        b = run_walks(DiskDomain(brute), 0j, 200, seed=7000, threads=threads)
+        for field in ("terminals", "steps", "stop_dists", "flagged"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        assert np.array_equal(a.labels >= 0, b.labels >= 0)
 
 
 def test_rectset_query_memory_is_bounded():
