@@ -360,6 +360,10 @@ class Obstacle(ABC):
     - ``dist(z)``: the exact euclidean distance to the set, 0 on it and inf
       on an empty set.  The closed disk of center c and radius r meets the
       set iff ``dist(c) <= r``.
+    - ``parts``: pieces with an exact ``dist`` each, whose minimum is the
+      obstacle's ``dist``.  The quadtree classifier asks only the parts
+      that can still decide a cell.  A ``_ShapeUnion``'s parts are its
+      shapes; any other obstacle is its own single part.
 
     Disk-space obstacles also have ``min_abs``, a lower bound on |z| over
     the set.  The walkable ones (HalfPlaneHull, DiskCompact and RectSet)
@@ -373,6 +377,10 @@ class Obstacle(ABC):
     @abstractmethod
     def dist(self, z) -> np.ndarray:
         """Exact euclidean distance to the set."""
+
+    @property
+    def parts(self) -> tuple:
+        return (self,)
 
 
 def require_obstacle(S, space: str | None = None) -> None:
@@ -409,6 +417,10 @@ class _ShapeUnion(Obstacle):
             if np.any(m):
                 point[m] = s.nearest(z[m])
         return np.min(ds, axis=0), label, point
+
+    @property
+    def parts(self) -> tuple:
+        return self.shapes
 
     @property
     def is_empty(self) -> bool:

@@ -126,7 +126,7 @@ def _settle_halfplane(z, half, halfdiag, out):
     """(cells the ball tests can settle, bound on their hyperbolic radius)."""
     ymin = z.imag - half
     test = (out == UNKNOWN) & (ymin > 0)
-    return test, halfdiag[test] / ymin[test]
+    return test, halfdiag / ymin[test]
 
 
 def _settle_disk(z, half, halfdiag, out):
@@ -135,41 +135,118 @@ def _settle_disk(z, half, halfdiag, out):
     maxabs = np.hypot(np.abs(z.real) + half, np.abs(z.imag) + half)
     test = (out == UNKNOWN) & (maxabs < 1.0)
     dens = 2.0 / (1.0 - maxabs[test] ** 2)
-    return test, halfdiag[test] * dens
+    return test, halfdiag * dens
+
+
+# margin of the classifier's pruning bounds, per unit of the obstacle's
+# extent: far above the rounding of ball centers, radii and distances, far
+# below any distance a cell test resolves
+_PRUNE_SLACK = 1e-9
 
 
 def _classifier(S: Obstacle, rho: float):
     """Sound quadtree classifier for the rho-neighborhood of S.
 
-    A cell whose center c has hyperbolic radius at most rc over the cell is
-    OUTSIDE when the (rho + rc)-ball about c misses S, and INSIDE when the
-    (rho - rc)-ball meets it.
-    """
-    if S.space == "halfplane":
-        reach, settle = _reach_halfplane(rho, S.y_max), _settle_halfplane
-    else:
-        reach, settle = _reach_disk(rho, S.min_abs), _settle_disk
+    settle bounds the hyperbolic radius of a cell about its center c by
+    rc = halfdiag x (a bound on the density over the cell).  The cell is
+    OUTSIDE when the centre test d - halfdiag > reach fires (d = dist(c);
+    no point of N is farther than reach from S) or when the grown
+    (rho + rc)-ball about c misses S, and INSIDE when the shrunk
+    (rho - rc)-ball meets S.
 
-    def classify(cx, cy, half):
+    Each cell carries one integer (see quadtree): a bit per part of S, set
+    while the part can still decide a cell of the subtree, and a far bit,
+    set while the centre test can still fire there.  The tests ask only the
+    parts whose bit is set and get the answers all of S would give, so the
+    leaves are those of a classifier that asks S.dist on every cell:
+
+    - Invariant 1 (pruning).  The descendants of a cell the ball tests
+      apply to are such cells too.  A child's center lies halfdiag / 2 from
+      c inside the cell, so within rc / 2 of it, and the child's own bound
+      is at most rc / 2.  By induction a descendant m levels down has its
+      center within rc (1/2 + ... + 1/2^m) of c and a bound of at most
+      rc / 2^m, so its grown and shrunk balls lie in the grown ball about
+      c.  (The cruder "centers within rc" needs the (rho + 1.5 rc)-ball.)
+      A part farther than r_b + slack from the grown ball's euclidean
+      center c_b misses all of them, and its bit is cleared.  A ball test
+      asks "is a candidate within r", which has the answer of
+      dist(c) <= r.
+    - Invariant 2 (centre test).  A descendant's center lies within
+      halfdiag - halfdiag' of c, so the test can fire in the subtree only
+      while d + halfdiag > reach - slack.  Below that the far bit is
+      cleared and the subtree skips the centre distance.  While it is set,
+      a part with d_part(c) > reach + halfdiag + slack passes the test
+      everywhere in the subtree.
+
+    A part's bit is cleared only when both invariants let it go, and cells
+    the ball tests do not apply to keep every part.  slack is
+    _PRUNE_SLACK x (1 + the extent of the obstacle's space); it absorbs the
+    rounding of the computed centers, radii and distances.
+    """
+    parts = S.parts
+    far_bit = 1 << len(parts)
+    # one bit per part and the far bit: the smallest unsigned integer that
+    # holds them, or Python ints past 64 bits
+    row_type = np.min_scalar_type(2 * far_bit - 1)
+    if S.space == "halfplane":
+        reach, settle, ball = _reach_halfplane(rho, S.y_max), _settle_halfplane, _ball_halfplane
+        extent = max(abs(x) for x in S.x_bounds) + S.y_max * math.exp(rho)
+    else:
+        reach, settle, ball = _reach_disk(rho, S.min_abs), _settle_disk, _ball_disk
+        extent = 1.0
+    slack = _PRUNE_SLACK * (1.0 + extent)
+
+    def nearest(w, cand, limit):
+        """(least distance from w to its candidate parts, bits of the candidates within limit)."""
+        d = np.full(w.shape, np.inf)
+        within = np.zeros(w.shape, dtype=row_type)
+        limit = np.broadcast_to(limit, w.shape)
+        for j, part in enumerate(parts):
+            rows = np.flatnonzero((cand & (1 << j)) != 0)
+            if rows.size:
+                dj = part.dist(w[rows])
+                d[rows] = np.minimum(d[rows], dj)
+                within[rows] |= (dj <= limit[rows]).astype(row_type) << j
+        return d, within
+
+    def classify(cx, cy, half, carry):
+        if carry is None:
+            carry = np.full(cx.shape, 2 * far_bit - 1, dtype=row_type)
         z = cx + 1j * cy
         halfdiag = half * SQRT2
         out = np.full(cx.shape, UNKNOWN, dtype=np.int8)
-        d = S.dist(z)
-        out[d - halfdiag > reach] = OUTSIDE
+        f = np.flatnonzero((carry & far_bit) != 0)
+        if f.size:
+            d, far_keep = nearest(z[f], carry[f], reach + halfdiag + slack)
+            out[f[d - halfdiag > reach]] = OUTSIDE
+            # the far bit and the parts the centre test still needs, or
+            # nothing once the bit is cleared
+            on = d + halfdiag > reach - slack
+            far_keep[on] |= far_bit
+            far_keep[~on] = 0
+            carry[f[~on]] ^= far_bit
+            del d, on
         test, rc = settle(z, half, halfdiag, out)
-        if np.any(test):
-            zc = z[test]
-            sub = np.full(zc.shape, UNKNOWN, dtype=np.int8)
-            grown = _member_mask(S, zc, rho + rc)
-            sub[~grown] = OUTSIDE
-            can_in = (rc < rho) & (sub == UNKNOWN)
-            if np.any(can_in):
-                shrunk = _member_mask(S, zc[can_in], rho - rc[can_in])
-                tmp = sub[can_in]
-                tmp[shrunk] = INSIDE
-                sub[can_in] = tmp
-            out[test] = sub
-        return out
+        t = np.flatnonzero(test)
+        if t.size:
+            zc = z[t]
+            cand = carry[t]
+            cb, rb = ball(zc, rho + rc)
+            d, keep = nearest(cb, cand, rb + slack)
+            del cb
+            sub = np.full(t.shape, UNKNOWN, dtype=np.int8)
+            sub[~(d <= rb)] = OUTSIDE
+            can_in = np.flatnonzero((rc < rho) & (sub == UNKNOWN))
+            if can_in.size:
+                cs, rs = ball(zc[can_in], rho - rc[can_in])
+                ds, _ = nearest(cs, cand[can_in], rs)
+                sub[can_in[ds <= rs]] = INSIDE
+            out[t] = sub
+            carry[t] = keep
+            if f.size:
+                in_t = test[f]
+                carry[f[in_t]] |= far_keep[in_t]
+        return out, carry
 
     return classify
 

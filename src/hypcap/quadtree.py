@@ -8,11 +8,22 @@ the depth cap MAX_DEPTH is reached, so [lower, upper] always brackets the
 true area.
 
 Refinement is level-synchronous and purely array-ordered, which makes the
-result independent of thread counts and platform scheduling.
+result independent of thread counts and platform scheduling.  Every cell of
+a level has the same side, so the side, half side and area are scalars of
+the level, not arrays of its cells.
+
+The classifier carries state down the tree: classify(cx, cy, half, carry)
+returns (codes, carry), where carry is an array with one row per cell.  At
+the root refine passes None.  refine keeps the rows of the UNKNOWN cells
+and repeats each one 4 times, in the order _split4 lays out their
+children, so each child receives its parent's row.  What a row holds is
+the classifier's business; hyperbolic._classifier keeps in it the parts of
+the obstacle that can still decide the cell's subtree.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -81,18 +92,26 @@ class Leaves:
         return x0, x0 + side, y0, y0 + side
 
 
-Classifier = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+Classifier = Callable[[np.ndarray, np.ndarray, float, np.ndarray | None], tuple[np.ndarray, np.ndarray]]
 
 
-def _split4(ix: np.ndarray, iy: np.ndarray, depth: np.ndarray):
+def _split4(ix: np.ndarray, iy: np.ndarray):
     n = ix.size
     nix = np.empty(4 * n, dtype=np.int64)
     niy = np.empty(4 * n, dtype=np.int64)
     for k, (dx, dy) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
         nix[k::4] = 2 * ix + dx
         niy[k::4] = 2 * iy + dy
-    ndepth = np.repeat(depth, 4) + 1
-    return nix, niy, ndepth
+    return nix, niy
+
+
+def _sum_of(value: float, count: int) -> float:
+    """np.sum over count cells of equal area value, without an array of them.
+
+    The broadcast array is summed in the same pairwise order as a stored
+    one, so the total is the same float.
+    """
+    return float(np.sum(np.broadcast_to(value, (count,))))
 
 
 def refine(
@@ -104,59 +123,62 @@ def refine(
 ) -> tuple[Leaves, AreaBounds]:
     """Refine the root square until upper - lower <= gap_goal(lower, upper).
 
-    classify(cx, cy, half) returns one code per cell.  gap_goal is
-    re-evaluated as the bracket tightens, so relative tolerances work.
+    classify(cx, cy, half, carry) returns (one code per cell, carry rows);
+    see the module docstring.  gap_goal is re-evaluated as the bracket
+    tightens, so relative tolerances work.
     """
     ix = np.zeros(1, dtype=np.int64)
     iy = np.zeros(1, dtype=np.int64)
-    depth = np.zeros(1, dtype=np.int64)
+    carry = None
+    level = 0
 
-    acc_ix, acc_iy, acc_depth, acc_cls = [], [], [], []
+    acc_ix, acc_iy, acc_cls, acc_levels, acc_counts = [], [], [], [], []
     lower = 0.0
     cells_refined = 0
-    met = False
+
+    def add_leaves(mask: np.ndarray) -> None:
+        acc_ix.append(ix[mask])
+        acc_iy.append(iy[mask])
+        acc_cls.append(cls[mask])
+        acc_levels.append(level)
+        acc_counts.append(acc_ix[-1].size)
 
     while True:
-        side = size * np.ldexp(1.0, -depth.astype(np.int64))
+        side = size * math.ldexp(1.0, -level)
         cx = gx0 + (ix + 0.5) * side
         cy = gy0 + (iy + 0.5) * side
-        cls = np.asarray(classify(cx, cy, 0.5 * side), dtype=np.int8)
+        cls, carry = classify(cx, cy, 0.5 * side, carry)
+        cls = np.asarray(cls, dtype=np.int8)
+        del cx, cy
         cells_refined += ix.size
 
-        areas = side * side
-        inside = cls == INSIDE
+        area = side * side
         unknown = cls == UNKNOWN
-        settled = ~unknown
-        lower += float(np.sum(areas[inside]))
-        gap = float(np.sum(areas[unknown]))
+        n_unknown = int(np.count_nonzero(unknown))
+        lower += _sum_of(area, int(np.count_nonzero(cls == INSIDE)))
+        gap = _sum_of(area, n_unknown)
 
-        if np.any(settled):
-            acc_ix.append(ix[settled])
-            acc_iy.append(iy[settled])
-            acc_depth.append(depth[settled])
-            acc_cls.append(cls[settled])
+        if n_unknown < ix.size:
+            add_leaves(~unknown)
 
         target = gap_goal(lower, lower + gap)
-        at_cap = unknown.any() and int(depth.max()) >= MAX_DEPTH
-        if gap <= target or not unknown.any() or at_cap:
+        if gap <= target or n_unknown == 0 or level >= MAX_DEPTH:
             met = gap <= target
-            if unknown.any():
-                acc_ix.append(ix[unknown])
-                acc_iy.append(iy[unknown])
-                acc_depth.append(depth[unknown])
-                acc_cls.append(cls[unknown])
+            if n_unknown:
+                add_leaves(unknown)
             break
-        ix, iy, depth = _split4(ix[unknown], iy[unknown], depth[unknown])
+        ix, iy = _split4(ix[unknown], iy[unknown])
+        carry = np.repeat(carry[unknown], 4, axis=0)
+        level += 1
 
-    ixs = np.concatenate(acc_ix) if acc_ix else np.empty(0, dtype=np.int64)
-    iys = np.concatenate(acc_iy) if acc_iy else np.empty(0, dtype=np.int64)
-    depths = np.concatenate(acc_depth) if acc_depth else np.empty(0, dtype=np.int64)
-    clss = np.concatenate(acc_cls) if acc_cls else np.empty(0, dtype=np.int8)
-    dmax = int(depths.max()) if depths.size else 0
+    ixs = np.concatenate(acc_ix)
+    iys = np.concatenate(acc_iy)
+    clss = np.concatenate(acc_cls)
+    depths = np.repeat(np.asarray(acc_levels, dtype=np.int64), acc_counts)
 
     # the unknown leaves are the last level's unknown cells, whose area the
     # loop summed into gap
-    leaves = Leaves(gx0, gy0, size, dmax, ixs, iys, depths, clss)
+    leaves = Leaves(gx0, gy0, size, acc_levels[-1], ixs, iys, depths, clss)
     return leaves, AreaBounds(lower, lower + gap, cells_refined, met)
 
 

@@ -1,16 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from hypcap import quadtree
+from hypcap import hyperbolic, quadtree
 from hypcap.capacity import ring
 from hypcap.corpus import generate_element
 from hypcap.geom import (
     ArcBox,
+    BoxShape,
     DiskCompact,
     HalfDisk,
     HalfPlaneHull,
+    Obstacle,
     RadialSlit,
     VSlit,
 )
@@ -21,6 +24,8 @@ from hypcap.hyperbolic import (
     _classifier,
     _disk_rect_areas,
     _indisk_areas,
+    _member_mask,
+    _root_square_halfplane,
     circle_rect_area,
     filled_region,
     hyp_dist_d,
@@ -303,6 +308,15 @@ def test_filled_region_walk_surface():
     assert np.allclose(np.abs(near - z), d)
 
 
+def test_level_area_sums_match_sums_of_stored_areas():
+    # refine sums each level's INSIDE and UNKNOWN areas without a per-cell
+    # array; the totals must be the floats np.sum gives over such an array
+    rng = np.random.default_rng(12)
+    for n in (0, 1, 7, 8, 9, 127, 128, 129, 8191, 8192, 8193, 100_003):
+        area = float(rng.uniform(1e-9, 4.0))
+        assert quadtree._sum_of(area, n) == float(np.sum(np.full(n, area)))
+
+
 def _closed_contacts(leaves, rows, cols):
     """(touch, edge) matrices of the closed cells rows x cols, by brute force.
 
@@ -353,3 +367,129 @@ def test_frontier_matches_brute_force(monkeypatch):
     got = fr.blocked_rects()
     for a, b in zip(got, (x0, x1, y0, y1)):
         assert np.array_equal(a, b[want])
+
+
+class _OnePart(Obstacle):
+    """S as a single part whose dist is S.dist, so the classifier has no part to drop."""
+
+    def __init__(self, S):
+        self.S = S
+
+    def __getattr__(self, name):
+        return getattr(self.S, name)
+
+    def dist(self, z):
+        return self.S.dist(z)
+
+
+def _recorded_refinements(run):
+    """run() and the (leaves, bounds) of every quadtree.refine it made."""
+    seen = []
+    refine = quadtree.refine
+
+    def recording(*args):
+        seen.append(refine(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(quadtree, "refine", recording)
+        out = run()
+    return out, seen
+
+
+def _unpruned(run):
+    # the obstacle as one part and an infinite slack keep every part and
+    # every far flag: the classifier asks S.dist on every cell, as one
+    # without a carry would
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(hyperbolic, "_PRUNE_SLACK", math.inf)
+        return _recorded_refinements(run)
+
+
+def _assert_same_refinements(got, want):
+    assert len(got) == len(want) > 0
+    for (leaves, bounds), (ref_leaves, ref_bounds) in zip(got, want):
+        assert bounds == ref_bounds
+        for f in dataclasses.fields(quadtree.Leaves):
+            a, b = getattr(leaves, f.name), getattr(ref_leaves, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+            else:
+                assert a == b, f.name
+
+
+@pytest.mark.parametrize(
+    "kind, index",
+    [
+        ("radial-slit-set", 0),
+        ("arcbox-set", 1),
+        ("radial-slit-set", 2),
+        ("slit-forest", 0),
+        ("staircase", 1),
+        ("halfdisk-mix", 2),
+    ],
+)
+def test_pruned_classifier_matches_unpruned(kind, index):
+    S = generate_element(kind, 7, index)
+    assert len(S.parts) >= 5
+    got, seen = _recorded_refinements(lambda: neighborhood_area(S, 1.0, 1e-2, relative=True))
+    want, ref = _unpruned(lambda: neighborhood_area(_OnePart(S), 1.0, 1e-2, relative=True))
+    assert got == want
+    _assert_same_refinements(seen, ref)
+
+
+def test_pruned_filled_region_matches_unpruned():
+    B = DiskCompact([RadialSlit(0.5, 0.7), ArcBox(2.0, 2.8, 0.8), RadialSlit(4.0, 0.6)])
+    got, seen = _recorded_refinements(lambda: filled_region(B, 1.0, 1e-2))
+    want, ref = _unpruned(lambda: filled_region(_OnePart(B), 1.0, 1e-2))
+    _assert_same_refinements(seen, ref)
+    assert got.bounds == want.bounds
+    assert np.array_equal(got.passable, want.passable)
+    assert np.array_equal(got.frontier, want.frontier)
+
+
+def test_pruned_classifier_past_64_parts(monkeypatch):
+    # 70 parts and the far flag need more bits than any numpy integer holds
+    B = DiskCompact([RadialSlit(2 * math.pi * i / 70, 0.9) for i in range(70)])
+    monkeypatch.setattr(quadtree, "MAX_DEPTH", 6)
+    _, seen = _recorded_refinements(lambda: neighborhood_area(B, 1.0, 1e-3))
+    _, ref = _unpruned(lambda: neighborhood_area(_OnePart(B), 1.0, 1e-3))
+    _assert_same_refinements(seen, ref)
+
+
+NINE_SHAPE_HULL = HalfPlaneHull(
+    [
+        VSlit(-2.0, 0.6),
+        BoxShape(-1.8, -1.5, 0.0, 0.3),
+        HalfDisk(-1.0, 0.3),
+        VSlit(-0.5, 1.2),
+        BoxShape(-0.3, 0.1, 0.0, 0.8),
+        HalfDisk(0.6, 0.4),
+        VSlit(1.2, 0.2),
+        BoxShape(1.4, 1.5, 0.0, 1.5),
+        HalfDisk(2.2, 0.5),
+    ]
+)
+
+
+@pytest.mark.parametrize("S", [generate_element("radial-slit-set", 7, 0), NINE_SHAPE_HULL])
+def test_classified_leaves_are_sound(monkeypatch, S):
+    # every settled leaf is checked against exact membership at its corners,
+    # its center and three seeded points: INSIDE leaves lie in N, OUTSIDE
+    # leaves miss it
+    assert len(S.parts) == 9
+    monkeypatch.setattr(quadtree, "MAX_DEPTH", 8)
+    root = (-1.05, -1.05, 2.10) if S.space == "disk" else _root_square_halfplane(S, 1.0)
+    leaves, _ = quadtree.refine(*root, _classifier(S, 1.0), lambda lo, up: 0.0)
+    assert leaves.depth_max == 8
+    x0, x1, y0, y1 = leaves.rects()
+    u = np.concatenate([[0.0, 1.0, 0.0, 1.0, 0.5], np.random.default_rng(9).uniform(size=3)])
+    v = np.concatenate([[0.0, 0.0, 1.0, 1.0, 0.5], np.random.default_rng(10).uniform(size=3)])
+    z = (x0[:, None] + u * (x1 - x0)[:, None]) + 1j * (y0[:, None] + v * (y1 - y0)[:, None])
+    for code, member in ((quadtree.INSIDE, True), (quadtree.OUTSIDE, False)):
+        pts = z[leaves.cls == code].ravel()
+        pts = pts[np.abs(pts) < 1.0] if S.space == "disk" else pts[pts.imag > 0]
+        assert pts.size > 1000
+        assert np.all(_member_mask(S, pts, 1.0) == member)
+        for p in pts[:: pts.size // 20]:
+            assert neighborhood_member(complex(p), S, 1.0) == member

@@ -3,9 +3,9 @@
 "fattening" runs in a child process under a 1 GB max-RSS gate; "omega" is
 left out until its filled regions certify in bounded memory (ROADMAP item
 1).  At this config, on a 2-core x86 VM with 7.8 GB, three runs each,
-"fattening" takes 9.6-13.9 s and peaks at 0.51-0.54 GB RSS, and "omega"
-takes 11.2-11.9 s and peaks at 1.37-1.39 GB RSS in filled_region's one
-refinement of the ring at rho = 0.125.
+"fattening" takes 11.3-12.3 s and peaks at 0.53-0.54 GB RSS, and "omega"
+takes 11.7-13.7 s and peaks at 1.43 GB RSS in filled_region on the ring at
+rho = 0.125, after its one refinement (which alone peaks at 1.17 GB).
 """
 
 import dataclasses
