@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dyadic import layer_of_radius
-from .geom import ArcBox, DiskCompact, HalfDisk, HalfPlaneHull, VSlit
+from .geom import ArcBox, DiskCompact, HalfDisk, HalfPlaneHull, VSlit, require_obstacle
 from .mobius import require_annulus, t_y
 from .rng import uniform01
 from .wos import START_COUNTER, DiskDomain, Estimate, HalfPlaneDomain, WalkEnsemble, walk_mean
@@ -208,6 +208,7 @@ def dcap_layer_sum(
     B.min_abs >= 1/4: layer 0's upper bound 2 log 2 = -log(1/4) holds only
     for depths up to 3/4, so a B reaching below |z| = 1/4 raises ValueError.
     """
+    require_obstacle(B, "disk")
     if B.min_abs < 0.25:
         raise ValueError(f"dcap_layer_sum needs B.min_abs >= 1/4, got {B.min_abs:g}")
     est, ens = walk_mean(
@@ -299,6 +300,7 @@ def hcap_mc(
     The walks carry the 12 controls of _halfplane_controls(x_c, R), each
     compared with its value at the walk's own start.
     """
+    require_obstacle(A, "halfplane")
     if A.is_empty:
         return Estimate(0.0, 0.0, 0, 0.0, seed, "empty hull")
     x_c, R = _half_circle(A)
@@ -338,6 +340,7 @@ def dcap_transport(
     and the mean is scaled by the exact chance omega of getting there.  An
     empty hull gives dcap 0 without walking.
     """
+    require_obstacle(A, "halfplane")
     require_annulus(A, y)
     if A.is_empty:
         return Estimate(0.0, 0.0, 0, 0.0, seed, "empty hull")

@@ -43,8 +43,9 @@ class DyadicSquare:
     k: int
 
     def __post_init__(self):
-        if self.n < 1 or not (1 <= self.k <= 2**self.n):
-            raise ValueError("need n >= 1 and 1 <= k <= 2^n")
+        integral = all(isinstance(v, (int, np.integer)) for v in (self.n, self.k))
+        if not (integral and self.n >= 1 and 1 <= self.k <= 2**self.n):
+            raise ValueError("need integers n >= 1 and 1 <= k <= 2^n")
 
     @property
     def depth(self) -> float:
@@ -132,12 +133,19 @@ def _squares_for_footprint(n: int, start: float, width: float) -> list[int]:
     return sorted(ks)
 
 
+def _require_shapes(S, kind: type) -> None:
+    # a cover reads S.shapes, which a RectSet, a disk obstacle too, lacks
+    if not isinstance(S, kind):
+        raise TypeError(f"expected a {kind.__name__}, got {type(S).__name__}")
+
+
 def dyadic_cover(B: DiskCompact) -> tuple[list[DyadicSquare], AreaBounds]:
     """Maximal squares of the cover Q(B), in angular order, and the area of their union.
 
     The maximal squares are pairwise disjoint, so the area of the union is
     the sum of their areas.
     """
+    _require_shapes(B, DiskCompact)
     if B.is_empty:
         return [], AreaBounds(0.0, 0.0, 0, True)
     squares: set[DyadicSquare] = set()
@@ -215,6 +223,7 @@ def whitney_cover_area(A: HalfPlaneHull) -> AreaBounds:
     geometric tail below K_CUT is bracketed analytically, so the returned
     gap is of order 4^K_CUT.
     """
+    _require_shapes(A, HalfPlaneHull)
     if A.is_empty:
         return AreaBounds(0.0, 0.0, 0, True)
     y_max = A.y_max
@@ -348,6 +357,7 @@ def lipschitz_majorant_area(A: HalfPlaneHull) -> float:
     tents and circle caps); the envelope is integrated exactly between
     breakpoints where the winning piece can change.
     """
+    _require_shapes(A, HalfPlaneHull)
     pieces = [p for s in A.shapes for p in _pieces_for_shape(s)]
     if not pieces:
         return 0.0

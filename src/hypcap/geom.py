@@ -391,9 +391,16 @@ def require_obstacle(S, space: str | None = None) -> None:
 
 
 class _ShapeUnion(Obstacle):
-    """Finite union of parametric shapes."""
+    """Finite union of parametric shapes, checked by the subclass's _validate unless validate=False."""
 
     shapes: tuple
+
+    def __init__(self, shapes: Iterable = (), validate: bool = True):
+        self.shapes = tuple(shapes)
+        if validate:
+            msg = self._validate(self.shapes)
+            if msg is not None:
+                raise InvalidHullError(msg)
 
     def dist(self, z) -> np.ndarray:
         z = _as_complex(z)
@@ -434,13 +441,7 @@ class HalfPlaneHull(_ShapeUnion):
     """Bounded union of rooted shapes with simply connected complement in H."""
 
     space = "halfplane"
-
-    def __init__(self, shapes: Iterable[HalfPlaneShape] = (), validate: bool = True):
-        self.shapes = tuple(shapes)
-        if validate:
-            msg = validate_halfplane_shapes(self.shapes)
-            if msg is not None:
-                raise InvalidHullError(msg)
+    _validate = staticmethod(validate_halfplane_shapes)
 
     @property
     def sup_abs(self) -> float:
@@ -452,12 +453,8 @@ class HalfPlaneHull(_ShapeUnion):
 
     @property
     def x_bounds(self) -> tuple[float, float]:
-        if not self.shapes:
-            return (0.0, 0.0)
-        return (
-            min(s.x_range[0] for s in self.shapes),
-            max(s.x_range[1] for s in self.shapes),
-        )
+        lo = min((s.x_range[0] for s in self.shapes), default=0.0)
+        return lo, max((s.x_range[1] for s in self.shapes), default=0.0)
 
     def translate(self, t: float) -> "HalfPlaneHull":
         return HalfPlaneHull([_affine(s, 1.0, t) for s in self.shapes], validate=False)
@@ -475,13 +472,7 @@ class DiskCompact(_ShapeUnion):
     """Union of circle-rooted shapes inside the annulus 1/2 < |z| < 1."""
 
     space = "disk"
-
-    def __init__(self, shapes: Iterable[DiskShape] = (), validate: bool = True):
-        self.shapes = tuple(shapes)
-        if validate:
-            msg = validate_disk_shapes(self.shapes)
-            if msg is not None:
-                raise InvalidHullError(msg)
+    _validate = staticmethod(validate_disk_shapes)
 
     @property
     def min_abs(self) -> float:

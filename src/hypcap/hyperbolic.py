@@ -251,14 +251,14 @@ def _classifier(S: Obstacle, rho: float):
     return classify
 
 
-def _root_square_halfplane(S, rho: float) -> tuple[float, float, float]:
-    pad = _reach_halfplane(rho, S.y_max)
-    x_lo, x_hi = S.x_bounds
-    x_lo -= pad * 1.01
-    x_hi += pad * 1.01
-    top = S.y_max * math.exp(rho) * 1.01
-    size = max(x_hi - x_lo, top)
-    return x_lo, 0.0, size
+def _root_square(S: Obstacle, rho: float) -> tuple[float, float, float]:
+    """(gx0, gy0, size) of the square every refinement of S's rho-neighborhood starts from."""
+    if S.space == "disk":
+        # centred on 0: gx0 + ix * side is exactly 0.0 for ix = 2^(d-1) at every depth d
+        return -1.05, -1.05, 2.10
+    pad = _reach_halfplane(rho, S.y_max) * 1.01
+    x_lo, x_hi = S.x_bounds[0] - pad, S.x_bounds[1] + pad
+    return x_lo, 0.0, max(x_hi - x_lo, S.y_max * math.exp(rho) * 1.01)
 
 
 def _check_rho_tol(rho: float, tol: float) -> None:
@@ -277,12 +277,8 @@ def neighborhood_area(
     _check_rho_tol(rho, tol)
     if S.is_empty:
         return AreaBounds(0.0, 0.0, 0, True)
-    if S.space == "halfplane":
-        gx0, gy0, size = _root_square_halfplane(S, rho)
-    else:
-        gx0, gy0, size = -1.05, -1.05, 2.10
     goal = (lambda lo, up: tol * up) if relative else (lambda lo, up: tol)
-    _, bounds = quadtree.refine(gx0, gy0, size, _classifier(S, rho), goal)
+    _, bounds = quadtree.refine(*_root_square(S, rho), _classifier(S, rho), goal)
     return bounds
 
 
@@ -327,11 +323,9 @@ def _segment_reaches_disk(p0x, p0y, p1x, p1y) -> np.ndarray:
 
 
 def _cell_of_origin(leaves: Leaves) -> int:
+    # the disk's root square is centred on 0, so one leaf holds 0 in [x0, x1) x [y0, y1)
     x0, x1, y0, y1 = leaves.rects()
-    hit = np.flatnonzero((x0 <= 0.0) & (0.0 < x1) & (y0 <= 0.0) & (0.0 < y1))
-    if hit.size == 0:
-        raise RuntimeError("origin not covered by the refinement root")
-    return int(hit[0])
+    return int(np.flatnonzero((x0 <= 0.0) & (0.0 < x1) & (y0 <= 0.0) & (0.0 < y1))[0])
 
 
 def _flood_masks(leaves: Leaves):
@@ -436,13 +430,13 @@ def _disk_rect_areas(a, b, c, d) -> np.ndarray:
     return P(b, d) - P(a, d) - P(b, c) + P(a, c)
 
 
-def _indisk_areas(leaves: Leaves) -> np.ndarray:
-    """Exact area of each cell's intersection with the closed unit disk."""
-    x0, x1, y0, y1 = leaves.rects()
-    areas = leaves.areas()
+def _indisk_areas(leaves: Leaves, cells: np.ndarray) -> np.ndarray:
+    """Exact area of each of the cells (a mask or indices) inside the closed unit disk."""
+    x0, x1, y0, y1 = (r[cells] for r in leaves.rects())
+    side = leaves.cell_side()[cells]
     far = np.hypot(np.maximum(np.abs(x0), np.abs(x1)), np.maximum(np.abs(y0), np.abs(y1)))
     near = np.hypot(np.clip(0.0, x0, x1), np.clip(0.0, y0, y1))
-    out = np.where(far <= 1.0, areas, 0.0)
+    out = np.where(far <= 1.0, side * side, 0.0)
     i = np.flatnonzero((far > 1.0) & (near < 1.0))
     out[i] = _disk_rect_areas(x0[i], x1[i], y0[i], y1[i])
     return out
@@ -465,12 +459,14 @@ def filled_region(
     if neighborhood_member(0j, B, rho):
         raise DomainError("the origin lies in the rho-neighborhood; filling undefined")
 
-    leaves, n_bounds = quadtree.refine(-1.05, -1.05, 2.10, _classifier(B, rho), lambda lo, up: tol / 2.0)
+    leaves, n_bounds = quadtree.refine(*_root_square(B, rho), _classifier(B, rho), lambda lo, up: tol / 2.0)
     reached_strict, reached_gen, frontier = _flood_masks(leaves)
-    free = leaves.cls == OUTSIDE
-    indisk = _indisk_areas(leaves)
-    lower = n_bounds.lower + float(np.sum(indisk[free & ~reached_gen]))
-    upper = n_bounds.upper + float(np.sum(indisk[free & ~reached_strict]))
+    # the strict graph is a subgraph of the generous one, so the free cells
+    # the generous flood misses are among those the strict one misses
+    trapped = (leaves.cls == OUTSIDE) & ~reached_strict
+    indisk = _indisk_areas(leaves, trapped)
+    lower = n_bounds.lower + float(np.sum(indisk[~reached_gen[trapped]]))
+    upper = n_bounds.upper + float(np.sum(indisk))
     bounds = AreaBounds(lower, upper, n_bounds.cells_refined, upper - lower <= tol)
     return FilledRegion(leaves, bounds, reached_strict, frontier)
 
@@ -487,7 +483,7 @@ _TREE_MIN = 256
 # points per leaf of each octave's cKDTree (see RectSet for how it was chosen)
 _TREE_LEAF = 64
 # margin on the certification bound: far above the rounding of coordinates
-# in [-1.05, 1.05], far below any cell size
+# in the disk's root square (_root_square), far below any cell size
 _CERT_SLACK = 1e-12
 
 

@@ -72,10 +72,6 @@ class Leaves:
     def cell_side(self) -> np.ndarray:
         return self.size * np.ldexp(1.0, -self.depth.astype(np.int64))
 
-    def areas(self) -> np.ndarray:
-        side = self.cell_side()
-        return side * side
-
     def int_rects(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(X0, X1, Y0, Y1) at the finest integer resolution 2^depth_max."""
         shift = (self.depth_max - self.depth).astype(np.int64)

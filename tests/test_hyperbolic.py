@@ -19,13 +19,15 @@ from hypcap.geom import (
 )
 from hypcap.hyperbolic import (
     DomainError,
+    RectSet,
     _ball_disk,
     _ball_halfplane,
     _classifier,
     _disk_rect_areas,
+    _flood_masks,
     _indisk_areas,
     _member_mask,
-    _root_square_halfplane,
+    _root_square,
     circle_rect_area,
     filled_region,
     hyp_dist_d,
@@ -214,7 +216,7 @@ def test_indisk_areas_match_scalar_reference_on_ring_cells():
     crossing = np.flatnonzero((far > 1.0) & (near < 1.0))
     assert crossing.size > 1000
     ref = [circle_rect_area(x0[i], x1[i], y0[i], y1[i]) for i in crossing]
-    assert np.allclose(_indisk_areas(leaves)[crossing], ref, rtol=0.0, atol=AREA_ATOL)
+    assert np.allclose(_indisk_areas(leaves, crossing), ref, rtol=0.0, atol=AREA_ATOL)
 
 
 def _grid_fill_oracle(B, rho, n=600):
@@ -298,14 +300,52 @@ def test_filled_region_walk_surface():
     assert fr.passable.any()
     x0, x1, y0, y1 = fr.blocked_rects()
     assert x0.size > 0
-    from hypcap.hyperbolic import RectSet
-
     rs = RectSet(x0, x1, y0, y1)
     z = np.array([0j, 0.1 + 0.1j])
     d = rs.dist(z)
     assert np.all(d > 0)
     _, _, near = rs.nearest(z)
     assert np.allclose(np.abs(near - z), d)
+
+
+def test_disk_root_square_is_centred_on_origin():
+    # the origin-cell lookup of the floods relies on a grid line through 0
+    # at every depth, and the root must hold the closed unit disk
+    for B in (ring(0.7), RectSet([0.5], [0.6], [0.1], [0.2])):
+        gx0, gy0, size = _root_square(B, 1.0)
+        assert gx0 + size / 2 == 0.0 == gy0 + size / 2
+        assert gx0 < -1.0 and gx0 + size > 1.0
+        for d in range(1, quadtree.MAX_DEPTH + 1):
+            assert gx0 + 2 ** (d - 1) * (size * math.ldexp(1.0, -d)) == 0.0
+
+
+# a square frame inside the disk: four rectangles of thickness 0.02 lining
+# the square of half-side 0.2 centred at 0.5, whose interior both floods miss
+FRAME = RectSet([0.3, 0.3, 0.3, 0.68], [0.7, 0.7, 0.32, 0.7], [-0.2, 0.18, -0.2, -0.2], [-0.18, 0.2, 0.2, 0.2])
+
+
+@pytest.mark.parametrize(
+    "B, rho, generous_misses",
+    [(FRAME, 0.05, True), (generate_element("radial-slit-set", 7, 0), 1.0, False)],
+    ids=["rectset-frame", "radial-slit-0"],
+)
+def test_filled_bounds_equal_sums_over_all_leaves(monkeypatch, B, rho, generous_misses):
+    # filled_region computes in-disk areas only for the free cells the
+    # strict flood misses; its bracket must be the floats the sums over
+    # every leaf give
+    monkeypatch.setattr(quadtree, "MAX_DEPTH", 8)
+    tol = 1e-3
+    leaves, nb = quadtree.refine(*_root_square(B, rho), _classifier(B, rho), lambda lo, up: tol / 2.0)
+    reached_strict, reached_gen, _ = _flood_masks(leaves)
+    free = leaves.cls == quadtree.OUTSIDE
+    indisk = _indisk_areas(leaves, np.ones(free.size, dtype=bool))
+    missed_gen = indisk[free & ~reached_gen]
+    missed_strict = indisk[free & ~reached_strict]
+    assert np.any(missed_strict > 0)
+    assert np.any(missed_gen > 0) == generous_misses
+    fb = filled_region(B, rho, tol).bounds
+    assert fb.lower == nb.lower + float(np.sum(missed_gen))
+    assert fb.upper == nb.upper + float(np.sum(missed_strict))
 
 
 def test_level_area_sums_match_sums_of_stored_areas():
@@ -333,7 +373,7 @@ def _closed_contacts(leaves, rows, cols):
 def test_adjacency_pairs_match_closed_square_contacts(monkeypatch):
     B = DiskCompact([RadialSlit(0.5, 0.7), ArcBox(2.0, 2.8, 0.8)])
     monkeypatch.setattr(quadtree, "MAX_DEPTH", 7)
-    leaves, _ = quadtree.refine(-1.05, -1.05, 2.10, _classifier(B, 1.0), lambda lo, up: 0.0)
+    leaves, _ = quadtree.refine(*_root_square(B, 1.0), _classifier(B, 1.0), lambda lo, up: 0.0)
     assert np.unique(leaves.depth).size > 3
     rng = np.random.default_rng(5)
     for active in (leaves.cls != quadtree.INSIDE, rng.uniform(size=leaves.cls.size) < 0.7):
@@ -479,8 +519,7 @@ def test_classified_leaves_are_sound(monkeypatch, S):
     # leaves miss it
     assert len(S.parts) == 9
     monkeypatch.setattr(quadtree, "MAX_DEPTH", 8)
-    root = (-1.05, -1.05, 2.10) if S.space == "disk" else _root_square_halfplane(S, 1.0)
-    leaves, _ = quadtree.refine(*root, _classifier(S, 1.0), lambda lo, up: 0.0)
+    leaves, _ = quadtree.refine(*_root_square(S, 1.0), _classifier(S, 1.0), lambda lo, up: 0.0)
     assert leaves.depth_max == 8
     x0, x1, y0, y1 = leaves.rects()
     u = np.concatenate([[0.0, 1.0, 0.0, 1.0, 0.5], np.random.default_rng(9).uniform(size=3)])

@@ -6,9 +6,18 @@ import numpy as np
 import pytest
 
 from hypcap import hyperbolic
-from hypcap.capacity import CanonicalHull, crad_exact_at_iy, dcap_layer_sum, dcap_mc, dcap_transport, hcap_mc, ring
+from hypcap.capacity import (
+    CanonicalHull,
+    crad_exact_at_iy,
+    crad_halfplane,
+    dcap_layer_sum,
+    dcap_mc,
+    dcap_transport,
+    hcap_mc,
+    ring,
+)
 from hypcap.corpus import generate_element
-from hypcap.dyadic import DyadicSquare
+from hypcap.dyadic import DyadicSquare, dyadic_cover, lipschitz_majorant_area, whitney_cover_area
 from hypcap.geom import (
     ArcBox,
     BoxShape,
@@ -180,6 +189,21 @@ def test_invalid_inputs_raise(call):
         # one rectangle: scanned by brute force, no tree octave
         (lambda: RectSet([0.5], [0.6], [0.1], [0.2]).dist([NAN]), DomainError, "query points must be finite"),
         (lambda: _tree_row().nearest([complex(0.1, NAN)]), DomainError, "query points must be finite"),
+        (lambda: DyadicSquare(1.5, 1), ValueError, "integers"),
+        (lambda: DyadicSquare(2, 1.0), ValueError, "integers"),
+        # an obstacle of the other space is rejected before any of its
+        # attributes is read
+        (lambda: hcap_mc(SLIT_DISK, 100, 1), TypeError, "halfplane obstacle, got DiskCompact"),
+        (lambda: dcap_transport(SLIT_DISK, 10.0, 100), TypeError, "halfplane obstacle, got DiskCompact"),
+        (lambda: crad_halfplane(SLIT_DISK, 10.0, 100), TypeError, "halfplane obstacle, got DiskCompact"),
+        (lambda: dcap_mc(SLIT_HULL, 100, 1), TypeError, "disk obstacle, got HalfPlaneHull"),
+        (lambda: dcap_layer_sum(SLIT_HULL, 100, 1), TypeError, "disk obstacle, got HalfPlaneHull"),
+        # the covers read shapes, which a RectSet lacks
+        (lambda: dyadic_cover(SLIT_HULL), TypeError, "DiskCompact, got HalfPlaneHull"),
+        (lambda: dyadic_cover([RadialSlit(0.0, 0.7)]), TypeError, "DiskCompact, got list"),
+        (lambda: dyadic_cover(_tree_row()), TypeError, "DiskCompact, got RectSet"),
+        (lambda: whitney_cover_area(SLIT_DISK), TypeError, "HalfPlaneHull, got DiskCompact"),
+        (lambda: lipschitz_majorant_area(SLIT_DISK), TypeError, "HalfPlaneHull, got DiskCompact"),
     ],
     ids=[
         "vslit-zero-height",
@@ -204,6 +228,18 @@ def test_invalid_inputs_raise(call):
         "member-outside-disk",
         "rectset-block-query-nan",
         "rectset-tree-query-nan",
+        "dyadic-square-fractional-scale",
+        "dyadic-square-float-position",
+        "hcap-of-compact",
+        "transport-of-compact",
+        "crad-of-compact",
+        "dcap-of-hull",
+        "layer-sum-of-hull",
+        "dyadic-cover-of-hull",
+        "dyadic-cover-of-list",
+        "dyadic-cover-of-rectset",
+        "whitney-of-compact",
+        "lipschitz-of-compact",
     ],
 )
 def test_typed_errors_raise(call, error, match):

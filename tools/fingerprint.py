@@ -1,0 +1,116 @@
+"""Print one "name sha256" line per deterministic output of hypcap.
+
+Two checkouts give the same lines exactly when their leaves, brackets,
+filled regions, walk ensembles and claim rows are bit-identical, so a
+refactor is checked with one diff:
+
+    PYTHONPATH=src python tools/fingerprint.py > new.txt
+    PYTHONPATH=../parent/src python tools/fingerprint.py > old.txt
+    diff old.txt new.txt
+
+The default run takes about 20 s on a 2-core x86 VM.  --all adds the
+"fattening" and "omega" claims, which take about a minute more and peak
+near 1.4 GB of RSS.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+
+import numpy as np
+
+from hypcap import quadtree
+from hypcap.capacity import ring
+from hypcap.corpus import mixed_disk_corpus, mixed_halfplane_corpus
+from hypcap.geom import ArcBox, DiskCompact
+from hypcap.hyperbolic import RectSet, filled_region, neighborhood_area
+from hypcap.verify import VerifyConfig, run_claim
+from hypcap.wos import DiskDomain, HalfPlaneDomain, run_walks
+
+# the smoke config of tests/test_verify.py; hcap-crad runs at 100,000 walks there
+SMOKE = VerifyConfig(n_walks=2000, tol_area=1e-2, corpus_size=3, hp_corpus_size=3, omega_corpus_size=1)
+LIGHT_CLAIMS = ("t1", "t2", "prop1", "prop1-induction", "hcap-crad", "corollary", "remark")
+HEAVY_CLAIMS = ("fattening", "omega")
+WALKS = 4000
+
+
+def digest(*parts) -> str:
+    """sha256 over arrays (dtype, shape and bytes) and the repr of everything else."""
+    h = hashlib.sha256()
+    for p in parts:
+        if isinstance(p, np.ndarray):
+            h.update(f"{p.dtype}{p.shape}".encode())
+            h.update(np.ascontiguousarray(p).tobytes())
+        else:
+            h.update(repr(p).encode())
+    return h.hexdigest()
+
+
+def leaves_digest(leaves) -> str:
+    return digest(leaves.gx0, leaves.gy0, leaves.size, leaves.depth_max, leaves.ix, leaves.iy, leaves.depth, leaves.cls)
+
+
+def region_digest(region) -> str:
+    return digest(leaves_digest(region.leaves), region.bounds, region.passable, region.frontier, *region.blocked_rects())
+
+
+def ensemble_digest(ens) -> str:
+    return digest(*(getattr(ens, f.name) for f in dataclasses.fields(ens)))
+
+
+def fingerprints(claims):
+    """(name, sha256) pairs, in a fixed order."""
+    # neighborhood_area keeps its leaves to itself, so record them on the way
+    # out of the one refinement each call makes
+    refine = quadtree.refine
+    seen = []
+
+    def recording(*args):
+        out = refine(*args)
+        seen.append(out[0])
+        return out
+
+    quadtree.refine = recording
+    try:
+        corpora = (("disk", mixed_disk_corpus(4, 7)), ("halfplane", mixed_halfplane_corpus(12, 7)))
+        for space, corpus in corpora:
+            for i, S in enumerate(corpus):
+                bounds = neighborhood_area(S, 1.0, 1e-3, relative=True)
+                yield f"area/{space}-{i}", digest(leaves_digest(seen.pop()), bounds)
+    finally:
+        quadtree.refine = refine
+
+    regions = {"ring(0.7)": ring(0.7), "arcbox(0.4,1.2,0.75)": DiskCompact([ArcBox(0.4, 1.2, 0.75)])}
+    rects = None
+    for name, B in regions.items():
+        region = filled_region(B, 1.0, 2e-3)
+        yield f"filled/{name}", region_digest(region)
+        if rects is None:
+            rects = RectSet(*region.blocked_rects())
+
+    A = mixed_halfplane_corpus(1, 7)[0]
+    walks = (
+        ("compact", DiskDomain(mixed_disk_corpus(1, 7)[0]), 0j),
+        ("hull", HalfPlaneDomain(A), complex(sum(A.x_bounds) / 2, 2.0 * A.y_max)),
+        ("filled-ring-rectset", DiskDomain(rects), 0j),
+    )
+    for k, (name, domain, start) in enumerate(walks):
+        yield f"walks/{name}", ensemble_digest(run_walks(domain, start, WALKS, None, 11 + k))
+
+    for claim in claims:
+        cfg = dataclasses.replace(SMOKE, n_walks=100_000) if claim == "hcap-crad" else SMOKE
+        yield f"claim/{claim}", digest([repr(r) for r in run_claim(claim, cfg)])
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--all", action="store_true", help="also run the fattening and omega claims")
+    args = parser.parse_args()
+    for name, sha in fingerprints(LIGHT_CLAIMS + (HEAVY_CLAIMS if args.all else ())):
+        print(name, sha, flush=True)
+
+
+if __name__ == "__main__":
+    main()
