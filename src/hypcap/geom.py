@@ -362,8 +362,10 @@ class Obstacle(ABC):
       set iff ``dist(c) <= r``.
     - ``parts``: pieces with an exact ``dist`` each, whose minimum is the
       obstacle's ``dist``.  The quadtree classifier asks only the parts
-      that can still decide a cell.  A ``_ShapeUnion``'s parts are its
-      shapes; any other obstacle is its own single part.
+      that can still decide a cell, and a walk step only the parts that
+      can still be nearer than the rest of the boundary.  A
+      ``_ShapeUnion``'s parts are its shapes; any other obstacle is its
+      own single part.
 
     Disk-space obstacles also have ``min_abs``, a lower bound on |z| over
     the set.  The walkable ones (HalfPlaneHull, DiskCompact and RectSet)

@@ -39,13 +39,7 @@ def stream_key(seed: int, stream: int | np.ndarray) -> np.ndarray:
     return _mix64(x)
 
 
-def uniform01(seed: int, stream: int | np.ndarray, counter: int | np.ndarray) -> np.ndarray:
-    """Uniform [0,1) variate for each (stream, counter) pair.
-
-    `stream` and `counter` broadcast against each other; the result depends
-    on nothing else, which is the whole point.
-    """
-    key = stream_key(seed, stream)
+def _uniform_keyed(key: np.ndarray, counter: int | np.ndarray) -> np.ndarray:
     c = np.asarray(counter, dtype=np.uint64)
     with np.errstate(over="ignore"):
         x = key + _GOLDEN * (c + np.uint64(1))
@@ -53,9 +47,23 @@ def uniform01(seed: int, stream: int | np.ndarray, counter: int | np.ndarray) ->
     return (bits >> np.uint64(11)).astype(np.float64) * _INV53
 
 
-def uniform_angle(seed: int, stream: int | np.ndarray, counter: int | np.ndarray) -> np.ndarray:
-    """Uniform angle in [0, 2*pi)."""
-    return uniform01(seed, stream, counter) * (2.0 * np.pi)
+def uniform01(seed: int, stream: int | np.ndarray, counter: int | np.ndarray) -> np.ndarray:
+    """Uniform [0,1) variate for each (stream, counter) pair.
+
+    `stream` and `counter` broadcast against each other; the result depends
+    on nothing else, which is the whole point.
+    """
+    return _uniform_keyed(stream_key(seed, stream), counter)
+
+
+def uniform_angle(key: np.ndarray, counter: int | np.ndarray) -> np.ndarray:
+    """Uniform angle in [0, 2*pi) for each (stream key, counter) pair.
+
+    key is stream_key(seed, stream), derived once per stream by the caller,
+    so uniform_angle(stream_key(s, i), c) == uniform01(s, i, c) * 2*pi bit
+    for bit.
+    """
+    return _uniform_keyed(key, counter) * (2.0 * np.pi)
 
 
 class CounterRNG:

@@ -11,17 +11,31 @@ labelled with the index of a nearest part, or, when the outer boundary is
 closer, the nearest point there, labelled LABEL_OUTER.  eps_stop is
 default_eps_stop(domain) unless a caller of run_walks passes another.
 Angles come from counter-based substreams keyed by (seed, global walk
-index, step), and aggregation uses a fixed-order pairwise tree, so
-estimates are bit-identical for any worker count.  run_walks allocates
-the ensemble once, and each chunk of _CHUNK walks writes its own slice of
-it in place.
+index, step); each walk's stream key is derived once per chunk.
+Aggregation uses a fixed-order pairwise tree, so estimates are
+bit-identical for any worker count.  run_walks allocates the ensemble
+once, and each chunk of _CHUNK walks writes its own slice of it in place.
+A finished walk first writes its stop point there, and the chunk resolves
+all its stop points with one terminal call after its last step.
+
+Each walker carries a lower bound on its distance to each part of the
+obstacle (Obstacle.parts: a shape union's shapes, or a RectSet as one
+part).  A step asks only the parts whose bound is below the running
+minimum of the outer distance and the parts asked so far, and sets their
+bounds to the exact distances; a part whose bound is not below that minimum
+cannot lower it.  So the step distance is exactly min(outer, dist), and the
+walks are those of a loop that asks every part at every step.  After a
+step of radius d the bounds drop by d plus a slack: each part's dist is
+1-Lipschitz, and the slack covers rounding (see _BOUND_SLACK).  Steps where
+the outer boundary is nearer than every part's bound ask no part at all.
 
 The walks of a shared start all take the one distance run_walks computes
-to check that start as their step-0 distance, so the start is queried once
-per call, not once per walk; walks from per-walk starts query each start
-once.  Either way the ensemble is the same.  This matters for a RectSet
-whose cells are all nearly equidistant from the start (the origin inside a
-filled ring), where one query scans every cell.
+to check that start as their step-0 distance, and its part distances as
+their first bounds, so the start is queried once per call, not once per
+walk; walks from per-walk starts query each start once.  Either way the
+ensemble is the same.  This matters for a RectSet whose cells are all
+nearly equidistant from the start (the origin inside a filled ring),
+where one query scans every cell.
 
 walk_mean is the only route from walks to an Estimate: every estimator
 passes it a functional of the exit point and gets back the pairwise mean,
@@ -45,7 +59,7 @@ from typing import Callable
 import numpy as np
 
 from .geom import HalfPlaneHull, Obstacle, require_obstacle
-from .rng import uniform_angle
+from .rng import stream_key, uniform_angle
 
 LABEL_OUTER = -1
 STEP_CAP = 100_000
@@ -53,6 +67,17 @@ STEP_CAP = 100_000
 START_COUNTER = 1 << 63
 MAX_FLAGGED_FRACTION = 1e-3
 _CHUNK = 16384
+# margin of the per-part distance bounds.  A part's exact dist is
+# 1-Lipschitz, so a step from z to z' lowers it by at most |z' - z|.  The
+# computed |z' - z| exceeds the radius d by at most a few ulps of d + |z'|,
+# and a part's computed dist at q is within a few dozen ulps of extent + |q|
+# of the exact one (extent bounds |w| over the obstacle).  So a bound that
+# drops by d + _BOUND_SLACK (extent + |z'| + d) per step stays at or below
+# the computed dist: 1e-12 is about 4500 ulps, far above that rounding and
+# far below any step that decides a walk.  A slack in units of the domain
+# alone is not enough: walks from 1e6 + 1j beside VSlit(0, 1e-3), a domain
+# of scale about 1, step at |z| ~ 1e6, where one ulp is 1.2e-10
+_BOUND_SLACK = 1e-12
 # walk_mean applies p controls only with at least this many walks per parity
 # per fitted coefficient (p + 1 with the intercept): below it the error of
 # the cross-fitted beta costs more variance than the controls remove
@@ -88,18 +113,35 @@ class _Domain:
 
     The two domains differ only in their outer boundary: the real axis or
     the unit circle.  The obstacle is a walkable geom.Obstacle of the same
-    space: dist(z) bounds the step radius, and nearest(z) gives the
-    terminal and its label at the end of a walk.
+    space: its parts' dist(z) bound the step radius, and nearest(z) gives
+    the terminal and its label at the end of a walk.  extent bounds |w|
+    over the obstacle; it scales the rounding slack of the part bounds.
     """
 
     space: str
+    extent: float
 
     def __init__(self, obstacle: Obstacle):
         require_obstacle(obstacle, self.space)
         self.obstacle = obstacle
 
-    def dist(self, z: np.ndarray) -> np.ndarray:
-        return np.minimum(self._outer_dist(z), self.obstacle.dist(z))
+    def dist_bounded(self, z: np.ndarray, lower: np.ndarray) -> np.ndarray:
+        """min(outer distance, obstacle.dist) at z, given lower bounds on each part's distance.
+
+        lower holds one row per part of the obstacle and one column per
+        point; a part is asked only at the points whose bound is below the
+        running minimum, and its bound there becomes the exact distance.
+        Bounds of -inf ask every part.  lower is updated in place.
+        """
+        # a copy: the half-plane's outer distance is a view of z.imag
+        best = self._outer_dist(z).copy()
+        for j, part in enumerate(self.obstacle.parts):
+            rows = np.flatnonzero(lower[j] < best)
+            if rows.size:
+                dj = part.dist(z[rows])
+                lower[j, rows] = dj
+                best[rows] = np.minimum(best[rows], dj)
+        return best
 
     def terminal(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         d_obs, label, point = self.obstacle.nearest(z)
@@ -117,6 +159,7 @@ class HalfPlaneDomain(_Domain):
         super().__init__(hull)
         x_lo, x_hi = hull.x_bounds
         self.scale = max(x_hi - x_lo, hull.y_max) + 1.0
+        self.extent = hull.sup_abs
 
     @staticmethod
     def _outer_dist(z: np.ndarray) -> np.ndarray:
@@ -137,6 +180,7 @@ class DiskDomain(_Domain):
 
     space = "disk"
     scale = 1.0
+    extent = 1.0
 
     @staticmethod
     def _outer_dist(z: np.ndarray) -> np.ndarray:
@@ -188,35 +232,40 @@ class WalkEnsemble:
             )
 
 
-def _simulate_chunk(domain, ens, sl, pos, d, eps, seed):
+def _simulate_chunk(domain, ens, sl, pos, d, lower, eps, seed):
     """Walk the walks sl of ens from pos, whose boundary distances d are already known.
 
-    Each walk's terminal, label, steps, stop distance and flag are written
-    into ens in place; chunks own disjoint slices, so threads may share ens.
+    lower holds the walks' bounds on their distances to each part (see
+    _Domain.dist_bounded).  Every walk of a chunk takes its k-th step at
+    loop iteration k, so one step count serves them all.  Each walk's stop
+    point, steps, stop distance and flag are written into ens in place, and
+    one terminal call turns the stop points into terminals and labels after
+    the last step; chunks own disjoint slices, so threads may share ens.
     """
     local = np.arange(sl.start, sl.stop)
-    ids = local.astype(np.uint64)
-    nstep = np.zeros(local.size, dtype=np.int64)
+    key = stream_key(seed, local.astype(np.uint64))
+    step = 0
 
     while local.size:
         fin = d <= eps
-        capped = (~fin) & (nstep >= STEP_CAP)
-        done = fin | capped
+        done = fin if step < STEP_CAP else np.ones(local.size, dtype=bool)
         if np.any(done):
             sel = local[done]
-            ens.terminals[sel], ens.labels[sel] = domain.terminal(pos[done])
-            ens.steps[sel] = nstep[done]
+            ens.terminals[sel] = pos[done]
+            ens.steps[sel] = step
             ens.stop_dists[sel] = d[done]
-            ens.flagged[sel] = capped[done]
-        cont = ~done
-        if not np.any(cont):
-            break
-        theta = uniform_angle(seed, ids[cont], nstep[cont].astype(np.uint64))
-        pos = pos[cont] + d[cont] * np.exp(1j * theta)
-        ids = ids[cont]
-        local = local[cont]
-        nstep = nstep[cont] + 1
-        d = domain.dist(pos)
+            ens.flagged[sel] = ~fin[done]
+            cont = ~done
+            if not np.any(cont):
+                break
+            pos, d, key, local, lower = pos[cont], d[cont], key[cont], local[cont], lower[:, cont]
+        theta = uniform_angle(key, step)
+        pos = pos + d * np.exp(1j * theta)
+        step += 1
+        lower -= d + _BOUND_SLACK * (domain.extent + np.abs(pos) + d)
+        d = domain.dist_bounded(pos, lower)
+
+    ens.terminals[sl], ens.labels[sl] = domain.terminal(ens.terminals[sl])
 
 
 def _stop_distance(domain: DomainOracle, eps_stop: float | None) -> float:
@@ -247,10 +296,13 @@ def run_walks(
         raise ValueError(f"threads must be at least 1, got {threads}")
     eps = _stop_distance(domain, eps_stop)
     starts = np.asarray(start, dtype=complex)
+    n_parts = len(domain.obstacle.parts)
     shared_d = None
     if starts.ndim == 0:
-        # every walk of a shared start reuses this distance as its step 0
-        shared_d = float(domain.dist(starts.reshape(1))[0])
+        # every walk of a shared start reuses this distance as its step 0,
+        # and these part distances as its first bounds
+        shared_lower = np.full((n_parts, 1), -np.inf)
+        shared_d = float(domain.dist_bounded(starts.reshape(1), shared_lower)[0])
         if not shared_d > eps:
             raise ValueError("start point is not strictly inside the domain")
         starts = np.broadcast_to(starts, (n_walks,))
@@ -270,8 +322,13 @@ def run_walks(
 
     def work(sl):
         chunk = starts[sl]
-        d = domain.dist(chunk) if shared_d is None else np.full(chunk.size, shared_d)
-        _simulate_chunk(domain, ens, sl, chunk, d, eps, seed)
+        if shared_d is None:
+            lower = np.full((n_parts, chunk.size), -np.inf)
+            d = domain.dist_bounded(chunk, lower)
+        else:
+            lower = np.repeat(shared_lower, chunk.size, axis=1)
+            d = np.full(chunk.size, shared_d)
+        _simulate_chunk(domain, ens, sl, chunk, d, lower, eps, seed)
 
     chunks = [slice(i, min(i + _CHUNK, n_walks)) for i in range(0, n_walks, _CHUNK)]
     if threads > 1 and len(chunks) > 1:

@@ -1,6 +1,6 @@
 import numpy as np
 
-from hypcap.rng import CounterRNG, uniform01, uniform_angle
+from hypcap.rng import CounterRNG, stream_key, uniform01, uniform_angle
 
 
 def test_deterministic_per_key():
@@ -25,10 +25,19 @@ def test_range_and_mean():
 
 
 def test_angle_range():
-    th = uniform_angle(3, np.arange(10_000), 2)
+    th = uniform_angle(stream_key(3, np.arange(10_000)), 2)
     assert th.min() >= 0.0 and th.max() < 2 * np.pi
     # first circular moment of uniform angles is near zero
     assert abs(np.exp(1j * th).mean()) < 0.03
+
+
+def test_angle_from_key_matches_uniform01():
+    # walks derive each stream key once and draw every step's angle from it
+    streams = np.arange(5000, dtype=np.uint64)
+    for counter in (0, 7, np.arange(5000, dtype=np.uint64), 1 << 63):
+        th = uniform_angle(stream_key(11, streams), counter)
+        want = uniform01(11, streams, counter) * (2.0 * np.pi)
+        assert np.array_equal(th, want)
 
 
 def test_counter_wrapper_sequence():

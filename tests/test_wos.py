@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hypcap.capacity import dcap_layer_sum, dcap_mc, dcap_transport, hcap_mc, ring
+from hypcap.corpus import mixed_disk_corpus, mixed_halfplane_corpus
 from hypcap.geom import ArcBox, DiskCompact, HalfDisk, HalfPlaneHull, RadialSlit, VSlit
 from hypcap import wos
 from hypcap.hyperbolic import RectSet, filled_region
@@ -131,6 +132,32 @@ def test_shared_start_matches_per_walk_starts():
         shared = run_walks(d, z, n, seed=11, threads=2)
         per_walk = run_walks(d, np.full(n, z), n, seed=11)
         assert _same_ensemble(shared, per_walk)
+
+
+def test_pruned_walks_match_unpruned(monkeypatch):
+    # an infinite slack drops every part bound to -inf after each step, so
+    # every step asks every part: the walks of the loop without bounds
+    A = mixed_halfplane_corpus(1, 7)[0]
+    B = mixed_disk_corpus(3, 7)[2]
+    slits = DiskCompact([RadialSlit(2 * np.pi * k / 70, 0.55 + 0.06 * (k % 7)) for k in range(70)])
+    frontier = RectSet(*filled_region(DiskCompact([ArcBox(0.4, 1.2, 0.75)]), 1.0, 2e-3).blocked_rects())
+    cases = [
+        (HalfPlaneDomain(A), complex(sum(A.x_bounds) / 2, 2.0 * A.y_max), 3000),
+        (DiskDomain(B), 0j, 3000),
+        (DiskDomain(slits), 0j, 3000),
+        (DiskDomain(frontier), 0j, 1000),
+        # far from the origin the rounding of a step grows with |z|
+        (HalfPlaneDomain(HalfPlaneHull([VSlit(0.0, 1e-3)])), 1e6 + 1j, 3000),
+    ]
+    assert len(A) == 9 and len(B) == 12
+    monkeypatch.setattr(wos, "_CHUNK", 700)
+    for d, z, n in cases:
+        pruned = [run_walks(d, z, n, seed=17, threads=t) for t in (1, 2)]
+        with monkeypatch.context() as m:
+            m.setattr(wos, "_BOUND_SLACK", math.inf)
+            plain = run_walks(d, z, n, seed=17)
+        for ens in pruned:
+            assert _same_ensemble(ens, plain)
 
 
 def test_per_walk_starts_outside_rejected():

@@ -24,7 +24,7 @@ import numpy as np
 from hypcap import quadtree
 from hypcap.capacity import ring
 from hypcap.corpus import mixed_disk_corpus, mixed_halfplane_corpus
-from hypcap.geom import ArcBox, DiskCompact
+from hypcap.geom import ArcBox, DiskCompact, HalfPlaneHull, RadialSlit, VSlit
 from hypcap.hyperbolic import RectSet, filled_region, neighborhood_area
 from hypcap.verify import VerifyConfig, run_claim
 from hypcap.wos import DiskDomain, HalfPlaneDomain, run_walks
@@ -34,6 +34,8 @@ SMOKE = VerifyConfig(n_walks=2000, tol_area=1e-2, corpus_size=3, hp_corpus_size=
 LIGHT_CLAIMS = ("t1", "t2", "prop1", "prop1-induction", "hcap-crad", "corollary", "remark")
 HEAVY_CLAIMS = ("fattening", "omega")
 WALKS = 4000
+# three chunks of run_walks, so threads=2 runs two of them at once
+THREADED_WALKS = 40_000
 
 
 def digest(*parts) -> str:
@@ -91,13 +93,20 @@ def fingerprints(claims):
             rects = RectSet(*region.blocked_rects())
 
     A = mixed_halfplane_corpus(1, 7)[0]
+    B = mixed_disk_corpus(1, 7)[0]
+    slits = DiskCompact([RadialSlit(2 * np.pi * k / 70, 0.55 + 0.06 * (k % 7)) for k in range(70)])
+    # (name, domain, start, walks, threads); the far start keeps its walks at
+    # |z| ~ 1e6, where rounding is far above the domain's scale times 1e-12
     walks = (
-        ("compact", DiskDomain(mixed_disk_corpus(1, 7)[0]), 0j),
-        ("hull", HalfPlaneDomain(A), complex(sum(A.x_bounds) / 2, 2.0 * A.y_max)),
-        ("filled-ring-rectset", DiskDomain(rects), 0j),
+        ("compact", DiskDomain(B), 0j, WALKS, 1),
+        ("hull", HalfPlaneDomain(A), complex(sum(A.x_bounds) / 2, 2.0 * A.y_max), WALKS, 1),
+        ("filled-ring-rectset", DiskDomain(rects), 0j, WALKS, 1),
+        ("compact-threads2", DiskDomain(B), 0.1j, THREADED_WALKS, 2),
+        ("far-vslit", HalfPlaneDomain(HalfPlaneHull([VSlit(0.0, 1e-3)])), 1e6 + 1j, WALKS, 1),
+        ("70-slits", DiskDomain(slits), 0j, WALKS, 1),
     )
-    for k, (name, domain, start) in enumerate(walks):
-        yield f"walks/{name}", ensemble_digest(run_walks(domain, start, WALKS, None, 11 + k))
+    for k, (name, domain, start, n, threads) in enumerate(walks):
+        yield f"walks/{name}", ensemble_digest(run_walks(domain, start, n, None, 11 + k, threads))
 
     for claim in claims:
         cfg = dataclasses.replace(SMOKE, n_walks=100_000) if claim == "hcap-crad" else SMOKE
