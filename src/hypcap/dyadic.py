@@ -237,13 +237,17 @@ def whitney_cover_area(A: HalfPlaneHull) -> AreaBounds:
         area += _merged_count(ranges) * 4.0**k
         levels += 1
 
-    # tail bracket for levels below K_CUT
+    # tail bracket for the levels k < K_CUT.  A shape meets level k iff
+    # 2^k <= y1 and y0 <= 2^(k+1): the levels lo <= k < hi, over which 4^k
+    # sums to (4^hi - 4^lo) / 3 and 2^k to 2^hi - 2^lo (lo = -inf if y0 = 0)
+    spans = []
+    for s in A.shapes:
+        (m0, e0), hi = math.frexp(s.y_range[0]), min(K_CUT, math.frexp(s.y_range[1])[1])
+        spans.append((min(e0 - 1 - (m0 == 0.5), hi) if m0 else -math.inf, hi))
     tail_lo = 0.0
     tail_hi = 0.0
-    s4 = 4.0**K_CUT / 3.0  # sum of 4^k over k < K_CUT
-    s2 = 2.0**K_CUT  # sum of 2^k over k < K_CUT
-    rooted = [s for s in A.shapes if s.y_range[0] == 0.0]
-    for s in rooted:
+    for s, (lo, hi) in zip(A.shapes, spans):
+        s4, s2 = (4.0**hi - 4.0**lo) / 3.0, 2.0**hi - 2.0**lo
         if isinstance(s, VSlit):
             tail_lo += s4
             tail_hi += 2.0 * s4
@@ -252,17 +256,19 @@ def whitney_cover_area(A: HalfPlaneHull) -> AreaBounds:
             tail_lo += w * s2
             tail_hi += w * s2 + 2.0 * s4
         elif isinstance(s, HalfDisk):
-            w_lo = 2.0 * math.sqrt(max(s.r * s.r - 4.0**K_CUT, 0.0))
+            w_lo = 2.0 * math.sqrt(max(s.r * s.r - 4.0**hi, 0.0))
             tail_lo += w_lo * s2
             tail_hi += 2.0 * s.r * s2 + 2.0 * s4
-    # squares shared between touching feet are double counted in tail_lo
-    n_touch = 0
-    for i in range(len(rooted)):
-        for j in range(i + 1, len(rooted)):
-            xi, xj = rooted[i].x_range, rooted[j].x_range
-            if max(xi[0], xj[0]) <= min(xi[1], xj[1]):
-                n_touch += 1
-    tail_lo = max(0.0, tail_lo - n_touch * 2.0 * s4)
+    # touching feet share at most two squares on each level both shapes
+    # reach, and tail_lo counts them twice; pairs sums those levels' 4^k in
+    # units of the full tail 4^K_CUT / 3
+    pairs = 0.0
+    for i, (a, (lo_a, hi_a)) in enumerate(zip(A.shapes, spans)):
+        for b, (lo_b, hi_b) in zip(A.shapes[i + 1 :], spans[i + 1 :]):
+            lo, hi = max(lo_a, lo_b), min(hi_a, hi_b)
+            if lo < hi and max(a.x_range[0], b.x_range[0]) <= min(a.x_range[1], b.x_range[1]):
+                pairs += 4.0 ** (hi - K_CUT) - 4.0 ** (lo - K_CUT)
+    tail_lo = max(0.0, tail_lo - pairs * 2.0 * (4.0**K_CUT / 3.0))
 
     return AreaBounds(area + tail_lo, area + tail_hi, levels, True)
 

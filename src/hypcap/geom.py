@@ -23,6 +23,13 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# the one rounding rule of every pruned distance bound: a distance computed
+# from points of modulus at most M is off by at most ROUNDING x M (about
+# 4500 ulps of M: far above the rounding of the closed forms here and of
+# RectSet, far below any distance a test resolves).  Each site that prunes
+# widens its bounds by ROUNDING x its own M, reading the constant at call
+# time, so setting it to inf turns every prune off.
+ROUNDING = 1e-12
 
 
 class InvalidShapeError(ValueError):
@@ -369,8 +376,10 @@ class Obstacle(ABC):
 
     Disk-space obstacles also have ``min_abs``, a lower bound on |z| over
     the set.  The walkable ones (HalfPlaneHull, DiskCompact and RectSet)
-    have ``nearest(z) -> (dist, label, point)``: ``dist(z)`` itself, the
-    index of a nearest part, and a nearest point of the set.
+    have ``sup_abs``, a bound on |z| over the set (0 when empty, 1 for a
+    DiskCompact, a RectSet's largest corner modulus), and ``nearest(z) ->
+    (dist, label, point)``: ``dist(z)`` itself, the index of a nearest
+    shape (of a nearest rectangle for a RectSet), and a nearest point.
     """
 
     space: str
@@ -479,6 +488,10 @@ class DiskCompact(_ShapeUnion):
     @property
     def min_abs(self) -> float:
         return min((s.rho_min for s in self.shapes), default=1.0)
+
+    @property
+    def sup_abs(self) -> float:
+        return 0.0 if self.is_empty else 1.0
 
 
 def _affine(s: HalfPlaneShape, a: float, b: float) -> HalfPlaneShape:

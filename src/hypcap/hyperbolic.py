@@ -23,7 +23,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from . import quadtree
+from . import geom, quadtree
 from .geom import Obstacle, _as_complex, require_obstacle
 from .quadtree import INSIDE, OUTSIDE, UNKNOWN, AreaBounds, Leaves
 
@@ -138,12 +138,6 @@ def _settle_disk(z, half, halfdiag, out):
     return test, halfdiag * dens
 
 
-# margin of the classifier's pruning bounds, per unit of the obstacle's
-# extent: far above the rounding of ball centers, radii and distances, far
-# below any distance a cell test resolves
-_PRUNE_SLACK = 1e-9
-
-
 def _classifier(S: Obstacle, rho: float):
     """Sound quadtree classifier for the rho-neighborhood of S.
 
@@ -179,22 +173,26 @@ def _classifier(S: Obstacle, rho: float):
       everywhere in the subtree.
 
     A part's bit is cleared only when both invariants let it go, and cells
-    the ball tests do not apply to keep every part.  slack is
-    _PRUNE_SLACK x (1 + the extent of the obstacle's space); it absorbs the
-    rounding of the computed centers, radii and distances.
+    the ball tests do not apply to keep every part.  slack is geom.ROUNDING
+    x M, M = S.sup_abs plus bounds on the moduli of cell centers (in
+    _root_square) and of ball centers plus radii: half-plane ball tests
+    apply to cells with ymin >= side, so rc <= 1/sqrt2 and a ball about
+    x + iy reaches |x| + y e^(rho + rc); disk balls stay in the unit disk.
     """
     parts = S.parts
     far_bit = 1 << len(parts)
     # one bit per part and the far bit: the smallest unsigned integer that
     # holds them, or Python ints past 64 bits
     row_type = np.min_scalar_type(2 * far_bit - 1)
+    gx0, gy0, size = _root_square(S, rho)
+    corner = max(abs(complex(x, y)) for x in (gx0, gx0 + size) for y in (gy0, gy0 + size))
     if S.space == "halfplane":
         reach, settle, ball = _reach_halfplane(rho, S.y_max), _settle_halfplane, _ball_halfplane
-        extent = max(abs(x) for x in S.x_bounds) + S.y_max * math.exp(rho)
+        balls = (gy0 + size) * math.exp(rho + 1.0 / SQRT2)
     else:
         reach, settle, ball = _reach_disk(rho, S.min_abs), _settle_disk, _ball_disk
-        extent = 1.0
-    slack = _PRUNE_SLACK * (1.0 + extent)
+        balls = 1.0
+    slack = geom.ROUNDING * (S.sup_abs + corner + balls)
 
     def nearest(w, cand, limit):
         """(least distance from w to its candidate parts, bits of the candidates within limit)."""
@@ -304,9 +302,7 @@ class FilledRegion:
 
     def blocked_rects(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Geometric rects of the frontier cells."""
-        x0, x1, y0, y1 = self.leaves.rects()
-        f = self.frontier
-        return x0[f], x1[f], y0[f], y1[f]
+        return self.leaves.rects(self.frontier)
 
 
 def _segment_reaches_disk(p0x, p0y, p1x, p1y) -> np.ndarray:
@@ -323,9 +319,10 @@ def _segment_reaches_disk(p0x, p0y, p1x, p1y) -> np.ndarray:
 
 
 def _cell_of_origin(leaves: Leaves) -> int:
-    # the disk's root square is centred on 0, so one leaf holds 0 in [x0, x1) x [y0, y1)
-    x0, x1, y0, y1 = leaves.rects()
-    return int(np.flatnonzero((x0 <= 0.0) & (0.0 < x1) & (y0 <= 0.0) & (0.0 < y1))[0])
+    # the disk's root square is centred on 0, so the leaf holding 0 in
+    # [x0, x1) x [y0, y1) has ix = iy = 2^(depth - 1), or is the root itself
+    at = np.left_shift(1, leaves.depth) >> 1
+    return int(np.flatnonzero((leaves.ix == at) & (leaves.iy == at))[0])
 
 
 def _flood_masks(leaves: Leaves):
@@ -353,10 +350,9 @@ def _flood_masks(leaves: Leaves):
         # disk; the temporaries go before the generous flood builds its graph
         keep = edge & free[pi] & free[pj]
         si, sj = pi[keep], pj[keep]
-        x0, x1, y0, y1 = leaves.rects()
+        (xi0, xi1, yi0, yi1), (xj0, xj1, yj0, yj1) = leaves.rects(si), leaves.rects(sj)
         ok = _segment_reaches_disk(
-            np.maximum(x0[si], x0[sj]), np.maximum(y0[si], y0[sj]),
-            np.minimum(x1[si], x1[sj]), np.minimum(y1[si], y1[sj]),
+            np.maximum(xi0, xj0), np.maximum(yi0, yj0), np.minimum(xi1, xj1), np.minimum(yi1, yj1)
         )
         return si[ok], sj[ok]
 
@@ -432,8 +428,8 @@ def _disk_rect_areas(a, b, c, d) -> np.ndarray:
 
 def _indisk_areas(leaves: Leaves, cells: np.ndarray) -> np.ndarray:
     """Exact area of each of the cells (a mask or indices) inside the closed unit disk."""
-    x0, x1, y0, y1 = (r[cells] for r in leaves.rects())
-    side = leaves.cell_side()[cells]
+    x0, x1, y0, y1 = leaves.rects(cells)
+    side = np.ldexp(leaves.size, -leaves.depth[cells])
     far = np.hypot(np.maximum(np.abs(x0), np.abs(x1)), np.maximum(np.abs(y0), np.abs(y1)))
     near = np.hypot(np.clip(0.0, x0, x1), np.clip(0.0, y0, y1))
     out = np.where(far <= 1.0, side * side, 0.0)
@@ -482,9 +478,6 @@ _QUERY_BLOCK = 1 << 18
 _TREE_MIN = 256
 # points per leaf of each octave's cKDTree (see RectSet for how it was chosen)
 _TREE_LEAF = 64
-# margin on the certification bound: far above the rounding of coordinates
-# in the disk's root square (_root_square), far below any cell size
-_CERT_SLACK = 1e-12
 
 
 class RectSet(Obstacle):
@@ -493,13 +486,14 @@ class RectSet(Obstacle):
     The rectangles are grouped by octave of half-diagonal h.  An octave
     with more than _TREE_MIN rectangles gets a cKDTree on their centers;
     the others share one block that every query scans by brute force first.
-    Then each tree octave runs one k-NN loop: a point is certified once the
-    best distance found so far is below d_k - h_max (less _CERT_SLACK),
-    where d_k is its k-th center distance and h_max the octave's largest
-    half-diagonal, so every rectangle past the k-th center is at least that
-    far away.  Open points retry with 4k neighbours, starting from k = 8,
-    and the loop scans the whole octave once 16k reaches its size or 4k
-    exceeds _QUERY_BLOCK.
+    Then each tree octave runs one k-NN loop: a point z is certified once
+    the best distance found so far is below d_k - h_max, where d_k is its
+    k-th center distance and h_max the octave's largest half-diagonal, so
+    every rectangle past the k-th center is at least that far away, less
+    geom.ROUNDING x (|z| + sup_abs): the centers, d_k and h_max round at
+    the scale of the coordinates.  Open points retry with 4k neighbours,
+    starting from k = 8, and the loop scans the whole octave once 16k
+    reaches its size or 4k exceeds _QUERY_BLOCK.
     Like-sized octaves keep k small where one global h_max drove it toward
     the number of rectangles.
 
@@ -556,14 +550,9 @@ class RectSet(Obstacle):
                 tree = cKDTree(np.column_stack([cx[idx], cy[idx]]), leafsize=_TREE_LEAF, compact_nodes=False)
                 self._trees.append((tree, idx, float(half[idx].max())))
         self._small = np.sort(np.concatenate(small)) if small else np.empty(0, dtype=np.int64)
-        self.min_abs = float(
-            np.min(
-                np.hypot(
-                    np.clip(0.0, self.x0, self.x1),
-                    np.clip(0.0, self.y0, self.y1),
-                )
-            )
-        )
+        self.min_abs = float(np.min(np.hypot(np.clip(0.0, self.x0, self.x1), np.clip(0.0, self.y0, self.y1))))
+        far = np.hypot(np.maximum(np.abs(self.x0), np.abs(self.x1)), np.maximum(np.abs(self.y0), np.abs(self.y1)))
+        self.sup_abs = float(np.max(far))
 
     def _merge(self, z, rows, cand, dist, best) -> None:
         """Fold the exact distances from z[rows] to the rectangles cand into (dist, best).
@@ -602,6 +591,7 @@ class RectSet(Obstacle):
         if self._small.size:
             self._scan(z, every, self._small, dist, best)
         pts = np.column_stack([z.real, z.imag])
+        rounding = geom.ROUNDING
         for tree, idx, h_max in self._trees:
             rows, k = every, 8
             while rows.size:
@@ -612,7 +602,8 @@ class RectSet(Obstacle):
                     d_center, near = tree.query(pts[r], k=k)
                     self._merge(z, r, idx[near], dist, best)
                     d_k[i : i + height] = d_center[:, -1]
-                rows = rows[~(dist[rows] < d_k - h_max - _CERT_SLACK)]
+                margin = rounding * (np.abs(z[rows]) + self.sup_abs)
+                rows = rows[~(dist[rows] < d_k - h_max - margin)]
                 if rows.size and (16 * k >= idx.size or 4 * k > _QUERY_BLOCK):
                     self._scan(z, rows, idx, dist, best)
                     break

@@ -69,9 +69,6 @@ class Leaves:
     depth: np.ndarray
     cls: np.ndarray
 
-    def cell_side(self) -> np.ndarray:
-        return self.size * np.ldexp(1.0, -self.depth.astype(np.int64))
-
     def int_rects(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(X0, X1, Y0, Y1) at the finest integer resolution 2^depth_max."""
         shift = (self.depth_max - self.depth).astype(np.int64)
@@ -80,11 +77,11 @@ class Leaves:
         y0 = self.iy.astype(np.int64) * s
         return x0, x0 + s, y0, y0 + s
 
-    def rects(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Geometric (x0, x1, y0, y1) per cell."""
-        side = self.cell_side()
-        x0 = self.gx0 + self.ix * side
-        y0 = self.gy0 + self.iy * side
+    def rects(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Geometric (x0, x1, y0, y1) of the cells (a mask or indices)."""
+        side = np.ldexp(self.size, -self.depth[cells])
+        x0 = self.gx0 + self.ix[cells] * side
+        y0 = self.gy0 + self.iy[cells] * side
         return x0, x0 + side, y0, y0 + side
 
 

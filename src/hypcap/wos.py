@@ -25,9 +25,13 @@ minimum of the outer distance and the parts asked so far, and sets their
 bounds to the exact distances; a part whose bound is not below that minimum
 cannot lower it.  So the step distance is exactly min(outer, dist), and the
 walks are those of a loop that asks every part at every step.  After a
-step of radius d the bounds drop by d plus a slack: each part's dist is
-1-Lipschitz, and the slack covers rounding (see _BOUND_SLACK).  Steps where
-the outer boundary is nearer than every part's bound ask no part at all.
+step of radius d to z' the bounds drop by d plus geom.ROUNDING x M, with
+M = obstacle.sup_abs + |z'| + d: each part's dist is 1-Lipschitz, the
+computed |z' - z| exceeds d by a few ulps of M, and a part's computed
+distance at z' is within ROUNDING x M of the exact one.  The |z'| term
+matters: walks from 1e6 + 1j beside VSlit(0, 1e-3) step at |z| ~ 1e6, where
+one ulp is 1.2e-10.  Steps where the outer boundary is nearer than every
+part's bound ask no part at all.
 
 The walks of a shared start all take the one distance run_walks computes
 to check that start as their step-0 distance, and its part distances as
@@ -58,6 +62,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import geom
 from .geom import HalfPlaneHull, Obstacle, require_obstacle
 from .rng import stream_key, uniform_angle
 
@@ -67,17 +72,6 @@ STEP_CAP = 100_000
 START_COUNTER = 1 << 63
 MAX_FLAGGED_FRACTION = 1e-3
 _CHUNK = 16384
-# margin of the per-part distance bounds.  A part's exact dist is
-# 1-Lipschitz, so a step from z to z' lowers it by at most |z' - z|.  The
-# computed |z' - z| exceeds the radius d by at most a few ulps of d + |z'|,
-# and a part's computed dist at q is within a few dozen ulps of extent + |q|
-# of the exact one (extent bounds |w| over the obstacle).  So a bound that
-# drops by d + _BOUND_SLACK (extent + |z'| + d) per step stays at or below
-# the computed dist: 1e-12 is about 4500 ulps, far above that rounding and
-# far below any step that decides a walk.  A slack in units of the domain
-# alone is not enough: walks from 1e6 + 1j beside VSlit(0, 1e-3), a domain
-# of scale about 1, step at |z| ~ 1e6, where one ulp is 1.2e-10
-_BOUND_SLACK = 1e-12
 # walk_mean applies p controls only with at least this many walks per parity
 # per fitted coefficient (p + 1 with the intercept): below it the error of
 # the cross-fitted beta costs more variance than the controls remove
@@ -114,12 +108,10 @@ class _Domain:
     The two domains differ only in their outer boundary: the real axis or
     the unit circle.  The obstacle is a walkable geom.Obstacle of the same
     space: its parts' dist(z) bound the step radius, and nearest(z) gives
-    the terminal and its label at the end of a walk.  extent bounds |w|
-    over the obstacle; it scales the rounding slack of the part bounds.
+    the terminal and its label at the end of a walk.
     """
 
     space: str
-    extent: float
 
     def __init__(self, obstacle: Obstacle):
         require_obstacle(obstacle, self.space)
@@ -159,7 +151,6 @@ class HalfPlaneDomain(_Domain):
         super().__init__(hull)
         x_lo, x_hi = hull.x_bounds
         self.scale = max(x_hi - x_lo, hull.y_max) + 1.0
-        self.extent = hull.sup_abs
 
     @staticmethod
     def _outer_dist(z: np.ndarray) -> np.ndarray:
@@ -180,7 +171,6 @@ class DiskDomain(_Domain):
 
     space = "disk"
     scale = 1.0
-    extent = 1.0
 
     @staticmethod
     def _outer_dist(z: np.ndarray) -> np.ndarray:
@@ -245,6 +235,7 @@ def _simulate_chunk(domain, ens, sl, pos, d, lower, eps, seed):
     local = np.arange(sl.start, sl.stop)
     key = stream_key(seed, local.astype(np.uint64))
     step = 0
+    rounding, sup_abs = geom.ROUNDING, domain.obstacle.sup_abs
 
     while local.size:
         fin = d <= eps
@@ -262,7 +253,7 @@ def _simulate_chunk(domain, ens, sl, pos, d, lower, eps, seed):
         theta = uniform_angle(key, step)
         pos = pos + d * np.exp(1j * theta)
         step += 1
-        lower -= d + _BOUND_SLACK * (domain.extent + np.abs(pos) + d)
+        lower -= d + rounding * (sup_abs + np.abs(pos) + d)
         d = domain.dist_bounded(pos, lower)
 
     ens.terminals[sl], ens.labels[sl] = domain.terminal(ens.terminals[sl])

@@ -210,6 +210,20 @@ def test_whitney_touching_feet_bracket():
     assert ab.gap < 1e-9
 
 
+@pytest.mark.parametrize("shape", [VSlit(0.3, 2**-20), BoxShape(0.1, 0.6, 0.0, 2**-18)])
+def test_whitney_tail_of_a_low_hull(shape):
+    # a hull lower than 2^K_CUT meets only the levels k with 2^k <= its
+    # height, all in the tail; the exact area sums those levels
+    A = HalfPlaneHull([shape])
+    top = math.frexp(shape.y_range[1])[1] - 1
+    total = sum(_merged_count(whitney_ranges(A, k)) * 4.0**k for k in range(top, top - 40, -1))
+    if isinstance(shape, VSlit):
+        assert total == pytest.approx(4.0**-20 * 4.0 / 3.0, rel=1e-15)
+    ab = whitney_cover_area(A)
+    assert ab.lower <= total <= ab.upper
+    assert ab.upper <= 2.0 * total
+
+
 def test_whitney_empty():
     assert whitney_cover_area(HalfPlaneHull([])).upper == 0.0
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hypcap import hyperbolic, quadtree
+from hypcap import geom, quadtree
 from hypcap.capacity import ring
 from hypcap.corpus import generate_element
 from hypcap.geom import (
@@ -210,12 +210,15 @@ def test_disk_rect_areas_match_scalar_reference():
 
 def test_indisk_areas_match_scalar_reference_on_ring_cells():
     leaves = filled_region(ring(0.7), 1.0, 1e-2).leaves
-    x0, x1, y0, y1 = leaves.rects()
+    # the cells the floods cross; those meeting the circle are unknown ones
+    open_cells = np.flatnonzero(leaves.cls != quadtree.INSIDE)
+    x0, x1, y0, y1 = leaves.rects(open_cells)
     far = np.hypot(np.maximum(np.abs(x0), np.abs(x1)), np.maximum(np.abs(y0), np.abs(y1)))
     near = np.hypot(np.clip(0.0, x0, x1), np.clip(0.0, y0, y1))
-    crossing = np.flatnonzero((far > 1.0) & (near < 1.0))
+    at = np.flatnonzero((far > 1.0) & (near < 1.0))
+    crossing = open_cells[at]
     assert crossing.size > 1000
-    ref = [circle_rect_area(x0[i], x1[i], y0[i], y1[i]) for i in crossing]
+    ref = [circle_rect_area(x0[i], x1[i], y0[i], y1[i]) for i in at]
     assert np.allclose(_indisk_areas(leaves, crossing), ref, rtol=0.0, atol=AREA_ATOL)
 
 
@@ -306,6 +309,13 @@ def test_filled_region_walk_surface():
     assert np.all(d > 0)
     _, _, near = rs.nearest(z)
     assert np.allclose(np.abs(near - z), d)
+
+
+def test_origin_cell_of_a_root_settled_at_depth_zero():
+    # an empty compact settles the root square at once: its one leaf holds 0
+    fr = filled_region(DiskCompact([]), 1.0, 1e-2)
+    assert fr.leaves.depth.tolist() == [0] and fr.passable.tolist() == [True]
+    assert fr.bounds.upper == 0.0 and not fr.frontier.any()
 
 
 def test_disk_root_square_is_centred_on_origin():
@@ -403,10 +413,8 @@ def test_frontier_matches_brute_force(monkeypatch):
         touch, _ = _closed_contacts(fr.leaves, rows, passable)
         want[rows] = touch.any(axis=1) & ~fr.passable[rows]
     assert np.array_equal(fr.frontier, want)
-    x0, x1, y0, y1 = fr.leaves.rects()
-    got = fr.blocked_rects()
-    for a, b in zip(got, (x0, x1, y0, y1)):
-        assert np.array_equal(a, b[want])
+    for a, b in zip(fr.blocked_rects(), fr.leaves.rects(np.flatnonzero(want))):
+        assert np.array_equal(a, b)
 
 
 class _OnePart(Obstacle):
@@ -438,11 +446,11 @@ def _recorded_refinements(run):
 
 
 def _unpruned(run):
-    # the obstacle as one part and an infinite slack keep every part and
-    # every far flag: the classifier asks S.dist on every cell, as one
-    # without a carry would
+    # the obstacle as one part and an infinite rounding margin keep every
+    # part and every far flag: the classifier asks S.dist on every cell, as
+    # one without a carry would
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(hyperbolic, "_PRUNE_SLACK", math.inf)
+        m.setattr(geom, "ROUNDING", math.inf)
         return _recorded_refinements(run)
 
 
@@ -521,12 +529,11 @@ def test_classified_leaves_are_sound(monkeypatch, S):
     monkeypatch.setattr(quadtree, "MAX_DEPTH", 8)
     leaves, _ = quadtree.refine(*_root_square(S, 1.0), _classifier(S, 1.0), lambda lo, up: 0.0)
     assert leaves.depth_max == 8
-    x0, x1, y0, y1 = leaves.rects()
     u = np.concatenate([[0.0, 1.0, 0.0, 1.0, 0.5], np.random.default_rng(9).uniform(size=3)])
     v = np.concatenate([[0.0, 0.0, 1.0, 1.0, 0.5], np.random.default_rng(10).uniform(size=3)])
-    z = (x0[:, None] + u * (x1 - x0)[:, None]) + 1j * (y0[:, None] + v * (y1 - y0)[:, None])
     for code, member in ((quadtree.INSIDE, True), (quadtree.OUTSIDE, False)):
-        pts = z[leaves.cls == code].ravel()
+        x0, x1, y0, y1 = leaves.rects(leaves.cls == code)
+        pts = ((x0[:, None] + u * (x1 - x0)[:, None]) + 1j * (y0[:, None] + v * (y1 - y0)[:, None])).ravel()
         pts = pts[np.abs(pts) < 1.0] if S.space == "disk" else pts[pts.imag > 0]
         assert pts.size > 1000
         assert np.all(_member_mask(S, pts, 1.0) == member)

@@ -1,11 +1,12 @@
 """RectSet distance queries: a brute-force oracle and a memory bound."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hypcap import hyperbolic
+from hypcap import geom, hyperbolic
 from hypcap.capacity import ring
 from hypcap.geom import ArcBox, DiskCompact
 from hypcap.hyperbolic import RectSet, filled_region
@@ -55,6 +56,34 @@ def _mixed_union(seed):
     return RectSet(*rects.T), rng
 
 
+def _query_points(S, rng, t=0j):
+    """Points about the union S, which _mixed_union built and moved by t."""
+    i = rng.integers(0, S.x0.size, 300)
+    u = rng.uniform(0.0, 1.0, 300)
+    return np.concatenate(
+        [
+            t + rng.uniform(-1.2, 1.2, 1500) + 1j * rng.uniform(-1.2, 1.2, 1500),
+            S.x0[i] + u * (S.x1[i] - S.x0[i]) + 1j * (S.y0[i] + u * (S.y1[i] - S.y0[i])),  # inside
+            S.x0[i] + 1j * (S.y0[i] + u * (S.y1[i] - S.y0[i])),  # on a left edge
+            S.x1[i] + 1j * S.y1[i],  # on a corner
+            S.x0[i] - 0.01 + 1j * S.y0[i],  # level with a corner
+            np.full(50, t + (1.6 + 1.6j)),  # coincident points at the ring's center
+            np.full(50, t + (0.25 - 0.5j)),  # coincident points on the grid's corner
+            t + (1.6 + 1.6j) + 1e-3 * (rng.uniform(-1.0, 1.0, 100) + 1j * rng.uniform(-1.0, 1.0, 100)),  # near it
+        ]
+    )
+
+
+def _assert_matches_brute_force(S, z, atol):
+    dist, label, point = S.nearest(z)
+    want_dist = _brute(S, z)
+    assert np.array_equal(dist, want_dist)
+    # duplicated rectangles and shared corners tie: any rectangle at dist will do
+    assert np.all(_at_distance(S, z, label, dist))
+    assert np.array_equal(S.dist(z), want_dist)
+    assert np.allclose(np.abs(point - z), dist, rtol=0.0, atol=atol)
+
+
 @pytest.mark.parametrize("seed", [3, 17])
 def test_rectset_matches_brute_force(seed):
     S, rng = _mixed_union(seed)
@@ -63,26 +92,25 @@ def test_rectset_matches_brute_force(seed):
     # several tree octaves and a brute-force block: the one union that runs
     # more than one k-NN loop per query
     assert len(S._trees) >= 2 and S._small.size > 0
-    i = rng.integers(0, S.x0.size, 300)
-    u = rng.uniform(0.0, 1.0, 300)
-    z = np.concatenate(
-        [
-            rng.uniform(-1.2, 1.2, 1500) + 1j * rng.uniform(-1.2, 1.2, 1500),
-            S.x0[i] + u * (S.x1[i] - S.x0[i]) + 1j * (S.y0[i] + u * (S.y1[i] - S.y0[i])),  # inside
-            S.x0[i] + 1j * (S.y0[i] + u * (S.y1[i] - S.y0[i])),  # on a left edge
-            S.x1[i] + 1j * S.y1[i],  # on a corner
-            S.x0[i] - 0.01 + 1j * S.y0[i],  # level with a corner
-            np.full(50, 1.6 + 1.6j),  # coincident points at the ring's center
-            np.full(50, 0.25 - 0.5j),  # coincident points on the grid's corner
-        ]
-    )
-    dist, label, point = S.nearest(z)
-    want_dist = _brute(S, z)
-    assert np.array_equal(dist, want_dist)
-    # duplicated rectangles and shared corners tie: any rectangle at dist will do
-    assert np.all(_at_distance(S, z, label, dist))
-    assert np.array_equal(S.dist(z), want_dist)
-    assert np.allclose(np.abs(point - z), dist, rtol=0.0, atol=1e-12)
+    _assert_matches_brute_force(S, _query_points(S, rng), 1e-12)
+
+
+def test_translated_rectset_matches_brute_force(monkeypatch):
+    # at 1e6 + 1e6j the centers, center distances and half-diagonals round
+    # at 1.2e-10, far above an absolute margin of 1e-12: the certification
+    # margin must grow with the coordinates (geom.ROUNDING)
+    S, rng = _mixed_union(3)
+    t = 1e6 + 1e6j
+    S = RectSet(S.x0 + t.real, S.x1 + t.real, S.y0 + t.imag, S.y1 + t.imag)
+    assert len(S._trees) >= 2
+    z = _query_points(S, rng, t)
+    _assert_matches_brute_force(S, z, 1e-9)
+    # an infinite margin certifies nothing early: every octave is scanned
+    with monkeypatch.context() as m:
+        m.setattr(geom, "ROUNDING", math.inf)
+        plain = S.nearest(z)
+    for a, b in zip(plain[::2], S.nearest(z)[::2]):
+        assert np.array_equal(a, b)
 
 
 def test_rectset_ring_walk_points_match_brute_force():

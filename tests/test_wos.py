@@ -6,7 +6,7 @@ import pytest
 from hypcap.capacity import dcap_layer_sum, dcap_mc, dcap_transport, hcap_mc, ring
 from hypcap.corpus import mixed_disk_corpus, mixed_halfplane_corpus
 from hypcap.geom import ArcBox, DiskCompact, HalfDisk, HalfPlaneHull, RadialSlit, VSlit
-from hypcap import wos
+from hypcap import geom, wos
 from hypcap.hyperbolic import RectSet, filled_region
 from hypcap.wos import (
     DiskDomain,
@@ -99,9 +99,11 @@ def test_per_walk_starts():
         run_walks(d, np.full(5, 2j), 6, seed=3)
 
 
-def _same_ensemble(a, b):
+def _same_ensemble(a, b, n=None):
+    """True when the first n walks (all, if None) of a are those of b."""
     return all(
-        np.array_equal(getattr(a, f), getattr(b, f)) for f in ("terminals", "labels", "steps", "stop_dists", "flagged")
+        np.array_equal(getattr(a, f)[:n], getattr(b, f))
+        for f in ("terminals", "labels", "steps", "stop_dists", "flagged")
     )
 
 
@@ -135,29 +137,33 @@ def test_shared_start_matches_per_walk_starts():
 
 
 def test_pruned_walks_match_unpruned(monkeypatch):
-    # an infinite slack drops every part bound to -inf after each step, so
-    # every step asks every part: the walks of the loop without bounds
+    # an infinite rounding margin drops every part bound to -inf after each
+    # step, so every step asks every part, and no RectSet query certifies
+    # early: the walks of the loop without bounds
     A = mixed_halfplane_corpus(1, 7)[0]
     B = mixed_disk_corpus(3, 7)[2]
     slits = DiskCompact([RadialSlit(2 * np.pi * k / 70, 0.55 + 0.06 * (k % 7)) for k in range(70)])
     frontier = RectSet(*filled_region(DiskCompact([ArcBox(0.4, 1.2, 0.75)]), 1.0, 2e-3).blocked_rects())
+    # (domain, start, walks, walks of the reference): walks are reproducible
+    # per index, so the reference may re-run a prefix.  Unpruned, a frontier
+    # query scans all 26,641 cells, so its reference re-runs 100 walks
     cases = [
-        (HalfPlaneDomain(A), complex(sum(A.x_bounds) / 2, 2.0 * A.y_max), 3000),
-        (DiskDomain(B), 0j, 3000),
-        (DiskDomain(slits), 0j, 3000),
-        (DiskDomain(frontier), 0j, 1000),
+        (HalfPlaneDomain(A), complex(sum(A.x_bounds) / 2, 2.0 * A.y_max), 3000, 3000),
+        (DiskDomain(B), 0j, 3000, 3000),
+        (DiskDomain(slits), 0j, 3000, 3000),
+        (DiskDomain(frontier), 0j, 1000, 100),
         # far from the origin the rounding of a step grows with |z|
-        (HalfPlaneDomain(HalfPlaneHull([VSlit(0.0, 1e-3)])), 1e6 + 1j, 3000),
+        (HalfPlaneDomain(HalfPlaneHull([VSlit(0.0, 1e-3)])), 1e6 + 1j, 3000, 3000),
     ]
     assert len(A) == 9 and len(B) == 12
     monkeypatch.setattr(wos, "_CHUNK", 700)
-    for d, z, n in cases:
+    for d, z, n, n_ref in cases:
         pruned = [run_walks(d, z, n, seed=17, threads=t) for t in (1, 2)]
         with monkeypatch.context() as m:
-            m.setattr(wos, "_BOUND_SLACK", math.inf)
-            plain = run_walks(d, z, n, seed=17)
+            m.setattr(geom, "ROUNDING", math.inf)
+            plain = run_walks(d, z, n_ref, seed=17)
         for ens in pruned:
-            assert _same_ensemble(ens, plain)
+            assert _same_ensemble(ens, plain, n_ref)
 
 
 def test_per_walk_starts_outside_rejected():

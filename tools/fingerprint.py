@@ -2,7 +2,10 @@
 
 Two checkouts give the same lines exactly when their leaves, brackets,
 filled regions, walk ensembles and claim rows are bit-identical, so a
-refactor is checked with one diff:
+refactor is checked with one diff.  The rectset lines query
+RectSet.nearest where its k-NN loop has the least room, at points almost
+equidistant from many cells, so a change to the loop or a margin below
+the rounding shows up there:
 
     PYTHONPATH=src python tools/fingerprint.py > new.txt
     PYTHONPATH=../parent/src python tools/fingerprint.py > old.txt
@@ -62,6 +65,20 @@ def ensemble_digest(ens) -> str:
     return digest(*(getattr(ens, f.name) for f in dataclasses.fields(ens)))
 
 
+def translated_union() -> RectSet:
+    """Squares about 1e6 + 1e6j: 2,500 with sides from 1e-4 to 0.05, and 400 on a circle.
+
+    From near the circle's centre, 1e6 + 1e6j + 1.6 + 1.6j, no k-NN pass can
+    certify, so a margin that lets one do so changes the answers there.
+    """
+    rng = np.random.default_rng(3)
+    t = np.linspace(0.0, 2 * np.pi, 400, endpoint=False)
+    w = np.concatenate([10.0 ** rng.uniform(-4.0, np.log10(0.05), 2500), np.full(400, 2e-3)])
+    cx = 1e6 + np.concatenate([rng.uniform(-1.0, 1.0, 2500), 1.6 + 0.4 * np.cos(t)])
+    cy = 1e6 + np.concatenate([rng.uniform(-1.0, 1.0, 2500), 1.6 + 0.4 * np.sin(t)])
+    return RectSet(cx - w / 2, cx + w / 2, cy - w / 2, cy + w / 2)
+
+
 def fingerprints(claims):
     """(name, sha256) pairs, in a fixed order."""
     # neighborhood_area keeps its leaves to itself, so record them on the way
@@ -85,12 +102,26 @@ def fingerprints(claims):
         quadtree.refine = refine
 
     regions = {"ring(0.7)": ring(0.7), "arcbox(0.4,1.2,0.75)": DiskCompact([ArcBox(0.4, 1.2, 0.75)])}
-    rects = None
+    frontiers = {}
     for name, B in regions.items():
         region = filled_region(B, 1.0, 2e-3)
         yield f"filled/{name}", region_digest(region)
-        if rects is None:
-            rects = RectSet(*region.blocked_rects())
+        frontiers[name] = RectSet(*region.blocked_rects())
+
+    # walk traffic, where the frontier's inner edge is almost equidistant
+    # from the points near 0, and points near the translated circle's centre
+    rng = np.random.default_rng(5)
+    near = 1e-3 * (rng.uniform(-1.0, 1.0, 500) + 1j * rng.uniform(-1.0, 1.0, 500))
+    walk = 0.3 * np.sqrt(rng.uniform(size=2000)) * np.exp(2j * np.pi * rng.uniform(size=2000))
+    disk_points = np.concatenate([near, walk])
+    square = rng.uniform(-1.2, 1.2, 2000) + 1j * rng.uniform(-1.2, 1.2, 2000)
+    square_points = 1e6 + 1e6j + np.concatenate([square, 1.6 + 1.6j + near])
+    queries = (
+        ("arcbox-frontier", frontiers["arcbox(0.4,1.2,0.75)"], disk_points),
+        ("translated-union", translated_union(), square_points),
+    )
+    for name, S, z in queries:
+        yield f"rectset/{name}", digest(*S.nearest(z))
 
     A = mixed_halfplane_corpus(1, 7)[0]
     B = mixed_disk_corpus(1, 7)[0]
@@ -100,7 +131,7 @@ def fingerprints(claims):
     walks = (
         ("compact", DiskDomain(B), 0j, WALKS, 1),
         ("hull", HalfPlaneDomain(A), complex(sum(A.x_bounds) / 2, 2.0 * A.y_max), WALKS, 1),
-        ("filled-ring-rectset", DiskDomain(rects), 0j, WALKS, 1),
+        ("filled-ring-rectset", DiskDomain(frontiers["ring(0.7)"]), 0j, WALKS, 1),
         ("compact-threads2", DiskDomain(B), 0.1j, THREADED_WALKS, 2),
         ("far-vslit", HalfPlaneDomain(HalfPlaneHull([VSlit(0.0, 1e-3)])), 1e6 + 1j, WALKS, 1),
         ("70-slits", DiskDomain(slits), 0j, WALKS, 1),
