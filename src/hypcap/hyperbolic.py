@@ -174,10 +174,12 @@ def _classifier(S: Obstacle, rho: float):
 
     A part's bit is cleared only when both invariants let it go, and cells
     the ball tests do not apply to keep every part.  slack is geom.ROUNDING
-    x M, M = S.sup_abs plus bounds on the moduli of cell centers (in
-    _root_square) and of ball centers plus radii: half-plane ball tests
-    apply to cells with ymin >= side, so rc <= 1/sqrt2 and a ball about
-    x + iy reaches |x| + y e^(rho + rc); disk balls stay in the unit disk.
+    x M, M = S.sup_abs plus a bound on the moduli of cell centers (in
+    _root_square), and a ball test adds B e^(rho + rc) for its ball: B = 2 x
+    that bound in the half-plane (a ball about x + iy reaches |x| +
+    y e^(rho + rc)), 1 in the disk (_ball_disk divides by 1 - t^2 |z|^2 >=
+    e^-(rho + rc), 1.3e-7 at MAX_DEPTH beside the circle).  A descendant's
+    rc is smaller, so the term covers the balls of its subtree.
     """
     parts = S.parts
     far_bit = 1 << len(parts)
@@ -188,11 +190,10 @@ def _classifier(S: Obstacle, rho: float):
     corner = max(abs(complex(x, y)) for x in (gx0, gx0 + size) for y in (gy0, gy0 + size))
     if S.space == "halfplane":
         reach, settle, ball = _reach_halfplane(rho, S.y_max), _settle_halfplane, _ball_halfplane
-        balls = (gy0 + size) * math.exp(rho + 1.0 / SQRT2)
     else:
         reach, settle, ball = _reach_disk(rho, S.min_abs), _settle_disk, _ball_disk
-        balls = 1.0
-    slack = geom.ROUNDING * (S.sup_abs + corner + balls)
+    slack = geom.ROUNDING * (S.sup_abs + corner)
+    ball_slack = geom.ROUNDING * (2.0 * corner if S.space == "halfplane" else 1.0)
 
     def nearest(w, cand, limit):
         """(least distance from w to its candidate parts, bits of the candidates within limit)."""
@@ -230,7 +231,8 @@ def _classifier(S: Obstacle, rho: float):
             zc = z[t]
             cand = carry[t]
             cb, rb = ball(zc, rho + rc)
-            d, keep = nearest(cb, cand, rb + slack)
+            # rc <= 1/sqrt2 in the half-plane; past 40 a disk margin exceeds any distance
+            d, keep = nearest(cb, cand, rb + slack + ball_slack * np.exp(rho + np.minimum(rc, 40.0)))
             del cb
             sub = np.full(t.shape, UNKNOWN, dtype=np.int8)
             sub[~(d <= rb)] = OUTSIDE

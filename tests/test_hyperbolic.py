@@ -210,15 +210,12 @@ def test_disk_rect_areas_match_scalar_reference():
 
 def test_indisk_areas_match_scalar_reference_on_ring_cells():
     leaves = filled_region(ring(0.7), 1.0, 1e-2).leaves
-    # the cells the floods cross; those meeting the circle are unknown ones
-    open_cells = np.flatnonzero(leaves.cls != quadtree.INSIDE)
-    x0, x1, y0, y1 = leaves.rects(open_cells)
+    x0, x1, y0, y1 = leaves.rects(np.arange(leaves.cls.size))
     far = np.hypot(np.maximum(np.abs(x0), np.abs(x1)), np.maximum(np.abs(y0), np.abs(y1)))
     near = np.hypot(np.clip(0.0, x0, x1), np.clip(0.0, y0, y1))
-    at = np.flatnonzero((far > 1.0) & (near < 1.0))
-    crossing = open_cells[at]
+    crossing = np.flatnonzero((far > 1.0) & (near < 1.0))
     assert crossing.size > 1000
-    ref = [circle_rect_area(x0[i], x1[i], y0[i], y1[i]) for i in at]
+    ref = [circle_rect_area(x0[i], x1[i], y0[i], y1[i]) for i in crossing]
     assert np.allclose(_indisk_areas(leaves, crossing), ref, rtol=0.0, atol=AREA_ATOL)
 
 
@@ -482,6 +479,18 @@ def test_pruned_classifier_matches_unpruned(kind, index):
     assert len(S.parts) >= 5
     got, seen = _recorded_refinements(lambda: neighborhood_area(S, 1.0, 1e-2, relative=True))
     want, ref = _unpruned(lambda: neighborhood_area(_OnePart(S), 1.0, 1e-2, relative=True))
+    assert got == want
+    _assert_same_refinements(seen, ref)
+
+
+def test_pruned_classifier_near_the_circle():
+    # refinement runs to MAX_DEPTH beside the circle, where _ball_disk
+    # divides by as little as 1.3e-7, so its balls may round far above
+    # ROUNDING x (sup_abs + corner)
+    S = DiskCompact([RadialSlit(0.0, 0.9999), RadialSlit(0.01, 0.9999)])
+    got, seen = _recorded_refinements(lambda: neighborhood_area(S, 1.0, 1e-3, relative=True))
+    want, ref = _unpruned(lambda: neighborhood_area(_OnePart(S), 1.0, 1e-3, relative=True))
+    assert not got.tolerance_met
     assert got == want
     _assert_same_refinements(seen, ref)
 

@@ -31,8 +31,8 @@ def _at_distance(S, z, label, dist):
     return _rect_dist(S, z, label[:, None])[:, 0] == dist
 
 
-def _mixed_union(seed):
-    """Random rectangles with sides from 1e-4 to 0.05, a dyadic grid and a ring of cells."""
+def _mixed_union(seed, t=0j):
+    """Random rectangles with sides from 1e-4 to 0.05, a dyadic grid and a ring of cells, moved by t."""
     rng = np.random.default_rng(seed)
     n = 2500
     w = 10.0 ** rng.uniform(-4.0, np.log10(0.05), n)
@@ -46,21 +46,38 @@ def _mixed_union(seed):
     rects.append(np.stack([gx, gx + s, gy, gy + s], axis=1))
     # 400 cells centered on a circle about 1.6 + 1.6j, clear of the others:
     # from its center no k-NN pass can certify, so the octave is scanned
-    t = np.linspace(0.0, 2 * np.pi, 400, endpoint=False)
-    rx, ry = 1.6 + 0.4 * np.cos(t), 1.6 + 0.4 * np.sin(t)
+    t_ring = np.linspace(0.0, 2 * np.pi, 400, endpoint=False)
+    rx, ry = 1.6 + 0.4 * np.cos(t_ring), 1.6 + 0.4 * np.sin(t_ring)
     rects.append(np.stack([rx - 1e-3, rx + 1e-3, ry - 1e-3, ry + 1e-3], axis=1))
     rects = np.concatenate(rects)
     # every tenth rectangle again, shuffled: exact ties between identical rectangles
     rects = np.concatenate([rects, rects[::10]])
     rects = rects[rng.permutation(len(rects))]
+    rects += [t.real, t.real, t.imag, t.imag]
     return RectSet(*rects.T), rng
 
 
-def _query_points(S, rng, t=0j):
-    """Points about the union S, which _mixed_union built and moved by t."""
+@pytest.mark.parametrize(
+    "seed, t, atol",
+    [
+        pytest.param(3, 0j, 1e-12, id="3"),
+        pytest.param(17, 0j, 1e-12, id="17"),
+        # at 1e6 + 1e6j the centers, center distances and half-diagonals
+        # round at 1.2e-10, far above an absolute margin of 1e-12: the
+        # certification margin must grow with the coordinates (geom.ROUNDING)
+        pytest.param(3, 1e6 + 1e6j, 1e-9, id="translated"),
+    ],
+)
+def test_rectset_matches_brute_force(monkeypatch, seed, t, atol):
+    S, rng = _mixed_union(seed, t)
+    sides = np.maximum(S.x1 - S.x0, S.y1 - S.y0)
+    assert sides.max() / sides.min() >= 256
+    # several tree octaves and a brute-force block: the one union that runs
+    # more than one k-NN loop per query
+    assert len(S._trees) >= 2 and S._small.size > 0
     i = rng.integers(0, S.x0.size, 300)
     u = rng.uniform(0.0, 1.0, 300)
-    return np.concatenate(
+    z = np.concatenate(
         [
             t + rng.uniform(-1.2, 1.2, 1500) + 1j * rng.uniform(-1.2, 1.2, 1500),
             S.x0[i] + u * (S.x1[i] - S.x0[i]) + 1j * (S.y0[i] + u * (S.y1[i] - S.y0[i])),  # inside
@@ -72,9 +89,6 @@ def _query_points(S, rng, t=0j):
             t + (1.6 + 1.6j) + 1e-3 * (rng.uniform(-1.0, 1.0, 100) + 1j * rng.uniform(-1.0, 1.0, 100)),  # near it
         ]
     )
-
-
-def _assert_matches_brute_force(S, z, atol):
     dist, label, point = S.nearest(z)
     want_dist = _brute(S, z)
     assert np.array_equal(dist, want_dist)
@@ -82,35 +96,10 @@ def _assert_matches_brute_force(S, z, atol):
     assert np.all(_at_distance(S, z, label, dist))
     assert np.array_equal(S.dist(z), want_dist)
     assert np.allclose(np.abs(point - z), dist, rtol=0.0, atol=atol)
-
-
-@pytest.mark.parametrize("seed", [3, 17])
-def test_rectset_matches_brute_force(seed):
-    S, rng = _mixed_union(seed)
-    sides = np.maximum(S.x1 - S.x0, S.y1 - S.y0)
-    assert sides.max() / sides.min() >= 256
-    # several tree octaves and a brute-force block: the one union that runs
-    # more than one k-NN loop per query
-    assert len(S._trees) >= 2 and S._small.size > 0
-    _assert_matches_brute_force(S, _query_points(S, rng), 1e-12)
-
-
-def test_translated_rectset_matches_brute_force(monkeypatch):
-    # at 1e6 + 1e6j the centers, center distances and half-diagonals round
-    # at 1.2e-10, far above an absolute margin of 1e-12: the certification
-    # margin must grow with the coordinates (geom.ROUNDING)
-    S, rng = _mixed_union(3)
-    t = 1e6 + 1e6j
-    S = RectSet(S.x0 + t.real, S.x1 + t.real, S.y0 + t.imag, S.y1 + t.imag)
-    assert len(S._trees) >= 2
-    z = _query_points(S, rng, t)
-    _assert_matches_brute_force(S, z, 1e-9)
     # an infinite margin certifies nothing early: every octave is scanned
-    with monkeypatch.context() as m:
-        m.setattr(geom, "ROUNDING", math.inf)
-        plain = S.nearest(z)
-    for a, b in zip(plain[::2], S.nearest(z)[::2]):
-        assert np.array_equal(a, b)
+    monkeypatch.setattr(geom, "ROUNDING", math.inf)
+    plain_dist, _, plain_point = S.nearest(z)
+    assert np.array_equal(plain_dist, dist) and np.array_equal(plain_point, point)
 
 
 def test_rectset_ring_walk_points_match_brute_force():
