@@ -44,6 +44,17 @@ def _as_complex(z) -> np.ndarray:
     return np.asarray(z, dtype=complex)
 
 
+def _modulus_range(x0, x1, y0, y1) -> tuple[np.ndarray, np.ndarray]:
+    """(least, greatest) |z| over each closed rectangle [x0, x1] x [y0, y1]."""
+    near = np.hypot(np.clip(0.0, x0, x1), np.clip(0.0, y0, y1))
+    far = np.hypot(np.maximum(np.abs(x0), np.abs(x1)), np.maximum(np.abs(y0), np.abs(y1)))
+    return near, far
+
+
+def _never(cx) -> np.ndarray:
+    return np.zeros(np.shape(cx), dtype=bool)
+
+
 # ---------------------------------------------------------------------------
 # shape families
 # ---------------------------------------------------------------------------
@@ -68,6 +79,9 @@ class VSlit:
     def nearest(self, z) -> np.ndarray:
         z = _as_complex(z)
         return self.x + 1j * np.clip(z.imag, 0.0, self.h)
+
+    def contains_square(self, cx, cy, half) -> np.ndarray:
+        return _never(cx)
 
     @property
     def sup_abs(self) -> float:
@@ -107,6 +121,9 @@ class BoxShape:
     def nearest(self, z) -> np.ndarray:
         z = _as_complex(z)
         return np.clip(z.real, self.x0, self.x1) + 1j * np.clip(z.imag, self.y0, self.y1)
+
+    def contains_square(self, cx, cy, half) -> np.ndarray:
+        return (cx - half >= self.x0) & (cx + half <= self.x1) & (cy - half >= self.y0) & (cy + half <= self.y1)
 
     @property
     def sup_abs(self) -> float:
@@ -152,6 +169,10 @@ class HalfDisk:
             seg = np.clip(z.real, self.c - self.r, self.c + self.r) + 0j
             out = np.where(below, seg, out)
         return out
+
+    def contains_square(self, cx, cy, half) -> np.ndarray:
+        # above the axis, the corner farthest from c decides
+        return (cy - half >= 0.0) & (np.hypot(np.abs(cx - self.c) + half, cy + half) <= self.r)
 
     @property
     def sup_abs(self) -> float:
@@ -202,6 +223,9 @@ class RadialSlit:
 
     def nearest(self, z) -> np.ndarray:
         return _segment_nearest(_as_complex(z), self.theta, self.rho)
+
+    def contains_square(self, cx, cy, half) -> np.ndarray:
+        return _never(cx)
 
     @property
     def rho_min(self) -> float:
@@ -274,6 +298,25 @@ class ArcBox:
             _segment_nearest(z, self.theta1, self.rho),
         )
         return np.where(inside_ang, radial, edge)
+
+    def contains_square(self, cx, cy, half) -> np.ndarray:
+        """The square's moduli lie in [rho, 1] and its directions in [theta0, theta1].
+
+        A square off the origin sees its directions as an arc shorter than
+        pi, spanned by its corners.  Measured from theta0, corner angles
+        spanning less than pi do not wrap past theta0, so the arc is their
+        range; a square across a gap narrower than itself has corners on
+        both sides of theta0 and spans more.
+        """
+        x0, x1, y0, y1 = cx - half, cx + half, cy - half, cy + half
+        near, far = _modulus_range(x0, x1, y0, y1)
+        ok = (near >= self.rho) & (far <= 1.0)
+        if self.width >= TWO_PI:
+            return ok
+        corners = np.stack([x0 + 1j * y0, x1 + 1j * y0, x0 + 1j * y1, x1 + 1j * y1])
+        d = _norm_angle(np.angle(corners) - self.theta0)
+        lo, hi = d.min(axis=0), d.max(axis=0)
+        return ok & (hi - lo < math.pi) & (hi <= self.width)
 
     @property
     def rho_min(self) -> float:
@@ -373,6 +416,12 @@ class Obstacle(ABC):
       can still be nearer than the rest of the boundary.  A
       ``_ShapeUnion``'s parts are its shapes; any other obstacle is its
       own single part.
+    - ``contains_square(cx, cy, half)``: True where the closed square
+      [cx - half, cx + half] x [cy - half, cy + half] lies in the set, an
+      exact predicate per shape family that the quadtree classifier asks
+      of a cell's candidate parts.  Boxes, half-disks and annular sectors
+      can hold a square; slits have no area, and the other obstacles
+      (``RectSet``) answer False everywhere.
 
     Disk-space obstacles also have ``min_abs``, a lower bound on |z| over
     the set.  The walkable ones (HalfPlaneHull, DiskCompact and RectSet)
@@ -392,6 +441,9 @@ class Obstacle(ABC):
     @property
     def parts(self) -> tuple:
         return (self,)
+
+    def contains_square(self, cx, cy, half) -> np.ndarray:
+        return _never(cx)
 
 
 def require_obstacle(S, space: str | None = None) -> None:
@@ -439,6 +491,12 @@ class _ShapeUnion(Obstacle):
     @property
     def parts(self) -> tuple:
         return self.shapes
+
+    def contains_square(self, cx, cy, half) -> np.ndarray:
+        out = _never(cx)
+        for s in self.shapes:
+            out |= s.contains_square(cx, cy, half)
+        return out
 
     @property
     def is_empty(self) -> bool:

@@ -24,7 +24,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from . import geom, quadtree
-from .geom import Obstacle, _as_complex, require_obstacle
+from .geom import Obstacle, _as_complex, _modulus_range, require_obstacle
 from .quadtree import INSIDE, OUTSIDE, UNKNOWN, AreaBounds, Leaves
 
 SQRT2 = math.sqrt(2.0)
@@ -117,6 +117,23 @@ def _reach_disk(rho: float, min_abs: float) -> float:
     return t * (1.0 - min_abs * min_abs) / (1.0 - t)
 
 
+# A point z of N lies within its own rho-ball's reach of S, Im z (e^rho - 1)
+# or t (1 - |z|^2) / (1 - t), so a cell's points of N lie within the reach at
+# its highest point or least modulus.  Each function returns that bound and
+# the bound at the lowest point or greatest modulus, below which no
+# descendant's bound falls.  Moduli are clipped to 1 (N lies in the disk),
+# which keeps both bounds >= 0 and monotone under descent.
+
+
+def _cell_reach_halfplane(rho, cx, cy, half):
+    return _reach_halfplane(rho, cy + half), _reach_halfplane(rho, cy - half)
+
+
+def _cell_reach_disk(rho, cx, cy, half):
+    near, far = _modulus_range(cx - half, cx + half, cy - half, cy + half)
+    return _reach_disk(rho, np.minimum(near, 1.0)), _reach_disk(rho, np.minimum(far, 1.0))
+
+
 # ---------------------------------------------------------------------------
 # neighborhood area
 # ---------------------------------------------------------------------------
@@ -142,17 +159,25 @@ def _classifier(S: Obstacle, rho: float):
     """Sound quadtree classifier for the rho-neighborhood of S.
 
     settle bounds the hyperbolic radius of a cell about its center c by
-    rc = halfdiag x (a bound on the density over the cell).  The cell is
-    OUTSIDE when the centre test d - halfdiag > reach fires (d = dist(c);
-    no point of N is farther than reach from S) or when the grown
-    (rho + rc)-ball about c misses S, and INSIDE when the shrunk
-    (rho - rc)-ball meets S.
+    rc = halfdiag x (a bound on the density over the cell).  A cell is
+    OUTSIDE when the centre test d - halfdiag > reach_c fires (d = dist(c))
+    or when the grown (rho + rc)-ball about c misses S, and INSIDE when the
+    shrunk (rho - rc)-ball meets S or when a part of S holds the closed
+    cell (contains_square).  reach_c = min(reach, the cell's own reach):
+    no point of N is farther than reach from S, and none in the cell
+    farther than the reach of the rho-ball about its highest point (its
+    point of least modulus in the disk; _cell_reach_*).  The last two
+    settle the cells no ball test can: those inside a shape where rc >=
+    rho, and those beside the axis or the circle, far from S for their
+    height but within S's reach.  Both are decisions like d <= r_b and take
+    no margin.
 
     Each cell carries one integer (see quadtree): a bit per part of S, set
     while the part can still decide a cell of the subtree, and a far bit,
     set while the centre test can still fire there.  The tests ask only the
     parts whose bit is set and get the answers all of S would give, so the
-    leaves are those of a classifier that asks S.dist on every cell:
+    leaves are those of a classifier that asks S.dist and
+    S.contains_square on every cell:
 
     - Invariant 1 (pruning).  The descendants of a cell the ball tests
       apply to are such cells too.  A child's center lies halfdiag / 2 from
@@ -166,11 +191,18 @@ def _classifier(S: Obstacle, rho: float):
       asks "is a candidate within r", which has the answer of
       dist(c) <= r.
     - Invariant 2 (centre test).  A descendant's center lies within
-      halfdiag - halfdiag' of c, so the test can fire in the subtree only
-      while d + halfdiag > reach - slack.  Below that the far bit is
-      cleared and the subtree skips the centre distance.  While it is set,
-      a part with d_part(c) > reach + halfdiag + slack passes the test
-      everywhere in the subtree.
+      halfdiag - halfdiag' of c, and its reach_c' is at most reach_c and
+      at least r_lo = min(reach, the cell reach at the lowest point or
+      greatest modulus).  So the test can fire in the subtree only while
+      d + halfdiag > r_lo - slack.  Below that the far bit is cleared and
+      the subtree skips the centre distance.  While it is set, a part with
+      d_part(c) > reach_c + halfdiag + slack passes the test everywhere in
+      the subtree.
+    - Containment.  A part that holds a descendant has distance 0 from
+      its center, which lies in every ball of that descendant and within
+      halfdiag of c, so neither invariant clears the part's bit above it.
+      Asking the candidate parts of the cells still UNKNOWN therefore gives
+      the answer of S.contains_square.
 
     A part's bit is cleared only when both invariants let it go, and cells
     the ball tests do not apply to keep every part.  slack is geom.ROUNDING
@@ -189,9 +221,11 @@ def _classifier(S: Obstacle, rho: float):
     gx0, gy0, size = _root_square(S, rho)
     corner = max(abs(complex(x, y)) for x in (gx0, gx0 + size) for y in (gy0, gy0 + size))
     if S.space == "halfplane":
-        reach, settle, ball = _reach_halfplane(rho, S.y_max), _settle_halfplane, _ball_halfplane
+        reach, cell_reach = _reach_halfplane(rho, S.y_max), _cell_reach_halfplane
+        settle, ball = _settle_halfplane, _ball_halfplane
     else:
-        reach, settle, ball = _reach_disk(rho, S.min_abs), _settle_disk, _ball_disk
+        reach, cell_reach = _reach_disk(rho, S.min_abs), _cell_reach_disk
+        settle, ball = _settle_disk, _ball_disk
     slack = geom.ROUNDING * (S.sup_abs + corner)
     ball_slack = geom.ROUNDING * (2.0 * corner if S.space == "halfplane" else 1.0)
 
@@ -216,15 +250,16 @@ def _classifier(S: Obstacle, rho: float):
         out = np.full(cx.shape, UNKNOWN, dtype=np.int8)
         f = np.flatnonzero((carry & far_bit) != 0)
         if f.size:
-            d, far_keep = nearest(z[f], carry[f], reach + halfdiag + slack)
-            out[f[d - halfdiag > reach]] = OUTSIDE
+            r_c, r_lo = (np.minimum(reach, r) for r in cell_reach(rho, cx[f], cy[f], half))
+            d, far_keep = nearest(z[f], carry[f], r_c + halfdiag + slack)
+            out[f[d - halfdiag > r_c]] = OUTSIDE
             # the far bit and the parts the centre test still needs, or
             # nothing once the bit is cleared
-            on = d + halfdiag > reach - slack
+            on = d + halfdiag > r_lo - slack
             far_keep[on] |= far_bit
             far_keep[~on] = 0
             carry[f[~on]] ^= far_bit
-            del d, on
+            del d, on, r_c, r_lo
         test, rc = settle(z, half, halfdiag, out)
         t = np.flatnonzero(test)
         if t.size:
@@ -246,6 +281,11 @@ def _classifier(S: Obstacle, rho: float):
             if f.size:
                 in_t = test[f]
                 carry[f[in_t]] |= far_keep[in_t]
+        u = np.flatnonzero(out == UNKNOWN)
+        for j, part in enumerate(parts):
+            rows = u[(carry[u] & (1 << j)) != 0]
+            if rows.size:
+                out[rows[part.contains_square(cx[rows], cy[rows], half)]] = INSIDE
         return out, carry
 
     return classify
@@ -294,7 +334,10 @@ class FilledRegion:
     Cells certified free of N that are grid-connected to the cell holding
     the origin form the *passable* region, a guaranteed subset of the
     complement of the filled neighborhood; everything else is *blocked*.
-    The *frontier* is the blocked cells that touch a passable cell.
+    The *frontier* is the blocked cells that touch a passable cell and
+    meet the closed unit disk.  A walk in the disk is nearer the circle
+    than any cell wholly outside it, so dropping those cells changes no
+    step or terminal of a walk against the frontier.
     """
 
     leaves: Leaves
@@ -432,8 +475,7 @@ def _indisk_areas(leaves: Leaves, cells: np.ndarray) -> np.ndarray:
     """Exact area of each of the cells (a mask or indices) inside the closed unit disk."""
     x0, x1, y0, y1 = leaves.rects(cells)
     side = np.ldexp(leaves.size, -leaves.depth[cells])
-    far = np.hypot(np.maximum(np.abs(x0), np.abs(x1)), np.maximum(np.abs(y0), np.abs(y1)))
-    near = np.hypot(np.clip(0.0, x0, x1), np.clip(0.0, y0, y1))
+    near, far = _modulus_range(x0, x1, y0, y1)
     out = np.where(far <= 1.0, side * side, 0.0)
     i = np.flatnonzero((far > 1.0) & (near < 1.0))
     out[i] = _disk_rect_areas(x0[i], x1[i], y0[i], y1[i])
@@ -459,6 +501,8 @@ def filled_region(
 
     leaves, n_bounds = quadtree.refine(*_root_square(B, rho), _classifier(B, rho), lambda lo, up: tol / 2.0)
     reached_strict, reached_gen, frontier = _flood_masks(leaves)
+    outside = _modulus_range(*leaves.rects(frontier))[0] > 1.0
+    frontier[np.flatnonzero(frontier)[outside]] = False
     # the strict graph is a subgraph of the generous one, so the free cells
     # the generous flood misses are among those the strict one misses
     trapped = (leaves.cls == OUTSIDE) & ~reached_strict
@@ -552,8 +596,8 @@ class RectSet(Obstacle):
                 tree = cKDTree(np.column_stack([cx[idx], cy[idx]]), leafsize=_TREE_LEAF, compact_nodes=False)
                 self._trees.append((tree, idx, float(half[idx].max())))
         self._small = np.sort(np.concatenate(small)) if small else np.empty(0, dtype=np.int64)
-        self.min_abs = float(np.min(np.hypot(np.clip(0.0, self.x0, self.x1), np.clip(0.0, self.y0, self.y1))))
-        far = np.hypot(np.maximum(np.abs(self.x0), np.abs(self.x1)), np.maximum(np.abs(self.y0), np.abs(self.y1)))
+        near, far = _modulus_range(self.x0, self.x1, self.y0, self.y1)
+        self.min_abs = float(np.min(near))
         self.sup_abs = float(np.max(far))
 
     def _merge(self, z, rows, cand, dist, best) -> None:

@@ -164,3 +164,53 @@ def test_scale_and_mirror():
     m = h.mirror()
     assert m.shapes[0] == VSlit(-1, 1)
     assert m.shapes[1] == BoxShape(-3, -2, 0, 0.5)
+
+
+def _sampled_containment(shape, cx, cy, half, n=41):
+    """True where every point of an n x n grid on the closed square lies in the shape."""
+    u = np.linspace(-1.0, 1.0, n)
+    pts = (cx[:, None, None] + half * u[None, :, None]) + 1j * (cy[:, None, None] + half * u[None, None, :])
+    return np.all(shape.dist(pts) == 0.0, axis=(1, 2))
+
+
+@pytest.mark.parametrize(
+    "shape, lo, hi",
+    [
+        (BoxShape(-0.3, 0.4, 0.0, 0.8), -0.5 + 0j, 0.6 + 1j),
+        (HalfDisk(0.2, 0.7), -0.6 + 0j, 1.0 + 0.8j),
+        (ArcBox(0.4, 1.2, 0.75), -1.0 - 1.0j, 1.0 + 1.0j),
+        (ArcBox(-2.0, 2.5, 0.6), -1.0 - 1.0j, 1.0 + 1.0j),
+        (ArcBox(0.3, 0.3 + 2 * math.pi, 0.7), -1.0 - 1.0j, 1.0 + 1.0j),
+        (VSlit(0.1, 0.8), -0.5 + 0j, 0.6 + 1j),
+        (RadialSlit(0.4, 0.6), -1.0 - 1.0j, 1.0 + 1.0j),
+    ],
+)
+def test_contains_square_matches_sampling(shape, lo, hi):
+    # the predicate is exact: on seeded squares it agrees with a dense grid
+    # of each closed square, for those it holds and those it does not
+    rng = np.random.default_rng(4)
+    half = 0.04
+    cx = rng.uniform(lo.real + half, hi.real - half, 4000)
+    cy = rng.uniform(lo.imag + half, hi.imag - half, 4000)
+    got = shape.contains_square(cx, cy, half)
+    assert np.array_equal(got, _sampled_containment(shape, cx, cy, half))
+    if isinstance(shape, (VSlit, RadialSlit)):
+        assert not got.any()
+    else:
+        assert 0 < np.count_nonzero(got) < got.size
+
+
+def test_arcbox_square_across_the_gap_is_not_contained():
+    # a sector wider than pi whose gap is narrower than the square: every
+    # corner lies in the sector, but the square covers the gap
+    gap = 0.004
+    shape = ArcBox(0.3, 0.3 + 2 * math.pi - gap, 0.7)
+    half = 0.01
+    for phi, inside in ((0.3 - gap / 2, False), (0.3 + 1.0, True)):
+        c = 0.9 * np.exp(1j * phi)
+        corners = c + half * np.array([-1 - 1j, 1 - 1j, -1 + 1j, 1 + 1j])
+        assert np.all(shape.dist(corners) == 0.0)
+        got = shape.contains_square(np.array([c.real]), np.array([c.imag]), half)
+        assert got.tolist() == [inside]
+    assert DiskCompact([shape]).contains_square(np.array([c.real]), np.array([c.imag]), half).tolist() == [True]
+

@@ -16,8 +16,10 @@ from hypcap.geom import (
     Obstacle,
     RadialSlit,
     VSlit,
+    _modulus_range,
 )
 from hypcap.hyperbolic import (
+    SQRT2,
     DomainError,
     RectSet,
     _ball_disk,
@@ -409,13 +411,18 @@ def test_frontier_matches_brute_force(monkeypatch):
         rows = np.arange(start, min(start + 512, want.size))
         touch, _ = _closed_contacts(fr.leaves, rows, passable)
         want[rows] = touch.any(axis=1) & ~fr.passable[rows]
+    # cells wholly outside the closed disk leave the frontier
+    x0, x1, y0, y1 = fr.leaves.rects(np.arange(want.size))
+    outside = np.hypot(np.clip(0.0, x0, x1), np.clip(0.0, y0, y1)) > 1.0
+    assert np.any(want & outside)
+    want &= ~outside
     assert np.array_equal(fr.frontier, want)
     for a, b in zip(fr.blocked_rects(), fr.leaves.rects(np.flatnonzero(want))):
         assert np.array_equal(a, b)
 
 
 class _OnePart(Obstacle):
-    """S as a single part whose dist is S.dist, so the classifier has no part to drop."""
+    """S as a single part whose dist and contains_square are S's, so the classifier has no part to drop."""
 
     def __init__(self, S):
         self.S = S
@@ -425,6 +432,9 @@ class _OnePart(Obstacle):
 
     def dist(self, z):
         return self.S.dist(z)
+
+    def contains_square(self, cx, cy, half):
+        return self.S.contains_square(cx, cy, half)
 
 
 def _recorded_refinements(run):
@@ -529,15 +539,45 @@ NINE_SHAPE_HULL = HalfPlaneHull(
 )
 
 
-@pytest.mark.parametrize("S", [generate_element("radial-slit-set", 7, 0), NINE_SHAPE_HULL])
-def test_classified_leaves_are_sound(monkeypatch, S):
+def _ball_radius_bound(S, leaves, cells):
+    """The classifier's bound rc on the hyperbolic radius of each cell, inf where no ball test applies."""
+    x0, x1, y0, y1 = leaves.rects(cells)
+    halfdiag = (x1 - x0) / SQRT2
+    with np.errstate(divide="ignore"):
+        if S.space == "halfplane":
+            return np.where(y0 > 0, halfdiag / y0, np.inf)
+        far = _modulus_range(x0, x1, y0, y1)[1]
+        return np.where(far < 1.0, 2.0 * halfdiag / (1.0 - far * far), np.inf)
+
+
+@pytest.mark.parametrize(
+    "S, n_parts, settled_by",
+    [
+        (generate_element("radial-slit-set", 7, 0), 9, "reach"),
+        (NINE_SHAPE_HULL, 9, "containment"),
+        (ring(0.7), 1, "containment"),
+        # wider than pi, with a gap of 0.004 rad: a depth-8 cell beside the
+        # circle spans about 0.008 rad
+        (DiskCompact([ArcBox(0.3, 0.3 + 2 * math.pi - 0.004, 0.7)]), 1, "containment"),
+    ],
+    ids=["S0", "S1", "S2", "S3"],
+)
+def test_classified_leaves_are_sound(monkeypatch, S, n_parts, settled_by):
     # every settled leaf is checked against exact membership at its corners,
     # its center and three seeded points: INSIDE leaves lie in N, OUTSIDE
     # leaves miss it
-    assert len(S.parts) == 9
+    assert len(S.parts) == n_parts
     monkeypatch.setattr(quadtree, "MAX_DEPTH", 8)
     leaves, _ = quadtree.refine(*_root_square(S, 1.0), _classifier(S, 1.0), lambda lo, up: 0.0)
     assert leaves.depth_max == 8
+    # some leaves are settled where no ball test can settle them: by the
+    # cell reach across the circle, or by containment where rc >= rho
+    # (touching the axis, rc is unbounded)
+    if settled_by == "reach":
+        near, far = _modulus_range(*leaves.rects(leaves.cls == quadtree.OUTSIDE))
+        assert np.any((near < 1.0) & (far > 1.0))
+    else:
+        assert np.any(_ball_radius_bound(S, leaves, leaves.cls == quadtree.INSIDE) >= 1.0)
     u = np.concatenate([[0.0, 1.0, 0.0, 1.0, 0.5], np.random.default_rng(9).uniform(size=3)])
     v = np.concatenate([[0.0, 0.0, 1.0, 1.0, 0.5], np.random.default_rng(10).uniform(size=3)])
     for code, member in ((quadtree.INSIDE, True), (quadtree.OUTSIDE, False)):

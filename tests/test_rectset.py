@@ -9,7 +9,7 @@ import pytest
 from hypcap import geom, hyperbolic
 from hypcap.capacity import ring
 from hypcap.geom import ArcBox, DiskCompact
-from hypcap.hyperbolic import RectSet, filled_region
+from hypcap.hyperbolic import RectSet, _flood_masks, filled_region
 from hypcap.wos import DiskDomain, run_walks
 
 
@@ -131,9 +131,27 @@ def test_rectset_tree_matches_brute_force_on_walk_traffic(monkeypatch):
         assert np.array_equal(a.labels >= 0, b.labels >= 0)
 
 
+def test_frontier_cells_outside_the_disk_change_no_walk():
+    # filled_region drops the frontier cells wholly outside the closed disk:
+    # a walk in the disk is nearer the circle than any of them
+    fr = filled_region(DiskCompact([ArcBox(0.4, 1.2, 0.75)]), 1, 2e-3)
+    flood = _flood_masks(fr.leaves)[2]
+    dropped = flood & ~fr.frontier
+    assert not np.any(fr.frontier & ~flood) and np.count_nonzero(dropped) == 24
+    x0, x1, y0, y1 = fr.leaves.rects(dropped)
+    assert np.all(np.hypot(np.clip(0.0, x0, x1), np.clip(0.0, y0, y1)) > 1.0)
+    kept, every = RectSet(*fr.blocked_rects()), RectSet(*fr.leaves.rects(flood))
+    for threads in (1, 2):
+        a = run_walks(DiskDomain(kept), 0j, 2000, seed=7000, threads=threads)
+        b = run_walks(DiskDomain(every), 0j, 2000, seed=7000, threads=threads)
+        for field in ("terminals", "steps", "stop_dists", "flagged"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        assert np.array_equal(a.labels >= 0, b.labels >= 0)
+
+
 def test_rectset_query_memory_is_bounded():
-    # the frontier's inner edge is an arc about 0: thousands of its 26,641
-    # cells lie within the largest cell's half-diagonal of the nearest
+    # the frontier's inner edge is an arc about 0: about a thousand of its
+    # 9,816 cells lie within the largest cell's half-diagonal of the nearest
     # distance, so a query's memory must not grow with the k it reaches
     S = RectSet(*filled_region(DiskCompact([ArcBox(0.4, 1.2, 0.75)]), 1, 2e-3).blocked_rects())
     z = np.zeros(4096, complex)

@@ -1,11 +1,12 @@
 """Smoke tier for the claim harness: small walk counts, coarse areas, tiny corpora.
 
-"fattening" runs in a child process under a 1 GB max-RSS gate; "omega" is
-left out until its filled regions certify in bounded memory (ROADMAP item
-1).  At this config, on a 2-core x86 VM with 7.8 GB, three runs each,
-"fattening" takes 11.3-12.3 s and peaks at 0.53-0.54 GB RSS, and "omega"
-takes 11.7-13.7 s and peaks at 1.43 GB RSS in filled_region on the ring at
-rho = 0.125, after its one refinement (which alone peaks at 1.17 GB).
+"fattening" and "omega" each run in a child process under a 1 GB max-RSS
+gate.  At this config, on a 2-core x86 VM with 7.8 GB, one run each,
+"fattening" takes 3.7 s at 193 MB max RSS (4 pass, 3 inconclusive) and
+"omega" 1.7 s at 209 MB (4 pass).  Before the quadtree classifier settled
+cells by their own reach and by containment in a shape, they took 8.6 s at
+570 MB and 8.9 s at 1.42 GB, most of it in filled_region on the ring at
+rho = 0.125.
 """
 
 import dataclasses
@@ -45,33 +46,45 @@ def test_claim_smoke(claim):
 
 
 # run in a fresh interpreter so that ru_maxrss is this claim's peak alone
-_FATTENING_CHILD = """
+_CLAIM_CHILD = """
 import json, resource
 from hypcap.verify import VerifyConfig, run_claim
-cfg = VerifyConfig(**json.loads(input()))
-rows = {r.name: r.verdict for r in run_claim("fattening", cfg)}
+claim, cfg = json.loads(input())
+rows = {r.name: r.verdict for r in run_claim(claim, VerifyConfig(**cfg))}
 print(json.dumps({"rows": rows, "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
 """
 
 
-def test_fattening_smoke_in_bounded_memory():
+def _smoke_in_child(claim):
+    """(rows by name, max RSS in KB) of the claim at SMOKE in a child process."""
     src = os.path.dirname(os.path.dirname(hypcap.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     child = subprocess.run(
-        [sys.executable, "-c", _FATTENING_CHILD],
-        input=json.dumps(dataclasses.asdict(SMOKE)),
+        [sys.executable, "-c", _CLAIM_CHILD],
+        input=json.dumps([claim, dataclasses.asdict(SMOKE)]),
         capture_output=True,
         text=True,
         env=env,
         check=True,
     )
     out = json.loads(child.stdout.splitlines()[-1])
-    rows = out["rows"]
+    return out["rows"], out["maxrss_kb"]
+
+
+def test_fattening_smoke_in_bounded_memory():
+    rows, maxrss_kb = _smoke_in_child("fattening")
     assert [name for name, v in rows.items() if v == "fail"] == []
     for tag in ("[arcbox]", "[ring]"):
         assert rows[f"ratio{tag}"] == rows[f"schwarz{tag}"] == "pass"
     # ru_maxrss is in KB on Linux
-    assert out["maxrss_kb"] < 1 << 20
+    assert maxrss_kb < 1 << 20
+
+
+def test_omega_smoke_in_bounded_memory():
+    rows, maxrss_kb = _smoke_in_child("omega")
+    assert rows
+    assert [name for name, v in rows.items() if v != "pass"] == []
+    assert maxrss_kb < 1 << 20
 
 
 def test_theorem_reports_skip_empty_elements():
