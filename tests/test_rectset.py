@@ -137,7 +137,7 @@ def test_frontier_cells_outside_the_disk_change_no_walk():
     fr = filled_region(DiskCompact([ArcBox(0.4, 1.2, 0.75)]), 1, 2e-3)
     flood = _flood_masks(fr.leaves)[2]
     dropped = flood & ~fr.frontier
-    assert not np.any(fr.frontier & ~flood) and np.count_nonzero(dropped) == 24
+    assert not np.any(fr.frontier & ~flood) and np.any(dropped)
     x0, x1, y0, y1 = fr.leaves.rects(dropped)
     assert np.all(np.hypot(np.clip(0.0, x0, x1), np.clip(0.0, y0, y1)) > 1.0)
     kept, every = RectSet(*fr.blocked_rects()), RectSet(*fr.leaves.rects(flood))

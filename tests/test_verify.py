@@ -3,10 +3,7 @@
 "fattening" and "omega" each run in a child process under a 1 GB max-RSS
 gate.  At this config, on a 2-core x86 VM with 7.8 GB, one run each,
 "fattening" takes 3.7 s at 193 MB max RSS (4 pass, 3 inconclusive) and
-"omega" 1.7 s at 209 MB (4 pass).  Before the quadtree classifier settled
-cells by their own reach and by containment in a shape, they took 8.6 s at
-570 MB and 8.9 s at 1.42 GB, most of it in filled_region on the ring at
-rho = 0.125.
+"omega" 1.7 s at 209 MB (4 pass).
 """
 
 import dataclasses
