@@ -10,7 +10,9 @@ from S to the center of the rho-ball about z is at most its radius: one
 distance test, and no iterative minimization of the hyperbolic distance
 enters the certification chain.  Neighborhood areas are bracketed by an
 adaptive quadtree whose cell tests use the exact ball membership at radii
-shrunk/grown by a certified bound on the cell's hyperbolic radius.
+shrunk/grown by a certified bound on the cell's hyperbolic radius, a
+bound on how far N reaches from S within the cell, and exact containment
+of the cell in a shape of S.
 """
 
 from __future__ import annotations
@@ -546,9 +548,10 @@ class RectSet(Obstacle):
     The trees are built with compact_nodes=False and _TREE_LEAF = 64 points
     per leaf.  Compacted nodes made the k = 8 queries of walks far from the
     cells slow: 2,000 walks from 0 against the ArcBox(0.4, 1.2, 0.75)
-    frontier at (1, 2e-3) took 0.93 s with scipy's defaults and 0.27 s
-    without compaction.  The leaf size was chosen on three kinds of traffic
-    (2-core x86 VM, one run each, leaf sizes 16, 32, 64, 128 and 256):
+    frontier at (1, 2e-3), then 26,641 cells, took 0.93 s with scipy's
+    defaults and 0.27 s without compaction.  The leaf size was chosen on
+    three kinds of traffic (2-core x86 VM, one run each, leaf sizes 16,
+    32, 64, 128 and 256):
     those arcbox walks (0.26-0.27 s up to leaf 64, 0.37-0.39 s above); the
     single start query from 0 of walks against the ring(0.7) frontier,
     equidistant from all its cells (6.3 ms at leaf 16 without compaction,

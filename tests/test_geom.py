@@ -212,5 +212,5 @@ def test_arcbox_square_across_the_gap_is_not_contained():
         assert np.all(shape.dist(corners) == 0.0)
         got = shape.contains_square(np.array([c.real]), np.array([c.imag]), half)
         assert got.tolist() == [inside]
+    # a union holds a square where one of its shapes does
     assert DiskCompact([shape]).contains_square(np.array([c.real]), np.array([c.imag]), half).tolist() == [True]
-
