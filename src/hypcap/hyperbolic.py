@@ -12,7 +12,10 @@ enters the certification chain.  Neighborhood areas are bracketed by an
 adaptive quadtree whose cell tests use the exact ball membership at radii
 shrunk/grown by a certified bound on the cell's hyperbolic radius, a
 bound on how far N reaches from S within the cell, and exact containment
-of the cell in a shape of S.
+of the cell in a shape of S.  N lies in the open disk, so in the disk an
+unsettled cell across the circle counts only its area inside the disk,
+rounded up, and the floods that fill a neighborhood run only over cells
+that meet the closed disk.
 """
 
 from __future__ import annotations
@@ -303,6 +306,17 @@ def _root_square(S: Obstacle, rho: float) -> tuple[float, float, float]:
     return x_lo, 0.0, max(x_hi - x_lo, S.y_max * math.exp(rho) * 1.01)
 
 
+def _refine(S: Obstacle, rho: float, goal) -> tuple[Leaves, AreaBounds]:
+    """quadtree.refine of S's rho-neighborhood from its root square until the gap meets goal.
+
+    N lies in the open disk, so a disk cell across the circle adds to the
+    gap only its area inside the disk, rounded up (_indisk_areas); the
+    half-plane's root square lies in the closed half-plane.
+    """
+    clip = (lambda x0, y0, side: _indisk_areas(x0, y0, side)[1]) if S.space == "disk" else None
+    return quadtree.refine(*_root_square(S, rho), _classifier(S, rho), goal, clip)
+
+
 def _check_rho_tol(rho: float, tol: float) -> None:
     if not all(v > 0 and math.isfinite(v) for v in (rho, tol)):
         raise ValueError("rho and tol must be positive and finite")
@@ -320,8 +334,7 @@ def neighborhood_area(
     if S.is_empty:
         return AreaBounds(0.0, 0.0, 0, True)
     goal = (lambda lo, up: tol * up) if relative else (lambda lo, up: tol)
-    _, bounds = quadtree.refine(*_root_square(S, rho), _classifier(S, rho), goal)
-    return bounds
+    return _refine(S, rho, goal)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +350,10 @@ class FilledRegion:
     the origin form the *passable* region, a guaranteed subset of the
     complement of the filled neighborhood; everything else is *blocked*.
     The *frontier* is the blocked cells that touch a passable cell and
-    meet the closed unit disk.  A walk in the disk is nearer the circle
-    than any cell wholly outside it, so dropping those cells changes no
-    step or terminal of a walk against the frontier.
+    meet the closed unit disk.  The floods run only over cells that meet
+    it, so no cell wholly outside it enters the frontier; a walk in the
+    disk is nearer the circle than any such cell, so leaving them out
+    changes no step or terminal of a walk against the frontier.
     """
 
     leaves: Leaves
@@ -377,13 +391,22 @@ def _flood_masks(leaves: Leaves):
 
     A closed INSIDE cell lies in N and a closed free cell misses it, so the
     two never touch: the contacts among the other cells feed both floods
-    and the frontier of the strict one.
+    and the frontier of the strict one.  Only cells that meet the closed
+    disk (least modulus <= 1) enter the contact graph.  A path in the open
+    disk meets only such cells, so the generous flood stays sound, and it
+    can only shrink.  The strict flood crosses only edges that reach into
+    the open disk, which no cell outside the closed disk has, so it and its
+    frontier are those of the graph over every non-INSIDE cell, less the
+    cells outside.
     """
     cls = leaves.cls
     n = cls.size
     free = cls == OUTSIDE
     origin = _cell_of_origin(leaves)
-    pi, pj, edge = quadtree.adjacency_pairs(leaves, cls != INSIDE)
+    active = cls != INSIDE
+    idx = np.flatnonzero(active)
+    active[idx[_modulus_range(*leaves.rects(idx))[0] > 1.0]] = False
+    pi, pj, edge = quadtree.adjacency_pairs(leaves, active)
 
     def reached(passable: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         if not passable[origin]:
@@ -406,7 +429,7 @@ def _flood_masks(leaves: Leaves):
     reached_strict = reached(free, *strict_pairs())
     # a genuine path in the disk complement only ever crosses free or
     # unknown cells, possibly through corners
-    reached_gen = reached(cls != INSIDE, pi, pj)
+    reached_gen = reached(active, pi, pj)
     frontier = np.zeros(n, dtype=bool)
     frontier[pj[reached_strict[pi] & ~reached_strict[pj]]] = True
     frontier[pi[reached_strict[pj] & ~reached_strict[pi]]] = True
@@ -473,15 +496,29 @@ def _disk_rect_areas(a, b, c, d) -> np.ndarray:
     return P(b, d) - P(a, d) - P(b, c) + P(a, c)
 
 
-def _indisk_areas(leaves: Leaves, cells: np.ndarray) -> np.ndarray:
-    """Exact area of each of the cells (a mask or indices) inside the closed unit disk."""
-    x0, x1, y0, y1 = leaves.rects(cells)
-    side = np.ldexp(leaves.size, -leaves.depth[cells])
+# _disk_rect_areas sums four terms of size up to pi / 2, so it is off by a
+# few ulps of 1; each in-disk area is widened by this much, outward
+_AREA_PAD = 16 * np.finfo(float).eps
+
+
+def _indisk_areas(x0, y0, side) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) bounds on the area of each cell [x0, x0 + side] x [y0, y0 + side] in the unit disk.
+
+    A cell in the closed disk gets side^2 and one outside it 0, both exact.
+    A cell across the circle gets _disk_rect_areas less and plus _AREA_PAD,
+    clamped to [0, side^2].  side is a scalar or one side per cell.
+    """
+    side = np.broadcast_to(side, x0.shape)
+    x1, y1 = x0 + side, y0 + side
     near, far = _modulus_range(x0, x1, y0, y1)
-    out = np.where(far <= 1.0, side * side, 0.0)
+    area = side * side
+    lo = np.where(far <= 1.0, area, 0.0)
+    hi = lo.copy()
     i = np.flatnonzero((far > 1.0) & (near < 1.0))
-    out[i] = _disk_rect_areas(x0[i], x1[i], y0[i], y1[i])
-    return out
+    exact = _disk_rect_areas(x0[i], x1[i], y0[i], y1[i])
+    lo[i] = np.clip(exact - _AREA_PAD, 0.0, area[i])
+    hi[i] = np.clip(exact + _AREA_PAD, 0.0, area[i])
+    return lo, hi
 
 
 def filled_region(
@@ -494,23 +531,25 @@ def filled_region(
     N is refined to an area gap of tol/2 and flooded once.  The pockets the
     floods cannot settle add to the gap, so bounds.tolerance_met says
     whether the bracket is tol-tight; a region that misses it is returned
-    as it stands for the caller to report.
+    as it stands for the caller to report.  Free cells the strict flood
+    misses add their in-disk area, rounded up, to the upper bound, and
+    those the generous flood misses too add it, rounded down, to the lower
+    one (_indisk_areas).
     """
     require_obstacle(B, "disk")
     _check_rho_tol(rho, tol)
     if neighborhood_member(0j, B, rho):
         raise DomainError("the origin lies in the rho-neighborhood; filling undefined")
 
-    leaves, n_bounds = quadtree.refine(*_root_square(B, rho), _classifier(B, rho), lambda lo, up: tol / 2.0)
+    leaves, n_bounds = _refine(B, rho, lambda lo, up: tol / 2.0)
     reached_strict, reached_gen, frontier = _flood_masks(leaves)
-    outside = _modulus_range(*leaves.rects(frontier))[0] > 1.0
-    frontier[np.flatnonzero(frontier)[outside]] = False
     # the strict graph is a subgraph of the generous one, so the free cells
     # the generous flood misses are among those the strict one misses
-    trapped = (leaves.cls == OUTSIDE) & ~reached_strict
-    indisk = _indisk_areas(leaves, trapped)
-    lower = n_bounds.lower + float(np.sum(indisk[~reached_gen[trapped]]))
-    upper = n_bounds.upper + float(np.sum(indisk))
+    trapped = np.flatnonzero((leaves.cls == OUTSIDE) & ~reached_strict)
+    x0, _, y0, _ = leaves.rects(trapped)
+    lo, hi = _indisk_areas(x0, y0, np.ldexp(leaves.size, -leaves.depth[trapped]))
+    lower = n_bounds.lower + float(np.sum(lo[~reached_gen[trapped]]))
+    upper = n_bounds.upper + float(np.sum(hi))
     bounds = AreaBounds(lower, upper, n_bounds.cells_refined, upper - lower <= tol)
     return FilledRegion(leaves, bounds, reached_strict, frontier)
 

@@ -10,7 +10,11 @@ true area.
 Refinement is level-synchronous and purely array-ordered, which makes the
 result independent of thread counts and platform scheduling.  Every cell of
 a level has the same side, so the side, half side and area are scalars of
-the level, not arrays of its cells.
+the level, not arrays of its cells.  The one exception is the rim term:
+where the root square reaches outside the space (the disk's root holds the
+whole closed unit disk), the target set lies in the space, so an UNKNOWN
+cell adds to the gap only its area inside the space, which the caller's
+clip measures cell by cell.
 
 The classifier carries state down the tree: classify(cx, cy, half, carry)
 returns (codes, carry), where carry is an array with one row per cell.  At
@@ -86,6 +90,9 @@ class Leaves:
 
 
 Classifier = Callable[[np.ndarray, np.ndarray, float, np.ndarray | None], tuple[np.ndarray, np.ndarray]]
+# clip(x0, y0, side): area of each cell [x0, x0 + side] x [y0, y0 + side]
+# inside the space, rounded up and at most side^2
+Clip = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 
 
 def _split4(ix: np.ndarray, iy: np.ndarray):
@@ -113,12 +120,16 @@ def refine(
     size: float,
     classify: Classifier,
     gap_goal: Callable[[float, float], float],
+    clip: Clip | None,
 ) -> tuple[Leaves, AreaBounds]:
     """Refine the root square until upper - lower <= gap_goal(lower, upper).
 
     classify(cx, cy, half, carry) returns (one code per cell, carry rows);
     see the module docstring.  gap_goal is re-evaluated as the bracket
-    tightens, so relative tolerances work.
+    tightens, so relative tolerances work.  clip measures the UNKNOWN
+    cells' areas inside the space (the rim term of the module docstring);
+    None counts each whole, for a root square that lies in the closed
+    space.  The cell rectangles it gets are those Leaves.rects gives.
     """
     ix = np.zeros(1, dtype=np.int64)
     iy = np.zeros(1, dtype=np.int64)
@@ -149,7 +160,10 @@ def refine(
         unknown = cls == UNKNOWN
         n_unknown = int(np.count_nonzero(unknown))
         lower += _sum_of(area, int(np.count_nonzero(cls == INSIDE)))
-        gap = _sum_of(area, n_unknown)
+        if clip is None:
+            gap = _sum_of(area, n_unknown)
+        else:
+            gap = float(np.sum(clip(gx0 + ix[unknown] * side, gy0 + iy[unknown] * side, side)))
 
         if n_unknown < ix.size:
             add_leaves(~unknown)

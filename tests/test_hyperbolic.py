@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from hypcap import geom, quadtree
 from hypcap.capacity import ring
@@ -24,12 +26,14 @@ from hypcap.hyperbolic import (
     RectSet,
     _ball_disk,
     _ball_halfplane,
-    _classifier,
+    _cell_of_origin,
     _disk_rect_areas,
     _flood_masks,
     _indisk_areas,
     _member_mask,
+    _refine,
     _root_square,
+    _segment_reaches_disk,
     circle_rect_area,
     filled_region,
     hyp_dist_d,
@@ -210,15 +214,31 @@ def test_disk_rect_areas_match_scalar_reference():
     assert np.allclose(_disk_rect_areas(a, b, c, d), ref, rtol=0.0, atol=AREA_ATOL)
 
 
+def _leaf_indisk_areas(leaves, cells):
+    """_indisk_areas of the leaves' cells (a mask or indices)."""
+    x0, _, y0, _ = leaves.rects(cells)
+    return _indisk_areas(x0, y0, np.ldexp(leaves.size, -leaves.depth[cells]))
+
+
 def test_indisk_areas_match_scalar_reference_on_ring_cells():
+    # each area is rounded outward by AREA_ATOL, so the bounds hold the
+    # reference and lie within twice that of each other
     leaves = filled_region(ring(0.7), 1.0, 1e-2).leaves
     x0, x1, y0, y1 = leaves.rects(np.arange(leaves.cls.size))
     far = np.hypot(np.maximum(np.abs(x0), np.abs(x1)), np.maximum(np.abs(y0), np.abs(y1)))
     near = np.hypot(np.clip(0.0, x0, x1), np.clip(0.0, y0, y1))
     crossing = np.flatnonzero((far > 1.0) & (near < 1.0))
     assert crossing.size > 1000
-    ref = [circle_rect_area(x0[i], x1[i], y0[i], y1[i]) for i in crossing]
-    assert np.allclose(_indisk_areas(leaves, crossing), ref, rtol=0.0, atol=AREA_ATOL)
+    ref = np.array([circle_rect_area(x0[i], x1[i], y0[i], y1[i]) for i in crossing])
+    lo, hi = _leaf_indisk_areas(leaves, crossing)
+    assert np.all(lo <= ref) and np.all(ref <= hi)
+    assert np.all(hi - lo <= 2 * AREA_ATOL)
+    # cells within or outside the closed disk are exact
+    side = np.ldexp(leaves.size, -leaves.depth)
+    for cells, want in ((far <= 1.0, side * side), (near >= 1.0, 0.0 * side)):
+        assert np.any(cells)
+        for bound in _leaf_indisk_areas(leaves, cells):
+            assert np.array_equal(bound, want[cells])
 
 
 def _grid_fill_oracle(B, rho, n=600):
@@ -344,12 +364,12 @@ def test_filled_bounds_equal_sums_over_all_leaves(monkeypatch, B, rho, generous_
     # every leaf give
     monkeypatch.setattr(quadtree, "MAX_DEPTH", 8)
     tol = 1e-3
-    leaves, nb = quadtree.refine(*_root_square(B, rho), _classifier(B, rho), lambda lo, up: tol / 2.0)
+    leaves, nb = _refine(B, rho, lambda lo, up: tol / 2.0)
     reached_strict, reached_gen, _ = _flood_masks(leaves)
     free = leaves.cls == quadtree.OUTSIDE
-    indisk = _indisk_areas(leaves, np.ones(free.size, dtype=bool))
-    missed_gen = indisk[free & ~reached_gen]
-    missed_strict = indisk[free & ~reached_strict]
+    lo, hi = _leaf_indisk_areas(leaves, np.ones(free.size, dtype=bool))
+    missed_gen = lo[free & ~reached_gen]
+    missed_strict = hi[free & ~reached_strict]
     assert np.any(missed_strict > 0)
     assert np.any(missed_gen > 0) == generous_misses
     fb = filled_region(B, rho, tol).bounds
@@ -382,7 +402,7 @@ def _closed_contacts(leaves, rows, cols):
 def test_adjacency_pairs_match_closed_square_contacts(monkeypatch):
     B = DiskCompact([RadialSlit(0.5, 0.7), ArcBox(2.0, 2.8, 0.8)])
     monkeypatch.setattr(quadtree, "MAX_DEPTH", 7)
-    leaves, _ = quadtree.refine(*_root_square(B, 1.0), _classifier(B, 1.0), lambda lo, up: 0.0)
+    leaves, _ = _refine(B, 1.0, lambda lo, up: 0.0)
     assert np.unique(leaves.depth).size > 3
     rng = np.random.default_rng(5)
     for active in (leaves.cls != quadtree.INSIDE, rng.uniform(size=leaves.cls.size) < 0.7):
@@ -568,7 +588,7 @@ def test_classified_leaves_are_sound(monkeypatch, S, n_parts, settled_by):
     # leaves miss it
     assert len(S.parts) == n_parts
     monkeypatch.setattr(quadtree, "MAX_DEPTH", 8)
-    leaves, _ = quadtree.refine(*_root_square(S, 1.0), _classifier(S, 1.0), lambda lo, up: 0.0)
+    leaves, _ = _refine(S, 1.0, lambda lo, up: 0.0)
     assert leaves.depth_max == 8
     # some leaves are settled where no ball test can settle them: by the
     # cell reach across the circle, or by containment where rc >= rho
@@ -588,3 +608,103 @@ def test_classified_leaves_are_sound(monkeypatch, S, n_parts, settled_by):
         assert np.all(_member_mask(S, pts, 1.0) == member)
         for p in pts[:: pts.size // 20]:
             assert neighborhood_member(complex(p), S, 1.0) == member
+
+
+@pytest.mark.parametrize(
+    "S",
+    [ring(0.7), generate_element("radial-slit-set", 7, 0), NINE_SHAPE_HULL],
+    ids=["ring", "radial-slit-0", "nine-shape-hull"],
+)
+def test_gap_sums_the_unknown_leaves_inside_the_space(monkeypatch, S):
+    # a disk refinement counts each UNKNOWN leaf by its in-disk area rounded
+    # up, rim cells below side^2; a half-plane one counts every leaf whole
+    monkeypatch.setattr(quadtree, "MAX_DEPTH", 8)
+    leaves, bounds = _refine(S, 1.0, lambda lo, up: 0.0)
+    unknown = leaves.cls == quadtree.UNKNOWN
+    area = math.ldexp(leaves.size, -leaves.depth_max) ** 2
+    assert np.all(leaves.depth[unknown] == leaves.depth_max)
+    if S.space == "disk":
+        hi = _leaf_indisk_areas(leaves, unknown)[1]
+        assert np.any((0.0 < hi) & (hi < area)) and np.any(hi == area)
+        assert bounds.upper == bounds.lower + float(np.sum(hi))
+    else:
+        assert bounds.upper == bounds.lower + quadtree._sum_of(area, int(np.count_nonzero(unknown)))
+
+
+def test_ring_annulus_lies_in_its_brackets():
+    # N(ring(0.7)) at radius 1 is the annulus from tanh(atanh(0.7) - 1/2) to
+    # the circle, and so is its filling
+    inner = math.tanh(math.atanh(0.7) - 0.5)
+    annulus = math.pi * (1.0 - inner * inner)
+    for tol in (1e-2, 1e-3, 1e-4):
+        b = neighborhood_area(ring(0.7), 1.0, tol, relative=True)
+        assert b.tolerance_met and b.lower <= annulus <= b.upper
+    b = filled_region(ring(0.7), 1.0, 2e-3).bounds
+    assert b.tolerance_met and b.lower <= annulus <= b.upper
+
+
+def _full_graph_flood(leaves):
+    """(reached_strict, reached_gen, frontier) over the contacts of every non-INSIDE cell.
+
+    The reference for _flood_masks, whose graph holds only the cells that
+    meet the closed disk: here the frontier cells wholly outside it are
+    dropped after the flood.
+    """
+    cls = leaves.cls
+    n = cls.size
+    free = cls == quadtree.OUTSIDE
+    origin = _cell_of_origin(leaves)
+    pi, pj, edge = quadtree.adjacency_pairs(leaves, cls != quadtree.INSIDE)
+    (xi0, xi1, yi0, yi1), (xj0, xj1, yj0, yj1) = leaves.rects(pi), leaves.rects(pj)
+    strict = (
+        edge
+        & free[pi]
+        & free[pj]
+        & _segment_reaches_disk(
+            np.maximum(xi0, xj0), np.maximum(yi0, yj0), np.minimum(xi1, xj1), np.minimum(yi1, yj1)
+        )
+    )
+
+    def reached(passable, keep):
+        graph = sparse.coo_matrix((np.ones(np.count_nonzero(keep)), (pi[keep], pj[keep])), shape=(n, n))
+        labels = connected_components(graph, directed=False)[1]
+        return passable & (labels == labels[origin])
+
+    assert free[origin]
+    reached_strict = reached(free, strict)
+    reached_gen = reached(cls != quadtree.INSIDE, np.ones(pi.size, dtype=bool))
+    frontier = np.zeros(n, dtype=bool)
+    frontier[pj[reached_strict[pi] & ~reached_strict[pj]]] = True
+    frontier[pi[reached_strict[pj] & ~reached_strict[pi]]] = True
+    frontier &= _modulus_range(*leaves.rects(np.arange(n)))[0] <= 1.0
+    return reached_strict, reached_gen, frontier
+
+
+@pytest.mark.parametrize(
+    "B, rho, max_depth, shrinks",
+    [
+        (FRAME, 0.05, 8, False),
+        (generate_element("radial-slit-set", 7, 0), 1.0, 8, True),
+        (DiskCompact([ArcBox(0.4, 1.2, 0.75)]), 1.0, quadtree.MAX_DEPTH, True),
+    ],
+    ids=["rectset-frame", "radial-slit-0", "arcbox"],
+)
+def test_flood_over_cells_meeting_the_disk_matches_full_graph(monkeypatch, B, rho, max_depth, shrinks):
+    # dropping the cells wholly outside the closed disk from the contact
+    # graph keeps the passable cells and the frontier, and can only shrink
+    # the generous flood, which can only raise the lower bound
+    monkeypatch.setattr(quadtree, "MAX_DEPTH", max_depth)
+    leaves, nb = _refine(B, rho, lambda lo, up: 1e-3)
+    got, want = _flood_masks(leaves), _full_graph_flood(leaves)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
+    assert not np.any(got[1] & ~want[1])
+    lost = want[1] & ~got[1]
+    assert np.any(lost) == shrinks
+    free = leaves.cls == quadtree.OUTSIDE
+    lo = _leaf_indisk_areas(leaves, np.arange(free.size))[0]
+    lower, full_lower = (nb.lower + float(np.sum(lo[free & ~gen])) for gen in (got[1], want[1]))
+    assert lower >= full_lower
+    # here the flood loses only cells wholly outside the disk, so the
+    # bounds stay equal
+    assert np.all(_modulus_range(*leaves.rects(lost))[0] > 1.0)
+    assert lower == full_lower

@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hypcap import geom, hyperbolic
+from hypcap import geom, hyperbolic, quadtree
 from hypcap.capacity import ring
 from hypcap.geom import ArcBox, DiskCompact
-from hypcap.hyperbolic import RectSet, _flood_masks, filled_region
+from hypcap.hyperbolic import RectSet, filled_region
 from hypcap.wos import DiskDomain, run_walks
 
 
@@ -132,10 +132,14 @@ def test_rectset_tree_matches_brute_force_on_walk_traffic(monkeypatch):
 
 
 def test_frontier_cells_outside_the_disk_change_no_walk():
-    # filled_region drops the frontier cells wholly outside the closed disk:
-    # a walk in the disk is nearer the circle than any of them
+    # the frontier keeps no cell wholly outside the closed disk: a walk in
+    # the disk is nearer the circle than any of them.  flood is every
+    # blocked cell that touches a passable one
     fr = filled_region(DiskCompact([ArcBox(0.4, 1.2, 0.75)]), 1, 2e-3)
-    flood = _flood_masks(fr.leaves)[2]
+    pi, pj, _ = quadtree.adjacency_pairs(fr.leaves, fr.leaves.cls != quadtree.INSIDE)
+    flood = np.zeros(fr.passable.size, dtype=bool)
+    flood[pj[fr.passable[pi]]] = flood[pi[fr.passable[pj]]] = True
+    flood &= ~fr.passable
     dropped = flood & ~fr.frontier
     assert not np.any(fr.frontier & ~flood) and np.any(dropped)
     x0, x1, y0, y1 = fr.leaves.rects(dropped)

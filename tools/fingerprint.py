@@ -12,7 +12,7 @@ the rounding shows up there:
     diff old.txt new.txt
 
 On a 2-core x86 VM the default run takes about 5 s, and --all, which
-adds the "fattening" and "omega" claims, about 12 s at 230 MB max RSS.
+adds the "fattening" and "omega" claims, about 10 s at 211 MB max RSS.
 """
 
 from __future__ import annotations
