@@ -24,9 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from . import geom, quadtree
 from .geom import Obstacle, _as_complex, _modulus_range, require_obstacle
@@ -408,6 +405,9 @@ def _flood_masks(leaves: Leaves):
     active[idx[_modulus_range(*leaves.rects(idx))[0] > 1.0]] = False
     pi, pj, edge = quadtree.adjacency_pairs(leaves, active)
 
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
     def reached(passable: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         if not passable[origin]:
             return np.zeros(n, dtype=bool)
@@ -612,6 +612,8 @@ class RectSet(Obstacle):
     is_empty = False
 
     def __init__(self, x0, x1, y0, y1):
+        from scipy.spatial import cKDTree
+
         self.x0 = np.asarray(x0, dtype=float)
         self.x1 = np.asarray(x1, dtype=float)
         self.y0 = np.asarray(y0, dtype=float)
