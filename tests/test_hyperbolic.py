@@ -427,14 +427,17 @@ def test_frontier_matches_brute_force(monkeypatch):
     passable = np.flatnonzero(fr.passable)
     assert passable.size > 0
     want = np.zeros(fr.passable.size, dtype=bool)
+    corner_only = np.zeros(fr.passable.size, dtype=bool)
     for start in range(0, want.size, 512):
         rows = np.arange(start, min(start + 512, want.size))
-        touch, _ = _closed_contacts(fr.leaves, rows, passable)
-        want[rows] = touch.any(axis=1) & ~fr.passable[rows]
-    # cells wholly outside the closed disk leave the frontier
+        touch, edge = _closed_contacts(fr.leaves, rows, passable)
+        want[rows] = edge.any(axis=1) & ~fr.passable[rows]
+        corner_only[rows] = touch.any(axis=1) & ~edge.any(axis=1) & ~fr.passable[rows]
+    # blocked cells that touch a passable one only at a corner, and cells
+    # wholly outside the closed disk, stay out of the frontier
     x0, x1, y0, y1 = fr.leaves.rects(np.arange(want.size))
     outside = np.hypot(np.clip(0.0, x0, x1), np.clip(0.0, y0, y1)) > 1.0
-    assert np.any(want & outside)
+    assert np.any(want & outside) and np.any(corner_only & ~outside)
     want &= ~outside
     assert np.array_equal(fr.frontier, want)
     for a, b in zip(fr.blocked_rects(), fr.leaves.rects(np.flatnonzero(want))):
@@ -631,6 +634,19 @@ def test_gap_sums_the_unknown_leaves_inside_the_space(monkeypatch, S):
         assert bounds.upper == bounds.lower + quadtree._sum_of(area, int(np.count_nonzero(unknown)))
 
 
+@pytest.mark.parametrize("B", [ring(0.7), DiskCompact([ArcBox(0.4, 1.2, 0.75)])], ids=["ring", "arcbox"])
+def test_disk_refinement_settles_cells_outside_the_closed_disk(B):
+    # N lies in the open disk, so a cell whose least modulus exceeds 1 is
+    # OUTSIDE and never split; some such cells have their centre within a
+    # half-diagonal of the circle
+    leaves, _ = _refine(B, 1.0, lambda lo, up: 1e-3)
+    x0, x1, y0, y1 = leaves.rects(np.arange(leaves.cls.size))
+    near = _modulus_range(x0, x1, y0, y1)[0]
+    assert not np.any((leaves.cls == quadtree.UNKNOWN) & (near > 1.0))
+    centre = np.hypot(0.5 * (x0 + x1), 0.5 * (y0 + y1))
+    assert np.any((near > 1.0) & (centre - 0.5 * np.hypot(x1 - x0, y1 - y0) <= 1.0))
+
+
 def test_ring_annulus_lies_in_its_brackets():
     # N(ring(0.7)) at radius 1 is the annulus from tanh(atanh(0.7) - 1/2) to
     # the circle, and so is its filling
@@ -647,8 +663,8 @@ def _full_graph_flood(leaves):
     """(reached_strict, reached_gen, frontier) over the contacts of every non-INSIDE cell.
 
     The reference for _flood_masks, whose graph holds only the cells that
-    meet the closed disk: here the frontier cells wholly outside it are
-    dropped after the flood.
+    meet the closed disk: here the frontier, the cells with an edge contact
+    to a reached one, drops the cells wholly outside it after the flood.
     """
     cls = leaves.cls
     n = cls.size
@@ -673,9 +689,10 @@ def _full_graph_flood(leaves):
     assert free[origin]
     reached_strict = reached(free, strict)
     reached_gen = reached(cls != quadtree.INSIDE, np.ones(pi.size, dtype=bool))
+    ei, ej = pi[edge], pj[edge]
     frontier = np.zeros(n, dtype=bool)
-    frontier[pj[reached_strict[pi] & ~reached_strict[pj]]] = True
-    frontier[pi[reached_strict[pj] & ~reached_strict[pi]]] = True
+    frontier[ej[reached_strict[ei] & ~reached_strict[ej]]] = True
+    frontier[ei[reached_strict[ej] & ~reached_strict[ei]]] = True
     frontier &= _modulus_range(*leaves.rects(np.arange(n)))[0] <= 1.0
     return reached_strict, reached_gen, frontier
 

@@ -1,5 +1,8 @@
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -72,3 +75,41 @@ def test_module_names_are_used():
         if words[name] < 2
     ]
     assert unused == []
+
+
+# only the filled regions and RectSet use scipy, and they import it where
+# they use it: the estimators, the areas and the covers run without it
+_SCIPY_CHILD = """
+import sys
+import hypcap, hypcap.verify
+from hypcap import capacity, dyadic
+from hypcap.geom import ArcBox, DiskCompact, HalfDisk, HalfPlaneHull, RadialSlit, VSlit
+from hypcap.hyperbolic import RectSet, filled_region, neighborhood_area
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+A = HalfPlaneHull([VSlit(0.0, 1.0), HalfDisk(2.0, 0.5)])
+B = DiskCompact([RadialSlit(0.5, 0.7), ArcBox(2.0, 2.8, 0.8)])
+capacity.hcap_mc(A, 200, seed=1)
+capacity.dcap_mc(B, 200, seed=1)
+capacity.dcap_transport(A, 8.0, 200, seed=1)
+neighborhood_area(A, 1.0, 1e-1, relative=True)
+neighborhood_area(B, 1.0, 1e-1, relative=True)
+dyadic.dyadic_cover(B)
+dyadic.whitney_cover_area(A)
+dyadic.lipschitz_majorant_area(A)
+print(scipy_modules())
+region = filled_region(B, 1.0, 1e-1)
+print("scipy.sparse.csgraph" in sys.modules, "scipy.spatial" in sys.modules)
+RectSet(*region.blocked_rects())
+print("scipy.spatial" in sys.modules)
+"""
+
+
+def test_scipy_loads_only_for_filled_regions():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", _SCIPY_CHILD], capture_output=True, text=True, env=env, check=True
+    )
+    assert child.stdout.splitlines() == ["[]", "True False", "True"]

@@ -132,18 +132,25 @@ def test_rectset_tree_matches_brute_force_on_walk_traffic(monkeypatch):
 
 
 def test_frontier_cells_outside_the_disk_change_no_walk():
-    # the frontier keeps no cell wholly outside the closed disk: a walk in
-    # the disk is nearer the circle than any of them.  flood is every
-    # blocked cell that touches a passable one
+    # the frontier keeps no cell wholly outside the closed disk, whose
+    # distance from a walk in the disk exceeds the circle's, and no cell
+    # that touches a passable one only at a corner, which shares that
+    # corner with a frontier cell (FilledRegion).  flood is every blocked
+    # cell that touches a passable one
     fr = filled_region(DiskCompact([ArcBox(0.4, 1.2, 0.75)]), 1, 2e-3)
-    pi, pj, _ = quadtree.adjacency_pairs(fr.leaves, fr.leaves.cls != quadtree.INSIDE)
+    pi, pj, edge = quadtree.adjacency_pairs(fr.leaves, fr.leaves.cls != quadtree.INSIDE)
     flood = np.zeros(fr.passable.size, dtype=bool)
-    flood[pj[fr.passable[pi]]] = flood[pi[fr.passable[pj]]] = True
+    by_edge = np.zeros(fr.passable.size, dtype=bool)
+    for i, j in ((pi, pj), (pj, pi)):
+        flood[j[fr.passable[i]]] = True
+        by_edge[j[fr.passable[i] & edge]] = True
     flood &= ~fr.passable
     dropped = flood & ~fr.frontier
     assert not np.any(fr.frontier & ~flood) and np.any(dropped)
     x0, x1, y0, y1 = fr.leaves.rects(dropped)
-    assert np.all(np.hypot(np.clip(0.0, x0, x1), np.clip(0.0, y0, y1)) > 1.0)
+    outside = np.hypot(np.clip(0.0, x0, x1), np.clip(0.0, y0, y1)) > 1.0
+    assert np.any(outside) and np.any(~outside)
+    assert not np.any(by_edge[dropped][~outside])
     kept, every = RectSet(*fr.blocked_rects()), RectSet(*fr.leaves.rects(flood))
     for threads in (1, 2):
         a = run_walks(DiskDomain(kept), 0j, 2000, seed=7000, threads=threads)
@@ -154,9 +161,9 @@ def test_frontier_cells_outside_the_disk_change_no_walk():
 
 
 def test_rectset_query_memory_is_bounded():
-    # the frontier's inner edge is an arc about 0: about a thousand of its
-    # 9,816 cells lie within the largest cell's half-diagonal of the nearest
-    # distance, so a query's memory must not grow with the k it reaches
+    # the frontier's inner edge is an arc about 0: 985 of its 6,501 cells
+    # lie within the largest cell's half-diagonal of the nearest distance,
+    # so a query's memory must not grow with the k it reaches
     S = RectSet(*filled_region(DiskCompact([ArcBox(0.4, 1.2, 0.75)]), 1, 2e-3).blocked_rects())
     z = np.zeros(4096, complex)
     tracemalloc.start()

@@ -160,8 +160,8 @@ def test_pruned_walks_match_unpruned(monkeypatch):
             plain = run_walks(d, z, n, seed=17)
         for ens in pruned:
             assert _same_ensemble(ens, plain)
-    # Unpruned, each query of the arcbox frontier scans all 9,816 cells:
-    # its 1,000 walks take 11.3 s (2-core x86 VM).  So all of them are
+    # Unpruned, each query of the arcbox frontier scans all 6,501 cells:
+    # its 1,000 walks take 4.7 s (2-core x86 VM).  So all of them are
     # checked against the walk loop without bounds (the margin is infinite
     # in wos alone, and the RectSet certifies its queries as pruned walks
     # do), and the first 100 against walks with both prunes off: walks are
