@@ -158,12 +158,14 @@ def _settle_halfplane(z, half, halfdiag, out):
 
 
 def _settle_disk(z, half, halfdiag, out):
-    # cells wholly outside the closed disk cannot meet N; the ball tests
-    # apply to cells wholly inside the open disk
-    near, far = _modulus_range(z.real - half, z.real + half, z.imag - half, z.imag + half)
-    out[near > 1.0] = OUTSIDE
-    test = (out == UNKNOWN) & (far < 1.0)
-    dens = 2.0 / (1.0 - far[test] ** 2)
+    # cells wholly outside the closed disk cannot meet N; their centres lie
+    # outside it, so only those cells need their least modulus
+    c = np.flatnonzero(np.abs(z) > 1.0)
+    x, y = z.real[c], z.imag[c]
+    out[c[_modulus_range(x - half, x + half, y - half, y + half)[0] > 1.0]] = OUTSIDE
+    maxabs = np.hypot(np.abs(z.real) + half, np.abs(z.imag) + half)
+    test = (out == UNKNOWN) & (maxabs < 1.0)
+    dens = 2.0 / (1.0 - maxabs[test] ** 2)
     return test, halfdiag * dens
 
 
