@@ -17,7 +17,7 @@ unsettled cell across the circle counts only its area inside the disk,
 rounded up, and the floods that fill a neighborhood run only over cells
 that meet the closed disk.
 
-Only the filled neighborhoods use scipy: _flood_masks imports
+Only filled_region and RectSet use scipy: _flood_masks imports
 scipy.sparse.csgraph for its floods and RectSet imports scipy.spatial for
 its k-d trees, each where it is used.  So importing hypcap, the walks, the
 capacity estimators, neighborhood_area and the dyadic, Whitney and
