@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from hypcap import hyperbolic
 from hypcap.capacity import (
     CanonicalHull,
     crad_exact_at_iy,
@@ -56,8 +55,8 @@ OBSTACLES = {
 
 
 def _tree_row():
-    """Equal square cells in a row along the real axis, enough for one tree octave."""
-    n = hyperbolic._TREE_MIN + 1
+    """Equal square cells in a row along the real axis, too many to scan without a k-NN query."""
+    n = 257
     x = np.arange(n) * 2e-3
     return RectSet(x, x + 1e-3, np.zeros(n), np.full(n, 1e-3))
 
@@ -186,7 +185,7 @@ def test_invalid_inputs_raise(call):
             "between 1 and 8",
         ),
         (lambda: neighborhood_member(1.5 + 0j, SLIT_DISK), DomainError, "open unit disk"),
-        # one rectangle: scanned by brute force, no tree octave
+        # one rectangle: scanned by brute force, no k-NN query
         (lambda: RectSet([0.5], [0.6], [0.1], [0.2]).dist([NAN]), DomainError, "query points must be finite"),
         (lambda: _tree_row().nearest([complex(0.1, NAN)]), DomainError, "query points must be finite"),
         (lambda: DyadicSquare(1.5, 1), ValueError, "integers"),

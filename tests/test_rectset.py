@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hypcap import geom, hyperbolic, quadtree
+from hypcap import geom, quadtree
 from hypcap.capacity import ring
 from hypcap.geom import ArcBox, DiskCompact
 from hypcap.hyperbolic import RectSet, filled_region
@@ -45,7 +45,8 @@ def _mixed_union(seed, t=0j):
     gx, gy = gx.ravel(), gy.ravel()
     rects.append(np.stack([gx, gx + s, gy, gy + s], axis=1))
     # 400 cells centered on a circle about 1.6 + 1.6j, clear of the others:
-    # from its center no k-NN pass can certify, so the octave is scanned
+    # from its center no k-NN pass can certify, so where the circle's cells
+    # are the tree's level (seed 17) the loop ends by scanning the level
     t_ring = np.linspace(0.0, 2 * np.pi, 400, endpoint=False)
     rx, ry = 1.6 + 0.4 * np.cos(t_ring), 1.6 + 0.4 * np.sin(t_ring)
     rects.append(np.stack([rx - 1e-3, rx + 1e-3, ry - 1e-3, ry + 1e-3], axis=1))
@@ -72,9 +73,6 @@ def test_rectset_matches_brute_force(monkeypatch, seed, t, atol):
     S, rng = _mixed_union(seed, t)
     sides = np.maximum(S.x1 - S.x0, S.y1 - S.y0)
     assert sides.max() / sides.min() >= 256
-    # several tree octaves and a brute-force block: the one union that runs
-    # more than one k-NN loop per query
-    assert len(S._trees) >= 2 and S._small.size > 0
     i = rng.integers(0, S.x0.size, 300)
     u = rng.uniform(0.0, 1.0, 300)
     z = np.concatenate(
@@ -96,7 +94,7 @@ def test_rectset_matches_brute_force(monkeypatch, seed, t, atol):
     assert np.all(_at_distance(S, z, label, dist))
     assert np.array_equal(S.dist(z), want_dist)
     assert np.allclose(np.abs(point - z), dist, rtol=0.0, atol=atol)
-    # an infinite margin certifies nothing early: every octave is scanned
+    # an infinite margin certifies nothing early: every rectangle is scanned
     monkeypatch.setattr(geom, "ROUNDING", math.inf)
     plain_dist, _, plain_point = S.nearest(z)
     assert np.array_equal(plain_dist, dist) and np.array_equal(plain_point, point)
@@ -114,18 +112,15 @@ def test_rectset_ring_walk_points_match_brute_force():
 def test_rectset_tree_matches_brute_force_on_walk_traffic(monkeypatch):
     # near the origin the frontier's inner edge is an almost equidistant arc:
     # the k-NN loop's hardest case, and the walks' first steps
-    rects = filled_region(DiskCompact([ArcBox(0.4, 1.2, 0.75)]), 1, 2e-3).blocked_rects()
-    S = RectSet(*rects)
-    assert len(S._trees) == 1
+    S = RectSet(*filled_region(DiskCompact([ArcBox(0.4, 1.2, 0.75)]), 1, 2e-3).blocked_rects())
     rng = np.random.default_rng(11)
     z = 0.3 * np.sqrt(rng.uniform(0.0, 1.0, 500)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 500))
     assert np.array_equal(S.dist(z), _brute(S, z))
-    monkeypatch.setattr(hyperbolic, "_TREE_MIN", rects[0].size)
-    brute = RectSet(*rects)
-    assert not brute._trees
-    for threads in (1, 2):
-        a = run_walks(DiskDomain(S), 0j, 200, seed=7000, threads=threads)
-        b = run_walks(DiskDomain(brute), 0j, 200, seed=7000, threads=threads)
+    pruned = [run_walks(DiskDomain(S), 0j, 200, seed=7000, threads=threads) for threads in (1, 2)]
+    # an infinite margin turns every prune off: each query scans all cells
+    monkeypatch.setattr(geom, "ROUNDING", math.inf)
+    for threads, a in zip((1, 2), pruned):
+        b = run_walks(DiskDomain(S), 0j, 200, seed=7000, threads=threads)
         for field in ("terminals", "steps", "stop_dists", "flagged"):
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
         assert np.array_equal(a.labels >= 0, b.labels >= 0)
@@ -158,6 +153,10 @@ def test_frontier_cells_outside_the_disk_change_no_walk():
         for field in ("terminals", "steps", "stop_dists", "flagged"):
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
         assert np.array_equal(a.labels >= 0, b.labels >= 0)
+    # flood holds 22 coarse cells beyond the circle, off the tree's level of
+    # the others; walks that end on the circle pass near them
+    z = np.array_split(b.terminals, 8)
+    assert np.array_equal(every.dist(b.terminals), np.concatenate([_brute(every, c) for c in z]))
 
 
 def test_rectset_query_memory_is_bounded():

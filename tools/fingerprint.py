@@ -67,6 +67,8 @@ def ensemble_digest(ens) -> str:
 def translated_union() -> RectSet:
     """Squares about 1e6 + 1e6j: 2,500 with sides from 1e-4 to 0.05, and 400 on a circle.
 
+    The circle's squares and the random ones of their octave are the tree's
+    level; the other random squares are off it and scanned for every point.
     From near the circle's centre, 1e6 + 1e6j + 1.6 + 1.6j, no k-NN pass can
     certify, so a margin that lets one do so changes the answers there.
     """
@@ -76,6 +78,20 @@ def translated_union() -> RectSet:
     cx = 1e6 + np.concatenate([rng.uniform(-1.0, 1.0, 2500), 1.6 + 0.4 * np.cos(t)])
     cy = 1e6 + np.concatenate([rng.uniform(-1.0, 1.0, 2500), 1.6 + 0.4 * np.sin(t)])
     return RectSet(cx - w / 2, cx + w / 2, cy - w / 2, cy + w / 2)
+
+
+def flood_cells(region) -> RectSet:
+    """Every blocked cell of region that touches a passable one, at a corner or beyond the circle too.
+
+    For the arcbox these are 9,818 cells of the final depth and 22 coarse
+    ones beyond the circle, off the tree's level.
+    """
+    leaves = region.leaves
+    pi, pj, _ = quadtree.adjacency_pairs(leaves, leaves.cls != quadtree.INSIDE)
+    flood = np.zeros(region.passable.size, dtype=bool)
+    for i, j in ((pi, pj), (pj, pi)):
+        flood[j[region.passable[i]]] = True
+    return RectSet(*leaves.rects(flood & ~region.passable))
 
 
 def fingerprints(claims):
@@ -101,11 +117,11 @@ def fingerprints(claims):
         quadtree.refine = refine
 
     regions = {"ring(0.7)": ring(0.7), "arcbox(0.4,1.2,0.75)": DiskCompact([ArcBox(0.4, 1.2, 0.75)])}
-    frontiers = {}
+    filled = {}
     for name, B in regions.items():
-        region = filled_region(B, 1.0, 2e-3)
-        yield f"filled/{name}", region_digest(region)
-        frontiers[name] = RectSet(*region.blocked_rects())
+        filled[name] = filled_region(B, 1.0, 2e-3)
+        yield f"filled/{name}", region_digest(filled[name])
+    frontiers = {name: RectSet(*region.blocked_rects()) for name, region in filled.items()}
 
     # walk traffic, where the frontier's inner edge is almost equidistant
     # from the points near 0, and points near the translated circle's centre
@@ -115,9 +131,12 @@ def fingerprints(claims):
     disk_points = np.concatenate([near, walk])
     square = rng.uniform(-1.2, 1.2, 2000) + 1j * rng.uniform(-1.2, 1.2, 2000)
     square_points = 1e6 + 1e6j + np.concatenate([square, 1.6 + 1.6j + near])
+    # where walks end on the circle, some nearest flood cells are off the tree's level
+    rim_points = np.concatenate([disk_points, np.exp(2j * np.pi * rng.uniform(size=500))])
     queries = (
         ("arcbox-frontier", frontiers["arcbox(0.4,1.2,0.75)"], disk_points),
         ("translated-union", translated_union(), square_points),
+        ("flood-cells", flood_cells(filled["arcbox(0.4,1.2,0.75)"]), rim_points),
     )
     for name, S, z in queries:
         yield f"rectset/{name}", digest(*S.nearest(z))
