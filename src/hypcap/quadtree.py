@@ -240,3 +240,18 @@ def adjacency_pairs(leaves: Leaves, active: np.ndarray) -> tuple[np.ndarray, np.
     match(X0, X1, Y1, X0, X1, Y0)  # top edge of a meets bottom edge of b
 
     return np.concatenate(pairs_i), np.concatenate(pairs_j), np.concatenate(edges)
+
+
+def touching(leaves: Leaves, passable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(touch, by_edge): the cells off passable that touch a passable one, and those sharing an edge with one.
+
+    A closed INSIDE cell never touches a closed OUTSIDE one, and passable
+    cells are OUTSIDE, so only the contacts among the other cells are read.
+    """
+    pi, pj, edge = adjacency_pairs(leaves, leaves.cls != INSIDE)
+    touch = np.zeros(passable.size, dtype=bool)
+    by_edge = np.zeros(passable.size, dtype=bool)
+    for i, j in ((pi, pj), (pj, pi)):
+        touch[j[passable[i]]] = True
+        by_edge[j[passable[i] & edge]] = True
+    return touch & ~passable, by_edge & ~passable

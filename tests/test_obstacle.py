@@ -56,7 +56,9 @@ OBSTACLES = {
 
 def _tree_row():
     """Equal square cells in a row along the real axis, too many to scan without a k-NN query."""
-    n = 257
+    # RectSet scans its level outright while 16 k >= its size, so more than
+    # 16 x 8 cells make the first pass a k = 8 query
+    n = 129
     x = np.arange(n) * 2e-3
     return RectSet(x, x + 1e-3, np.zeros(n), np.full(n, 1e-3))
 

@@ -133,13 +133,7 @@ def test_frontier_cells_outside_the_disk_change_no_walk():
     # corner with a frontier cell (FilledRegion).  flood is every blocked
     # cell that touches a passable one
     fr = filled_region(DiskCompact([ArcBox(0.4, 1.2, 0.75)]), 1, 2e-3)
-    pi, pj, edge = quadtree.adjacency_pairs(fr.leaves, fr.leaves.cls != quadtree.INSIDE)
-    flood = np.zeros(fr.passable.size, dtype=bool)
-    by_edge = np.zeros(fr.passable.size, dtype=bool)
-    for i, j in ((pi, pj), (pj, pi)):
-        flood[j[fr.passable[i]]] = True
-        by_edge[j[fr.passable[i] & edge]] = True
-    flood &= ~fr.passable
+    flood, by_edge = quadtree.touching(fr.leaves, fr.passable)
     dropped = flood & ~fr.frontier
     assert not np.any(fr.frontier & ~flood) and np.any(dropped)
     x0, x1, y0, y1 = fr.leaves.rects(dropped)

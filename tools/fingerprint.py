@@ -86,12 +86,7 @@ def flood_cells(region) -> RectSet:
     For the arcbox these are 9,818 cells of the final depth and 22 coarse
     ones beyond the circle, off the tree's level.
     """
-    leaves = region.leaves
-    pi, pj, _ = quadtree.adjacency_pairs(leaves, leaves.cls != quadtree.INSIDE)
-    flood = np.zeros(region.passable.size, dtype=bool)
-    for i, j in ((pi, pj), (pj, pi)):
-        flood[j[region.passable[i]]] = True
-    return RectSet(*leaves.rects(flood & ~region.passable))
+    return RectSet(*region.leaves.rects(quadtree.touching(region.leaves, region.passable)[0]))
 
 
 def fingerprints(claims):
