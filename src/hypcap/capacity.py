@@ -286,6 +286,23 @@ def _halfplane_controls(x_c: float, R: float):
     return controls
 
 
+def _half_circle_mean(
+    A: HalfPlaneHull, y: float, n_walks: int, seed: int, threads: int, value, bias_note: str, controls
+) -> Estimate:
+    """walk_mean of value from _half_circle_starts(x_c, R, n_walks, seed, y), scaled by the starts' weight.
+
+    controls is None or maps (x_c, R) to walk_mean's controls.  An empty
+    hull gives 0 without walking.
+    """
+    if A.is_empty:
+        return Estimate(0.0, 0.0, 0, 0.0, seed, "empty hull")
+    x_c, R = _half_circle(A)
+    starts, weight = _half_circle_starts(x_c, R, n_walks, seed, y)
+    controls = None if controls is None else controls(x_c, R)
+    est, _ = walk_mean(HalfPlaneDomain(A), starts, n_walks, value, seed, threads, bias_note, controls)
+    return replace(est, mean=weight * est.mean, std_error=weight * est.std_error)
+
+
 def hcap_mc(
     A: HalfPlaneHull,
     n_walks: int = 200_000,
@@ -301,21 +318,9 @@ def hcap_mc(
     compared with its value at the walk's own start.
     """
     require_obstacle(A, "halfplane")
-    if A.is_empty:
-        return Estimate(0.0, 0.0, 0, 0.0, seed, "empty hull")
-    x_c, R = _half_circle(A)
-    starts, k = _half_circle_starts(x_c, R, n_walks, seed)
-    est, _ = walk_mean(
-        HalfPlaneDomain(A),
-        starts,
-        n_walks,
-        lambda ens: ens.terminals.imag,
-        seed,
-        threads=threads,
-        bias_note=_PROJECTION_NOTE,
-        controls=_halfplane_controls(x_c, R),
+    return _half_circle_mean(
+        A, math.inf, n_walks, seed, threads, lambda ens: ens.terminals.imag, _PROJECTION_NOTE, _halfplane_controls
     )
-    return replace(est, mean=k * est.mean, std_error=k * est.std_error)
 
 
 # ---------------------------------------------------------------------------
@@ -342,20 +347,14 @@ def dcap_transport(
     """
     require_obstacle(A, "halfplane")
     require_annulus(A, y)
-    if A.is_empty:
-        return Estimate(0.0, 0.0, 0, 0.0, seed, "empty hull")
-    starts, omega = _half_circle_starts(*_half_circle(A), n_walks, seed, y)
-    est, _ = walk_mean(
-        HalfPlaneDomain(A),
-        starts,
-        n_walks,
+
+    def minus_log_t_y(ens):
         # real-axis exits map onto the unit circle: contribution exactly 0
-        lambda ens: np.where(ens.labels >= 0, -np.log(np.abs(t_y(y, ens.terminals))), 0.0),
-        seed,
-        threads=threads,
-        bias_note="transported log-modulus; O(eps_stop) bias",
+        return np.where(ens.labels >= 0, -np.log(np.abs(t_y(y, ens.terminals))), 0.0)
+
+    return _half_circle_mean(
+        A, y, n_walks, seed, threads, minus_log_t_y, "transported log-modulus; O(eps_stop) bias", None
     )
-    return replace(est, mean=omega * est.mean, std_error=omega * est.std_error)
 
 
 def crad_halfplane(

@@ -57,22 +57,31 @@ def _finite_point(z: complex) -> complex:
     return a
 
 
+def _hyp_dist(a: complex, b: complex, h_a: float, h_b: float) -> float:
+    """2 asinh(|a - b| / (2 sqrt(h_a h_b))), the distance in the metric |dz| / h.
+
+    h is Im z in the half-plane and (1 - |z|)(1 + |z|)/2 in the disk, so
+    cosh d - 1 = |a - b|^2 / (2 h_a h_b) in both; the asinh form stays exact
+    where acosh(1 + q) and atanh lose digits, at short range and at the rim.
+    """
+    return 2.0 * math.asinh(abs(a - b) / (2.0 * math.sqrt(h_a) * math.sqrt(h_b)))
+
+
 def hyp_dist_h(z: complex, w: complex) -> float:
     """Hyperbolic distance in the upper half-plane."""
     a, b = _finite_point(z), _finite_point(w)
     if a.imag <= 0 or b.imag <= 0:
         raise DomainError("hyp_dist_h needs points with positive imaginary part")
-    q = abs(a - b) ** 2 / (2.0 * a.imag * b.imag)
-    return math.acosh(1.0 + q)
+    return _hyp_dist(a, b, a.imag, b.imag)
 
 
 def hyp_dist_d(z: complex, w: complex) -> float:
     """Hyperbolic distance in the unit disk."""
     a, b = _finite_point(z), _finite_point(w)
-    if abs(a) >= 1 or abs(b) >= 1:
+    r_a, r_b = abs(a), abs(b)
+    if r_a >= 1 or r_b >= 1:
         raise DomainError("hyp_dist_d needs points inside the open unit disk")
-    p = abs(a - b) / abs(1.0 - a.conjugate() * b)
-    return 2.0 * math.atanh(p)
+    return _hyp_dist(a, b, (1.0 - r_a) * (1.0 + r_a) / 2.0, (1.0 - r_b) * (1.0 + r_b) / 2.0)
 
 
 def _ball_halfplane(z: np.ndarray, rho) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,11 +45,20 @@ from hypcap.hyperbolic import (
 from hypcap.mobius import t_y
 
 
+def _acosh_1p(q: Fraction) -> float:
+    """acosh(1 + q) for an exact rational q >= 0, without the cancellation in 1 + q."""
+    q = float(q)
+    return math.log1p(q + math.sqrt(q * (q + 2.0)))
+
+
 def test_hyp_dist_h_closed_forms():
     assert hyp_dist_h(1j, 1j) == 0.0
     # vertical geodesic integral of dy/y
     assert hyp_dist_h(1j, 2j) == pytest.approx(math.log(2), abs=1e-12)
     assert hyp_dist_h(1 + 1j, 1j) == pytest.approx(math.acosh(1.5), abs=1e-12)
+    # short range, against the exact cosh d = 1 + dx^2 / 2
+    for dx in (1e-10, 1e-6):
+        assert hyp_dist_h(1j, 1j + dx) == pytest.approx(_acosh_1p(Fraction(dx) ** 2 / 2), rel=1e-14)
 
 
 def test_hyp_dist_h_domain():
@@ -60,6 +70,11 @@ def test_hyp_dist_d_closed_forms():
     assert hyp_dist_d(0j, 0j) == 0.0
     assert hyp_dist_d(0j, 0.5 + 0j) == pytest.approx(math.log(3), abs=1e-12)
     assert hyp_dist_d(0j, 0.5j) == pytest.approx(hyp_dist_d(0j, 0.5 + 0j), abs=1e-12)
+    # near the rim, against the exact cosh d = 1 + 2 (a - b)^2 / ((1 - a^2)(1 - b^2))
+    for a, b in ((1 - 2**-53, -0.5), (1 - 1e-8, -(1 - 1e-8))):
+        a_, b_ = Fraction(a), Fraction(b)
+        cosh_minus_1 = 2 * (a_ - b_) ** 2 / ((1 - a_ * a_) * (1 - b_ * b_))
+        assert hyp_dist_d(a, b) == pytest.approx(_acosh_1p(cosh_minus_1), rel=1e-14)
     with pytest.raises(DomainError):
         hyp_dist_d(0j, 1.0 + 0j)
 

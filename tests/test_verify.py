@@ -148,6 +148,30 @@ def test_claims_compute_each_area_once(monkeypatch):
     assert len(calls) == 3
 
 
+def test_claims_walk_each_obstacle_once(monkeypatch):
+    # t1: one hcap_mc per hull for its ratio row, which the scale-consistency
+    # row reuses, plus one per doubled hull; prop1-induction: one dcap_mc per
+    # nonempty union ordered[m:], each step reading its own and the next one
+    counts = {"hcap_mc": 0, "dcap_mc": 0}
+
+    def counting(name):
+        original = getattr(verify, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(verify, name, counting(name))
+    run_claim("t1", SMOKE)
+    assert counts == {"hcap_mc": 6, "dcap_mc": 0}
+    counts["hcap_mc"] = 0
+    run_claim("prop1-induction", SMOKE)
+    assert counts == {"hcap_mc": 0, "dcap_mc": 6}
+
+
 def test_limit_verdict_accounts_for_noise():
     assert _limit_verdict(2.05, 0.01, 0.1)[0] == "pass"
     assert _limit_verdict(1.8, 0.01, 0.1)[0] == "fail"
