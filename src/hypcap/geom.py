@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -73,7 +74,7 @@ class VSlit:
 
     def dist(self, z) -> np.ndarray:
         z = _as_complex(z)
-        dy = z.imag - np.clip(z.imag, 0.0, self.h)
+        dy = z.imag - np.minimum(np.maximum(z.imag, 0.0), self.h)
         return np.hypot(z.real - self.x, dy)
 
     def nearest(self, z) -> np.ndarray:
@@ -192,17 +193,22 @@ def _norm_angle(a) -> np.ndarray:
     return np.mod(a, TWO_PI)
 
 
-def _segment_dist(z: np.ndarray, theta: float, rho: float) -> np.ndarray:
-    """Distance to the radial segment from rho e^{i theta} to e^{i theta}."""
-    w = z * np.exp(-1j * theta)
-    dr = w.real - np.clip(w.real, rho, 1.0)
+def _turn_pair(theta: float) -> tuple[complex, complex]:
+    """(e^{-i theta}, e^{i theta}), which shapes cache once per angle for the segment queries."""
+    return np.exp(-1j * theta), np.exp(1j * theta)
+
+
+def _segment_dist(z: np.ndarray, turn: tuple[complex, complex], rho: float) -> np.ndarray:
+    """Distance to the radial segment from rho e^{i theta} to e^{i theta}, with turn = _turn_pair(theta)."""
+    w = z * turn[0]
+    dr = w.real - np.minimum(np.maximum(w.real, rho), 1.0)
     return np.hypot(dr, w.imag)
 
 
-def _segment_nearest(z: np.ndarray, theta: float, rho: float) -> np.ndarray:
-    w = z * np.exp(-1j * theta)
+def _segment_nearest(z: np.ndarray, turn: tuple[complex, complex], rho: float) -> np.ndarray:
+    w = z * turn[0]
     s = np.clip(w.real, rho, 1.0)
-    return s * np.exp(1j * theta) * np.ones_like(z)
+    return s * turn[1] * np.ones_like(z)
 
 
 @dataclass(frozen=True)
@@ -218,11 +224,15 @@ class RadialSlit:
         if not (0.0 < self.rho < 1.0):
             raise InvalidShapeError("RadialSlit needs rho in (0, 1)")
 
+    @cached_property
+    def _turn(self) -> tuple[complex, complex]:
+        return _turn_pair(self.theta)
+
     def dist(self, z) -> np.ndarray:
-        return _segment_dist(_as_complex(z), self.theta, self.rho)
+        return _segment_dist(_as_complex(z), self._turn, self.rho)
 
     def nearest(self, z) -> np.ndarray:
-        return _segment_nearest(_as_complex(z), self.theta, self.rho)
+        return _segment_nearest(_as_complex(z), self._turn, self.rho)
 
     def contains_square(self, cx, cy, half) -> np.ndarray:
         return _never(cx)
@@ -265,6 +275,10 @@ class ArcBox:
     def width(self) -> float:
         return self.theta1 - self.theta0
 
+    @cached_property
+    def _turns(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+        return _turn_pair(self.theta0), _turn_pair(self.theta1)
+
     def _angle_in(self, z: np.ndarray) -> np.ndarray:
         if self.width >= TWO_PI:
             return np.ones(z.shape, dtype=bool)
@@ -278,8 +292,9 @@ class ArcBox:
         d_radial = np.maximum(np.maximum(self.rho - r, r - 1.0), 0.0)
         if self.width >= TWO_PI:
             return d_radial
-        e0 = _segment_dist(z, self.theta0, self.rho)
-        e1 = _segment_dist(z, self.theta1, self.rho)
+        t0, t1 = self._turns
+        e0 = _segment_dist(z, t0, self.rho)
+        e1 = _segment_dist(z, t1, self.rho)
         return np.where(inside_ang, d_radial, np.minimum(e0, e1))
 
     def nearest(self, z) -> np.ndarray:
@@ -291,12 +306,9 @@ class ArcBox:
         if self.width >= TWO_PI:
             return radial
         inside_ang = self._angle_in(z)
-        pick0 = _segment_dist(z, self.theta0, self.rho) <= _segment_dist(z, self.theta1, self.rho)
-        edge = np.where(
-            pick0,
-            _segment_nearest(z, self.theta0, self.rho),
-            _segment_nearest(z, self.theta1, self.rho),
-        )
+        t0, t1 = self._turns
+        pick0 = _segment_dist(z, t0, self.rho) <= _segment_dist(z, t1, self.rho)
+        edge = np.where(pick0, _segment_nearest(z, t0, self.rho), _segment_nearest(z, t1, self.rho))
         return np.where(inside_ang, radial, edge)
 
     def contains_square(self, cx, cy, half) -> np.ndarray:

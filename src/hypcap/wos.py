@@ -16,7 +16,12 @@ Aggregation uses a fixed-order pairwise tree, so estimates are
 bit-identical for any worker count.  run_walks allocates the ensemble
 once, and each chunk of _CHUNK walks writes its own slice of it in place.
 A finished walk first writes its stop point there, and the chunk resolves
-all its stop points with one terminal call after its last step.
+all its stop points with one terminal call after its last step.  Besides
+the parts' distances, a step makes a fixed handful of numpy calls on the
+walks still running: the walks that stop leave by one index array of those
+that go on, taken from each per-walk array and from the bounds below, and
+one |z| per step feeds both the bounds' rounding margin and the disk's
+outer distance 1 - |z|.
 
 Each walker carries a lower bound on its distance to each part of the
 obstacle (Obstacle.parts: a shape union's shapes, or a RectSet as one
@@ -117,27 +122,27 @@ class _Domain:
         require_obstacle(obstacle, self.space)
         self.obstacle = obstacle
 
-    def dist_bounded(self, z: np.ndarray, lower: np.ndarray) -> np.ndarray:
-        """min(outer distance, obstacle.dist) at z, given lower bounds on each part's distance.
+    def dist_bounded(self, z: np.ndarray, az: np.ndarray, lower: np.ndarray) -> np.ndarray:
+        """min(outer distance, obstacle.dist) at z, given |z| and lower bounds on each part's distance.
 
         lower holds one row per part of the obstacle and one column per
         point; a part is asked only at the points whose bound is below the
         running minimum, and its bound there becomes the exact distance.
         Bounds of -inf ask every part.  lower is updated in place.
         """
-        # a copy: the half-plane's outer distance is a view of z.imag
-        best = self._outer_dist(z).copy()
-        for j, part in enumerate(self.obstacle.parts):
-            rows = np.flatnonzero(lower[j] < best)
+        best = self._outer_dist(z, az)
+        for part, low in zip(self.obstacle.parts, lower):
+            rows = (low < best).nonzero()[0]
             if rows.size:
-                dj = part.dist(z[rows])
-                lower[j, rows] = dj
-                best[rows] = np.minimum(best[rows], dj)
+                dj = part.dist(z.take(rows))
+                low[rows] = dj
+                sub = best.take(rows)
+                best[rows] = np.minimum(sub, dj, out=sub)
         return best
 
     def terminal(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         d_obs, label, point = self.obstacle.nearest(z)
-        on_obstacle = d_obs <= self._outer_dist(z)
+        on_obstacle = d_obs <= self._outer_dist(z, np.abs(z))
         term = np.where(on_obstacle, point, self._outer_point(z))
         return term, np.where(on_obstacle, label, LABEL_OUTER)
 
@@ -153,8 +158,9 @@ class HalfPlaneDomain(_Domain):
         self.scale = max(x_hi - x_lo, hull.y_max) + 1.0
 
     @staticmethod
-    def _outer_dist(z: np.ndarray) -> np.ndarray:
-        return z.imag
+    def _outer_dist(z: np.ndarray, az: np.ndarray) -> np.ndarray:
+        # a copy: dist_bounded lowers it in place, and z.imag is a view of z
+        return z.imag.copy()
 
     @staticmethod
     def _outer_point(z: np.ndarray) -> np.ndarray:
@@ -173,8 +179,8 @@ class DiskDomain(_Domain):
     scale = 1.0
 
     @staticmethod
-    def _outer_dist(z: np.ndarray) -> np.ndarray:
-        return 1.0 - np.abs(z)
+    def _outer_dist(z: np.ndarray, az: np.ndarray) -> np.ndarray:
+        return 1.0 - az
 
     @staticmethod
     def _outer_point(z: np.ndarray) -> np.ndarray:
@@ -231,30 +237,47 @@ def _simulate_chunk(domain, ens, sl, pos, d, lower, eps, seed):
     point, steps, stop distance and flag are written into ens in place, and
     one terminal call turns the stop points into terminals and labels after
     the last step; chunks own disjoint slices, so threads may share ens.
+
+    The walks that stop at a step leave by one index array of the walks that
+    go on, taken (ndarray.take) from the positions, distances, keys, walk
+    indices and bounds.  After the jump, |z'| is computed once: it feeds the
+    bounds' rounding margin, formed in place with the float operations of
+    d + ROUNDING x (sup_abs + |z'| + d), and dist_bounded, where the disk's
+    outer distance is 1 - |z'|.  The flags start False, so only walks stopped
+    by STEP_CAP write theirs.
     """
     local = np.arange(sl.start, sl.stop)
     key = stream_key(seed, local.astype(np.uint64))
     step = 0
     rounding, sup_abs = geom.ROUNDING, domain.obstacle.sup_abs
 
-    while local.size:
+    while True:
         fin = d <= eps
-        done = fin if step < STEP_CAP else np.ones(local.size, dtype=bool)
-        if np.any(done):
-            sel = local[done]
-            ens.terminals[sel] = pos[done]
+        if step == STEP_CAP:
+            # every walk still running stops here, flagged unless within eps
+            ens.flagged[local] = ~fin
+            fin[:] = True
+        stop = fin.nonzero()[0]
+        if stop.size:
+            sel = local.take(stop)
+            ens.terminals[sel] = pos.take(stop)
             ens.steps[sel] = step
-            ens.stop_dists[sel] = d[done]
-            ens.flagged[sel] = ~fin[done]
-            cont = ~done
-            if not np.any(cont):
+            ens.stop_dists[sel] = d.take(stop)
+            if stop.size == local.size:
                 break
-            pos, d, key, local, lower = pos[cont], d[cont], key[cont], local[cont], lower[:, cont]
+            keep = (~fin).nonzero()[0]
+            pos, d, key, local = pos.take(keep), d.take(keep), key.take(keep), local.take(keep)
+            lower = lower.take(keep, axis=1)
         theta = uniform_angle(key, step)
         pos = pos + d * np.exp(1j * theta)
         step += 1
-        lower -= d + rounding * (sup_abs + np.abs(pos) + d)
-        d = domain.dist_bounded(pos, lower)
+        az = np.abs(pos)
+        margin = az + sup_abs
+        margin += d
+        margin *= rounding
+        margin += d
+        lower -= margin
+        d = domain.dist_bounded(pos, az, lower)
 
     ens.terminals[sl], ens.labels[sl] = domain.terminal(ens.terminals[sl])
 
@@ -293,13 +316,14 @@ def run_walks(
         # every walk of a shared start reuses this distance as its step 0,
         # and these part distances as its first bounds
         shared_lower = np.full((n_parts, 1), -np.inf)
-        shared_d = float(domain.dist_bounded(starts.reshape(1), shared_lower)[0])
+        one = starts.reshape(1)
+        shared_d = float(domain.dist_bounded(one, np.abs(one), shared_lower)[0])
         if not shared_d > eps:
             raise ValueError("start point is not strictly inside the domain")
         starts = np.broadcast_to(starts, (n_walks,))
     elif starts.shape != (n_walks,):
         raise ValueError(f"need one start per walk, got shape {starts.shape} for {n_walks} walks")
-    elif not np.all(np.isfinite(starts) & (domain._outer_dist(starts) >= 0)):
+    elif not np.all(np.isfinite(starts) & (domain._outer_dist(starts, np.abs(starts)) >= 0)):
         raise ValueError("per-walk starts must be finite and inside the outer boundary")
 
     ens = WalkEnsemble(
@@ -315,7 +339,7 @@ def run_walks(
         chunk = starts[sl]
         if shared_d is None:
             lower = np.full((n_parts, chunk.size), -np.inf)
-            d = domain.dist_bounded(chunk, lower)
+            d = domain.dist_bounded(chunk, np.abs(chunk), lower)
         else:
             lower = np.repeat(shared_lower, chunk.size, axis=1)
             d = np.full(chunk.size, shared_d)

@@ -214,3 +214,122 @@ def test_arcbox_square_across_the_gap_is_not_contained():
         assert got.tolist() == [inside]
     # a union holds a square where one of its shapes does
     assert DiskCompact([shape]).contains_square(np.array([c.real]), np.array([c.imag]), half).tolist() == [True]
+
+
+# The closed forms every walk and the quadtree classifier read, written as
+# they stood with np.clip and a per-call np.exp(-+1j theta): the shapes must
+# keep computing exactly these floats, or walks and leaves change.
+def _ref_segment_dist(z, theta, rho):
+    w = z * np.exp(-1j * theta)
+    return np.hypot(w.real - np.clip(w.real, rho, 1.0), w.imag)
+
+
+def _ref_segment_nearest(z, theta, rho):
+    w = z * np.exp(-1j * theta)
+    return np.clip(w.real, rho, 1.0) * np.exp(1j * theta) * np.ones_like(z)
+
+
+def _ref_arc_in(s, z):
+    if s.width >= 2 * math.pi:
+        return np.ones(z.shape, dtype=bool)
+    return np.mod(np.angle(z) - s.theta0, 2 * math.pi) <= s.width
+
+
+def _ref_dist(s, z):
+    if isinstance(s, VSlit):
+        return np.hypot(z.real - s.x, z.imag - np.clip(z.imag, 0.0, s.h))
+    if isinstance(s, BoxShape):
+        dx = np.maximum(np.maximum(s.x0 - z.real, z.real - s.x1), 0.0)
+        dy = np.maximum(np.maximum(s.y0 - z.imag, z.imag - s.y1), 0.0)
+        return np.hypot(dx, dy)
+    if isinstance(s, HalfDisk):
+        rad = np.maximum(np.abs(z - s.c) - s.r, 0.0)
+        seg = np.hypot(np.maximum(np.abs(z.real - s.c) - s.r, 0.0), np.abs(z.imag))
+        return np.where(z.imag >= 0, rad, seg)
+    if isinstance(s, RadialSlit):
+        return _ref_segment_dist(z, s.theta, s.rho)
+    r = np.abs(z)
+    d_radial = np.maximum(np.maximum(s.rho - r, r - 1.0), 0.0)
+    if s.width >= 2 * math.pi:
+        return d_radial
+    edges = np.minimum(_ref_segment_dist(z, s.theta0, s.rho), _ref_segment_dist(z, s.theta1, s.rho))
+    return np.where(_ref_arc_in(s, z), d_radial, edges)
+
+
+def _ref_nearest(s, z):
+    if isinstance(s, VSlit):
+        return s.x + 1j * np.clip(z.imag, 0.0, s.h)
+    if isinstance(s, BoxShape):
+        return np.clip(z.real, s.x0, s.x1) + 1j * np.clip(z.imag, s.y0, s.y1)
+    if isinstance(s, HalfDisk):
+        w = z - s.c
+        aw = np.abs(w)
+        on_arc = s.c + np.where(aw > 0, w / np.where(aw == 0, 1.0, aw), 1.0) * s.r
+        out = np.where((aw <= s.r) & (z.imag >= 0), z, on_arc)
+        return np.where(z.imag < 0, np.clip(z.real, s.c - s.r, s.c + s.r) + 0j, out)
+    if isinstance(s, RadialSlit):
+        return _ref_segment_nearest(z, s.theta, s.rho)
+    r = np.abs(z)
+    radial = np.clip(r, s.rho, 1.0) * (z / np.where(r == 0, 1.0, r))
+    radial = np.where(r == 0, s.rho * np.exp(1j * 0.5 * (s.theta0 + s.theta1)), radial)
+    if s.width >= 2 * math.pi:
+        return radial
+    pick0 = _ref_segment_dist(z, s.theta0, s.rho) <= _ref_segment_dist(z, s.theta1, s.rho)
+    edge = np.where(pick0, _ref_segment_nearest(z, s.theta0, s.rho), _ref_segment_nearest(z, s.theta1, s.rho))
+    return np.where(_ref_arc_in(s, z), radial, edge)
+
+
+def _on_shape(s, t, u):
+    """Points of s (its boundary, and its inside where it has one) from uniform t, u in [0, 1)."""
+    if isinstance(s, VSlit):
+        return s.x + 1j * s.h * t
+    if isinstance(s, BoxShape):
+        edge = np.stack([s.x0 + 1j * (s.y1 * t), s.x1 + 1j * (s.y1 * t), s.x0 + (s.x1 - s.x0) * t + 1j * s.y1])
+        inner = s.x0 + (s.x1 - s.x0) * t + 1j * (s.y0 + (s.y1 - s.y0) * u)
+        return np.where(u < 0.5, edge[(t * 1e6).astype(int) % 3, np.arange(t.size)], inner)
+    if isinstance(s, HalfDisk):
+        arc = s.c + s.r * np.exp(1j * math.pi * t)
+        return np.where(u < 0.3, s.c + s.r * (2 * t - 1) + 0j, np.where(u < 0.7, arc, s.c + u * (arc - s.c)))
+    if isinstance(s, RadialSlit):
+        return (s.rho + (1 - s.rho) * t) * np.exp(1j * s.theta)
+    r = s.rho + (1 - s.rho) * u
+    return r * np.exp(1j * np.where(u < 0.3, s.theta0, np.where(u < 0.6, s.theta1, s.theta0 + s.width * t)))
+
+
+def _bits_equal(a, b):
+    """Equal bit for bit, up to the payload of a NaN: values, signs of zero and where the NaNs are."""
+    a, b = np.asarray(a), np.asarray(b)
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        return _bits_equal(a.real, b.real) and _bits_equal(a.imag, b.imag)
+    return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        VSlit(0.3, 0.8),
+        BoxShape(-1.0, -0.2, 0.0, 0.5),
+        HalfDisk(1.5, 0.4),
+        RadialSlit(2.2, 0.6),
+        ArcBox(0.4, 1.2, 0.75),
+        ArcBox(-0.5, -0.5 + 2 * math.pi, 0.7),
+    ],
+)
+def test_shape_distances_pinned(shape):
+    rng = np.random.default_rng(21)
+    t, u = rng.random((2, 3000))
+    if isinstance(shape, (VSlit, BoxShape, HalfDisk)):
+        space = rng.uniform(-3, 3, 4000) + 1j * rng.uniform(-0.5, 3, 4000)
+    else:
+        space = np.sqrt(rng.random(4000)) * 1.2 * np.exp(2j * math.pi * rng.random(4000))
+    far = 1e6 * np.exp(1j * math.pi * rng.uniform(-0.2, 1.2, 1000)) + rng.uniform(-1, 1, 1000)
+    nan = complex("nan")
+    odd = np.array([0j, nan, complex(nan, 0.5), complex(0.5, nan)])
+    z = np.concatenate([space, _on_shape(shape, t, u), far, odd])
+    # the NaN points warn in the divisions of nearest
+    with np.errstate(invalid="ignore"):
+        dist = shape.dist(z)
+        assert _bits_equal(dist, _ref_dist(shape, z))
+        assert _bits_equal(shape.nearest(z), _ref_nearest(shape, z))
+    assert np.all(dist[space.size : space.size + t.size] <= 1e-15)
+    assert np.all(np.isnan(dist[-3:]))

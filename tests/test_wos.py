@@ -1,3 +1,4 @@
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -6,14 +7,17 @@ import pytest
 
 from hypcap.capacity import dcap_layer_sum, dcap_mc, dcap_transport, hcap_mc, ring
 from hypcap.corpus import mixed_disk_corpus, mixed_halfplane_corpus
-from hypcap.geom import ArcBox, DiskCompact, HalfDisk, HalfPlaneHull, RadialSlit, VSlit
+from hypcap.geom import ArcBox, BoxShape, DiskCompact, HalfDisk, HalfPlaneHull, RadialSlit, VSlit
 from hypcap import geom, wos
 from hypcap.hyperbolic import RectSet, filled_region
+from hypcap.rng import stream_key, uniform_angle
 from hypcap.wos import (
     DiskDomain,
     EstimatorError,
     HalfPlaneDomain,
     LABEL_OUTER,
+    WalkEnsemble,
+    default_eps_stop,
     pairwise_sum,
     run_walks,
     walk_mean,
@@ -176,6 +180,69 @@ def test_pruned_walks_match_unpruned(monkeypatch):
     for ens in pruned:
         assert _same_ensemble(ens, unbounded)
         assert _same_ensemble(ens, plain, 100)
+
+
+def _lockstep_walks(domain, start, n, seed):
+    """The walks of run_walks from a loop with no compaction and no part bounds.
+
+    Every walk stays in the arrays to the end.  At iteration k each walk
+    still farther than eps from the boundary jumps by its distance d in the
+    direction uniform_angle(stream_key(seed, i), k), and d becomes
+    min(outer distance, obstacle.dist) at the new point; the stop points end
+    with one terminal call.
+    """
+    eps = default_eps_stop(domain)
+    outer = (lambda z: 1.0 - np.abs(z)) if isinstance(domain, DiskDomain) else (lambda z: z.imag)
+    key = stream_key(seed, np.arange(n, dtype=np.uint64))
+    pos = np.full(n, complex(start))
+    d = np.minimum(outer(pos), domain.obstacle.dist(pos))
+    steps = np.zeros(n, dtype=np.int64)
+    for k in itertools.count():
+        moving = d > eps
+        if not moving.any():
+            break
+        pos = np.where(moving, pos + d * np.exp(1j * uniform_angle(key, k)), pos)
+        d = np.where(moving, np.minimum(outer(pos), domain.obstacle.dist(pos)), d)
+        steps += moving
+    terminals, labels = domain.terminal(pos)
+    return WalkEnsemble(terminals, labels, steps, d, np.zeros(n, dtype=bool), eps)
+
+
+def test_walks_match_lockstep_reference(monkeypatch):
+    # run_walks drops finished walks from its arrays and asks only the parts
+    # its bounds cannot rule out; a walker that does neither must give the
+    # same walks, field by field, whatever the chunking and thread count
+    A = HalfPlaneHull([VSlit(-1.0, 0.8), BoxShape(0.0, 0.6, 0.0, 0.5), HalfDisk(1.5, 0.4)])
+    B = mixed_disk_corpus(3, 7)[2]
+    rects = RectSet(*filled_region(ring(0.7), 1.0, 1e-2).blocked_rects())
+    cases = [(DiskDomain(B), 0j), (HalfPlaneDomain(A), 0.3 + 1.2j), (DiskDomain(rects), 0j)]
+    assert len(B) == 12
+    monkeypatch.setattr(wos, "_CHUNK", 700)
+    for d, z in cases:
+        ref = _lockstep_walks(d, z, 2000, seed=19)
+        assert ref.steps.max() > 1
+        for threads in (1, 2):
+            assert _same_ensemble(run_walks(d, z, 2000, seed=19, threads=threads), ref)
+
+
+def test_step_cap_inside_a_run(monkeypatch):
+    # a cap between the median and the longest walk stops some walks of a
+    # chunk and flags them, and leaves the walks that stop before it alone
+    d = DiskDomain(DiskCompact([RadialSlit(0.3, 0.7)]))
+    free = run_walks(d, 0j, 2000, seed=12)
+    cap = 20
+    assert np.median(free.steps) < cap < free.steps.max()
+    monkeypatch.setattr(wos, "_CHUNK", 700)
+    monkeypatch.setattr(wos, "STEP_CAP", cap)
+    for threads in (1, 2):
+        capped = run_walks(d, 0j, 2000, seed=12, threads=threads)
+        before = free.steps <= cap
+        for f in ("terminals", "labels", "steps", "stop_dists", "flagged"):
+            assert np.array_equal(getattr(capped, f)[before], getattr(free, f)[before])
+        assert np.all(capped.steps[~before] == cap)
+        assert np.all(capped.flagged[~before])
+        assert np.all(capped.stop_dists[~before] > capped.eps_stop)
+        assert 0 < np.count_nonzero(~before) < 2000
 
 
 def test_per_walk_starts_outside_rejected():
