@@ -75,7 +75,8 @@ class DyadicSquare:
             return False
         frac = (math.atan2(z.imag, z.real) / TWO_PI) % 1.0
         lo, hi = self.angle_fraction
-        return lo <= frac < hi
+        # a fraction just below 0 can round up to 1.0; it lies in the last interval
+        return lo <= frac < hi or frac == hi == 1.0
 
 
 def layer_of(z: complex) -> int:
@@ -112,25 +113,16 @@ def _angle_footprint(s) -> tuple[float, float]:
 
 
 def _squares_for_footprint(n: int, start: float, width: float) -> list[int]:
-    """All k whose half-open dyadic interval meets the closed footprint."""
+    """All k whose half-open dyadic interval meets the closed footprint.
+
+    Past the full turn the intervals repeat, so the k of [j/2^n, (j+1)/2^n)
+    is j mod 2^n + 1: a footprint that ends at 1.0 ends at angle 0, in k = 1.
+    """
     scale = 2**n
     if width >= 1.0:
         return list(range(1, scale + 1))
-    ks: set[int] = set()
-    segments = []
-    end = start + width
-    if end <= 1.0:
-        segments.append((start, end))
-    else:
-        segments.append((start, 1.0))
-        segments.append((0.0, end - 1.0))
-    for a, b in segments:
-        k_lo = int(math.floor(a * scale)) + 1
-        k_hi = int(math.floor(b * scale)) + 1
-        for k in range(k_lo, k_hi + 1):
-            if 1 <= k <= scale:
-                ks.add(k)
-    return sorted(ks)
+    j_lo, j_hi = math.floor(start * scale), math.floor((start + width) * scale)
+    return sorted({j % scale + 1 for j in range(j_lo, j_hi + 1)})
 
 
 def _require_shapes(S, kind: type) -> None:

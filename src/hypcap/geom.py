@@ -45,9 +45,14 @@ def _as_complex(z) -> np.ndarray:
     return np.asarray(z, dtype=complex)
 
 
+def _rect_clip(x, y, x0, x1, y0, y1) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest point of the closed rectangle [x0, x1] x [y0, y1] to (x, y); its distance is hypot(x - nx, y - ny)."""
+    return np.minimum(np.maximum(x, x0), x1), np.minimum(np.maximum(y, y0), y1)
+
+
 def _modulus_range(x0, x1, y0, y1) -> tuple[np.ndarray, np.ndarray]:
     """(least, greatest) |z| over each closed rectangle [x0, x1] x [y0, y1]."""
-    near = np.hypot(np.clip(0.0, x0, x1), np.clip(0.0, y0, y1))
+    near = np.hypot(*_rect_clip(0.0, 0.0, x0, x1, y0, y1))
     far = np.hypot(np.maximum(np.abs(x0), np.abs(x1)), np.maximum(np.abs(y0), np.abs(y1)))
     return near, far
 
@@ -115,13 +120,13 @@ class BoxShape:
 
     def dist(self, z) -> np.ndarray:
         z = _as_complex(z)
-        dx = np.maximum(np.maximum(self.x0 - z.real, z.real - self.x1), 0.0)
-        dy = np.maximum(np.maximum(self.y0 - z.imag, z.imag - self.y1), 0.0)
-        return np.hypot(dx, dy)
+        nx, ny = _rect_clip(z.real, z.imag, self.x0, self.x1, self.y0, self.y1)
+        return np.hypot(z.real - nx, z.imag - ny)
 
     def nearest(self, z) -> np.ndarray:
         z = _as_complex(z)
-        return np.clip(z.real, self.x0, self.x1) + 1j * np.clip(z.imag, self.y0, self.y1)
+        nx, ny = _rect_clip(z.real, z.imag, self.x0, self.x1, self.y0, self.y1)
+        return nx + 1j * ny
 
     def contains_square(self, cx, cy, half) -> np.ndarray:
         return (cx - half >= self.x0) & (cx + half <= self.x1) & (cy - half >= self.y0) & (cy + half <= self.y1)
@@ -162,7 +167,11 @@ class HalfDisk:
         z = _as_complex(z)
         w = z - self.c
         aw = np.abs(w)
-        on_arc = self.c + np.where(aw > 0, w / np.where(aw == 0, 1.0, aw), 1.0) * self.r
+        # a NaN point divides NaN by NaN, which numpy's complex division
+        # reports; the answer is NaN, given quietly as dist gives it
+        with np.errstate(invalid="ignore"):
+            unit = w / np.where(aw == 0, 1.0, aw)
+        on_arc = self.c + np.where(aw > 0, unit, 1.0) * self.r
         inside = (aw <= self.r) & (z.imag >= 0)
         out = np.where(inside, z, on_arc)
         below = z.imag < 0
@@ -300,8 +309,10 @@ class ArcBox:
     def nearest(self, z) -> np.ndarray:
         z = _as_complex(z)
         r = np.abs(z)
-        safe = np.where(r == 0, 1.0, r)
-        radial = np.clip(r, self.rho, 1.0) * (z / safe)
+        # NaN quietly on a NaN point, as in HalfDisk.nearest
+        with np.errstate(invalid="ignore"):
+            unit = z / np.where(r == 0, 1.0, r)
+        radial = np.clip(r, self.rho, 1.0) * unit
         radial = np.where(r == 0, self.rho * np.exp(1j * 0.5 * (self.theta0 + self.theta1)), radial)
         if self.width >= TWO_PI:
             return radial

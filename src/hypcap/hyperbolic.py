@@ -19,12 +19,10 @@ that meet the closed disk.
 
 Only filled_region and RectSet use scipy: _flood_masks imports
 scipy.sparse.csgraph for its floods and RectSet imports scipy.spatial for
-its k-d trees, each where it is used.  So importing hypcap, the walks, the
+its k-d tree, each where it is used, because loading scipy costs more than
+importing the rest of the package.  So importing hypcap, the walks, the
 capacity estimators, neighborhood_area and the dyadic, Whitney and
-Lipschitz covers load no scipy module.  With the three imports at the top
-of this module, "import hypcap" took 0.47 s and left a 69 MB max RSS;
-without them it takes 0.16 s and 30 MB (Python 3.11, numpy 2.4.6, scipy
-1.17.1, 2-core x86 VM, three runs each).
+Lipschitz covers load no scipy module.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geom, quadtree
-from .geom import Obstacle, _as_complex, _modulus_range, require_obstacle
+from .geom import Obstacle, _as_complex, _modulus_range, _rect_clip, require_obstacle
 from .quadtree import INSIDE, OUTSIDE, UNKNOWN, AreaBounds, Leaves
 
 SQRT2 = math.sqrt(2.0)
@@ -368,7 +366,10 @@ class FilledRegion:
     the origin form the *passable* region, a guaranteed subset of the
     complement of the filled neighborhood; everything else is *blocked*.
     The *frontier* is the blocked cells that meet the closed unit disk and
-    share an edge, a segment of positive length, with a passable cell.
+    share an edge, a segment of positive length, with a passable cell: the
+    by_edge mask of quadtree.contact_masks, the one contact function, over
+    the contacts among those cells (quadtree.touching reads it over every
+    non-INSIDE cell).
 
     A walk against the frontier stays in the passable region, and the
     frontier is as near to each of its points w in the open disk as the
@@ -394,19 +395,6 @@ class FilledRegion:
     def blocked_rects(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Geometric rects of the frontier cells."""
         return self.leaves.rects(self.frontier)
-
-
-def _segment_reaches_disk(p0x, p0y, p1x, p1y) -> np.ndarray:
-    """True when the segment has a point with |z| < 1 (vectorized)."""
-    dx = p1x - p0x
-    dy = p1y - p0y
-    den = dx * dx + dy * dy
-    t = np.zeros_like(p0x)
-    nz = den > 0
-    t[nz] = np.clip(-(p0x[nz] * dx[nz] + p0y[nz] * dy[nz]) / den[nz], 0.0, 1.0)
-    qx = p0x + t * dx
-    qy = p0y + t * dy
-    return np.hypot(qx, qy) < 1.0
 
 
 def _cell_of_origin(leaves: Leaves) -> int:
@@ -450,23 +438,20 @@ def _flood_masks(leaves: Leaves):
 
     def strict_pairs() -> tuple[np.ndarray, np.ndarray]:
         # free cells only, through shared edges that reach into the open
-        # disk; the temporaries go before the generous flood builds its graph
+        # disk: an edge is a closed rectangle of zero width or height; the
+        # temporaries go before the generous flood builds its graph
         keep = edge & free[pi] & free[pj]
         si, sj = pi[keep], pj[keep]
         (xi0, xi1, yi0, yi1), (xj0, xj1, yj0, yj1) = leaves.rects(si), leaves.rects(sj)
-        ok = _segment_reaches_disk(
-            np.maximum(xi0, xj0), np.maximum(yi0, yj0), np.minimum(xi1, xj1), np.minimum(yi1, yj1)
-        )
+        shared = np.maximum(xi0, xj0), np.minimum(xi1, xj1), np.maximum(yi0, yj0), np.minimum(yi1, yj1)
+        ok = _modulus_range(*shared)[0] < 1.0
         return si[ok], sj[ok]
 
     reached_strict = reached(free, *strict_pairs())
     # a genuine path in the disk complement only ever crosses free or
     # unknown cells, possibly through corners
     reached_gen = reached(active, pi, pj)
-    ei, ej = pi[edge], pj[edge]
-    frontier = np.zeros(n, dtype=bool)
-    frontier[ej[reached_strict[ei] & ~reached_strict[ej]]] = True
-    frontier[ei[reached_strict[ej] & ~reached_strict[ei]]] = True
+    frontier = quadtree.contact_masks(pi, pj, edge, reached_strict)[1]
     return reached_strict, reached_gen, frontier
 
 
@@ -615,27 +600,18 @@ class RectSet(Obstacle):
     once 16k reaches its size or 4k exceeds _QUERY_BLOCK, so a level of at
     most 128 rectangles is scanned without a k-NN pass.
 
-    Each frontier of filled_region is one refinement level, and the 18
-    sets that the fattening and omega checks build at the default
-    VerifyConfig, of 2,038 to 90,957 cells, have no cell off it.  One tree
-    over all cells with the global h_max instead let a flood set with 22
-    coarse cells beside 9,818 fine ones drive k toward its size.
+    The tree holds one octave because each frontier of filled_region is
+    one refinement level, so nearly every query is answered there.  One
+    tree over all cells, with the global h_max, let a few coarse cells
+    beside many fine ones drive k toward the size of the set.
 
     The tree is built with compact_nodes=False and _TREE_LEAF = 64 points
     per leaf.  Compacted nodes made the k = 8 queries of walks far from the
-    cells slow: 2,000 walks from 0 against the ArcBox(0.4, 1.2, 0.75)
-    frontier at (1, 2e-3), then 26,641 cells, took 0.93 s with scipy's
-    defaults and 0.27 s without compaction.  The leaf size was chosen on
-    three kinds of traffic (2-core x86 VM, one run each, leaf sizes 16,
-    32, 64, 128 and 256):
-    those arcbox walks (0.26-0.27 s up to leaf 64, 0.37-0.39 s above); the
-    single start query from 0 of walks against the ring(0.7) frontier,
-    equidistant from all its cells (6.3 ms at leaf 16 without compaction,
-    2.9 ms at 64, 3.0 ms with the defaults); and the quadtree classifier on
-    the iterated quarter-radius fattenings of verify.fattening_check (0.94,
-    0.94 and 2.86 s in this method at 64 against 1.36, 1.68 and 4.58 s with
-    the defaults).  dist is exact whatever the tree's shape, so distances,
-    walks and filled regions do not depend on these settings.
+    cells slow, and leaf 64 was the best measured on the walks from 0, the
+    start query of walks equidistant from all cells and the quadtree
+    classifier of the iterated fattenings.  dist is exact whatever the
+    tree's shape, so distances, walks and filled regions do not depend on
+    these settings.
 
     Each pass runs in blocks of at most _QUERY_BLOCK (point, rectangle)
     entries, so a query allocates O(points) plus a constant, whatever the
@@ -685,9 +661,8 @@ class RectSet(Obstacle):
         """
         zr = z.real[rows, None]
         zi = z.imag[rows, None]
-        dx = np.maximum(np.maximum(self.x0[cand] - zr, zr - self.x1[cand]), 0.0)
-        dy = np.maximum(np.maximum(self.y0[cand] - zi, zi - self.y1[cand]), 0.0)
-        d = np.hypot(dx, dy)
+        nx, ny = _rect_clip(zr, zi, self.x0[cand], self.x1[cand], self.y0[cand], self.y1[cand])
+        d = np.hypot(zr - nx, zi - ny)
         at = np.arange(d.shape[0])
         j = d.argmin(axis=1)
         m = d[at, j]
@@ -739,6 +714,5 @@ class RectSet(Obstacle):
         z = _as_complex(z)
         flat = z.ravel()
         dist, best = self._query(flat)
-        nx = np.clip(flat.real, self.x0[best], self.x1[best])
-        ny = np.clip(flat.imag, self.y0[best], self.y1[best])
+        nx, ny = _rect_clip(flat.real, flat.imag, self.x0[best], self.x1[best], self.y0[best], self.y1[best])
         return dist.reshape(z.shape), best.reshape(z.shape), (nx + 1j * ny).reshape(z.shape)

@@ -242,16 +242,27 @@ def adjacency_pairs(leaves: Leaves, active: np.ndarray) -> tuple[np.ndarray, np.
     return np.concatenate(pairs_i), np.concatenate(pairs_j), np.concatenate(edges)
 
 
+def contact_masks(pi, pj, edge, passable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(touch, by_edge) from the contact pairs (pi, pj, edge) that adjacency_pairs gives.
+
+    touch flags the cells off passable that touch a passable one, and
+    by_edge those of them that share an edge with one.  This is the one
+    scatter of contacts: touching and the filled region's frontier
+    (hyperbolic._flood_masks) both read it.
+    """
+    touch = np.zeros(passable.size, dtype=bool)
+    by_edge = np.zeros(passable.size, dtype=bool)
+    for i, j in ((pi, pj), (pj, pi)):
+        hit = passable[i]
+        touch[j[hit]] = True
+        by_edge[j[hit & edge]] = True
+    return touch & ~passable, by_edge & ~passable
+
+
 def touching(leaves: Leaves, passable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(touch, by_edge): the cells off passable that touch a passable one, and those sharing an edge with one.
+    """contact_masks over the contacts among the non-INSIDE cells of leaves.
 
     A closed INSIDE cell never touches a closed OUTSIDE one, and passable
     cells are OUTSIDE, so only the contacts among the other cells are read.
     """
-    pi, pj, edge = adjacency_pairs(leaves, leaves.cls != INSIDE)
-    touch = np.zeros(passable.size, dtype=bool)
-    by_edge = np.zeros(passable.size, dtype=bool)
-    for i, j in ((pi, pj), (pj, pi)):
-        touch[j[passable[i]]] = True
-        by_edge[j[passable[i] & edge]] = True
-    return touch & ~passable, by_edge & ~passable
+    return contact_masks(*adjacency_pairs(leaves, leaves.cls != INSIDE), passable)

@@ -159,6 +159,26 @@ def test_dyadic_cover_contains_set():
         assert any(q.contains(z) for q in squares), z
 
 
+def test_dyadic_cover_footprint_ending_at_the_full_turn():
+    # the sector's closed footprint ends at angle 2 pi, which is angle 0:
+    # 0.82 lies in B and in the top half of the square (2, 1), since
+    # 1/8 < 1 - 0.82 <= 1/4
+    B = DiskCompact([ArcBox(1.5 * math.pi, 2 * math.pi, 0.8)])
+    squares, area = dyadic_cover(B)
+    assert [(q.n, q.k) for q in squares] == [(2, 1), (2, 4)]
+    assert area.lower == DyadicSquare(2, 1).area + DyadicSquare(2, 4).area
+    z = 0.82 + 0j
+    assert B.dist(z) == 0.0 and 1 / 8 < 1 - abs(z) <= 1 / 4
+    assert [(q.n, q.k) for q in squares if q.contains(z)] == [(2, 1)]
+
+
+def test_dyadic_square_contains_points_beside_angle_zero():
+    # below the axis atan2 / 2 pi is about -1.8e-18, which % 1.0 rounds up
+    # to 1.0: the point lies in the last interval, and above it in the first
+    for z, k in ((0.9 - 1e-17j, 8), (0.9 + 1e-17j, 1), (0.9 + 0j, 1)):
+        assert [j for j in range(1, 9) if DyadicSquare(3, j).contains(z)] == [k], z
+
+
 def test_dyadic_cover_single_slit_area():
     # one slit of depth 0.3 populates scale 1 only; the union is one square
     B = DiskCompact([RadialSlit(0.3, 0.7)])

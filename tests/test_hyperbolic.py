@@ -34,7 +34,6 @@ from hypcap.hyperbolic import (
     _member_mask,
     _refine,
     _root_square,
-    _segment_reaches_disk,
     circle_rect_area,
     filled_region,
     hyp_dist_d,
@@ -672,6 +671,21 @@ def test_ring_annulus_lies_in_its_brackets():
         assert b.tolerance_met and b.lower <= annulus <= b.upper
     b = filled_region(ring(0.7), 1.0, 2e-3).bounds
     assert b.tolerance_met and b.lower <= annulus <= b.upper
+
+
+def _segment_reaches_disk(p0x, p0y, p1x, p1y) -> np.ndarray:
+    """True where the segment from p0 to p1 has a point with |z| < 1, by projecting 0 onto it.
+
+    The library asks the closed-rectangle rule (geom._modulus_range) of the
+    shared edge instead; this reference stays independent of it.
+    """
+    dx = p1x - p0x
+    dy = p1y - p0y
+    den = dx * dx + dy * dy
+    t = np.zeros_like(p0x)
+    nz = den > 0
+    t[nz] = np.clip(-(p0x[nz] * dx[nz] + p0y[nz] * dy[nz]) / den[nz], 0.0, 1.0)
+    return np.hypot(p0x + t * dx, p0y + t * dy) < 1.0
 
 
 def _full_graph_flood(leaves):

@@ -1,11 +1,11 @@
 """Print one "name sha256" line per deterministic output of hypcap.
 
 Two checkouts give the same lines exactly when their leaves, brackets,
-filled regions, walk ensembles and claim rows are bit-identical, so a
-refactor is checked with one diff.  The rectset lines query
-RectSet.nearest where its k-NN loop has the least room, at points almost
-equidistant from many cells, so a change to the loop or a margin below
-the rounding shows up there:
+dyadic, Whitney and Lipschitz covers, filled regions, walk ensembles and
+claim rows are bit-identical, so a refactor is checked with one diff.  The
+rectset lines query RectSet.nearest where its k-NN loop has the least
+room, at points almost equidistant from many cells, so a change to the loop
+or a margin below the rounding shows up there:
 
     PYTHONPATH=src python tools/fingerprint.py > new.txt
     PYTHONPATH=../parent/src python tools/fingerprint.py > old.txt
@@ -26,6 +26,7 @@ import numpy as np
 from hypcap import quadtree
 from hypcap.capacity import ring
 from hypcap.corpus import mixed_disk_corpus, mixed_halfplane_corpus
+from hypcap.dyadic import dyadic_cover, lipschitz_majorant_area, whitney_cover_area
 from hypcap.geom import ArcBox, DiskCompact, HalfPlaneHull, RadialSlit, VSlit
 from hypcap.hyperbolic import RectSet, filled_region, neighborhood_area
 from hypcap.verify import VerifyConfig, run_claim
@@ -101,15 +102,19 @@ def fingerprints(claims):
         seen.append(out[0])
         return out
 
+    disks, hulls = mixed_disk_corpus(4, 7), mixed_halfplane_corpus(12, 7)
     quadtree.refine = recording
     try:
-        corpora = (("disk", mixed_disk_corpus(4, 7)), ("halfplane", mixed_halfplane_corpus(12, 7)))
-        for space, corpus in corpora:
+        for space, corpus in (("disk", disks), ("halfplane", hulls)):
             for i, S in enumerate(corpus):
                 bounds = neighborhood_area(S, 1.0, 1e-3, relative=True)
                 yield f"area/{space}-{i}", digest(leaves_digest(seen.pop()), bounds)
     finally:
         quadtree.refine = refine
+    for i, B in enumerate(disks):
+        yield f"covers/disk-{i}", digest(*dyadic_cover(B))
+    for i, A in enumerate(hulls):
+        yield f"covers/halfplane-{i}", digest(whitney_cover_area(A), lipschitz_majorant_area(A))
 
     regions = {"ring(0.7)": ring(0.7), "arcbox(0.4,1.2,0.75)": DiskCompact([ArcBox(0.4, 1.2, 0.75)])}
     filled = {}
