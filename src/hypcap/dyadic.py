@@ -8,6 +8,13 @@ set.  Dyadic intervals are nested or disjoint, and each square reaches the
 unit circle, so two squares are nested or disjoint too: the maximal squares
 of the cover are pairwise disjoint, their union is the cover's union and its
 area is the sum of their areas.
+
+The Whitney square (j, k) of the half-plane is [j 2^k, (j+1) 2^k] x
+[2^k, 2^(k+1)].  The area of those that meet a hull is counted level by
+level, exactly, down to 2^K_CUT.  On a lower level k a shape of x-extent w
+meets at most w/2^k + 2 of them, so all lower levels hold at most
+w 2^K_CUT + (2/3) 4^K_CUT per shape reaching below 2^K_CUT: one line bounds
+the rest.
 """
 
 from __future__ import annotations
@@ -31,8 +38,8 @@ from .quadtree import AreaBounds
 TWO_PI = 2.0 * math.pi
 # the finest dyadic scale a cover may reach: deeper sets are rejected
 N_MAX = 20
-# the finest Whitney level enumerated exactly; the tail below is bracketed
-K_CUT = -16
+# the finest Whitney level counted exactly; the levels below are bounded in one line
+K_CUT = -40
 
 
 @dataclass(frozen=True)
@@ -211,58 +218,27 @@ def whitney_ranges(A: HalfPlaneHull, k: int) -> list[tuple[int, int]]:
 def whitney_cover_area(A: HalfPlaneHull) -> AreaBounds:
     """Total area of the distinct Whitney squares meeting A.
 
-    Levels down to K_CUT are enumerated exactly through integer ranges; the
-    geometric tail below K_CUT is bracketed analytically, so the returned
-    gap is of order 4^K_CUT.
+    Every level from the top down to K_CUT is counted exactly through
+    integer ranges.  A shape meets a level k < K_CUT only if its foot
+    y0 <= 2^(k+1) <= 2^K_CUT, and then, with x-extent w, in at most
+    w/2^k + 2 squares, whose areas sum over k < K_CUT to at most
+    w 2^K_CUT + (2/3) 4^K_CUT.  The bracket is [area, area + that sum over
+    such shapes], of width about 2^K_CUT times the hull's x-extent.  While
+    the x-extent is at most 2^12 each count is below 2^53, so every term
+    count 4^k is exact and fsum rounds their total once.
     """
     _require_shapes(A, HalfPlaneHull)
     if A.is_empty:
         return AreaBounds(0.0, 0.0, 0, True)
-    y_max = A.y_max
     # the top level k has 2^k <= y_max < 2^(k+1)
-    k_top = math.frexp(y_max)[1] - 1
-
-    area = 0.0
-    levels = 0
-    for k in range(k_top, K_CUT - 1, -1):
-        ranges = whitney_ranges(A, k)
-        area += _merged_count(ranges) * 4.0**k
-        levels += 1
-
-    # tail bracket for the levels k < K_CUT.  A shape meets level k iff
-    # 2^k <= y1 and y0 <= 2^(k+1): the levels lo <= k < hi, over which 4^k
-    # sums to (4^hi - 4^lo) / 3 and 2^k to 2^hi - 2^lo (lo = -inf if y0 = 0)
-    spans = []
-    for s in A.shapes:
-        (m0, e0), hi = math.frexp(s.y_range[0]), min(K_CUT, math.frexp(s.y_range[1])[1])
-        spans.append((min(e0 - 1 - (m0 == 0.5), hi) if m0 else -math.inf, hi))
-    tail_lo = 0.0
-    tail_hi = 0.0
-    for s, (lo, hi) in zip(A.shapes, spans):
-        s4, s2 = (4.0**hi - 4.0**lo) / 3.0, 2.0**hi - 2.0**lo
-        if isinstance(s, VSlit):
-            tail_lo += s4
-            tail_hi += 2.0 * s4
-        elif isinstance(s, BoxShape):
-            w = s.x1 - s.x0
-            tail_lo += w * s2
-            tail_hi += w * s2 + 2.0 * s4
-        elif isinstance(s, HalfDisk):
-            w_lo = 2.0 * math.sqrt(max(s.r * s.r - 4.0**hi, 0.0))
-            tail_lo += w_lo * s2
-            tail_hi += 2.0 * s.r * s2 + 2.0 * s4
-    # touching feet share at most two squares on each level both shapes
-    # reach, and tail_lo counts them twice; pairs sums those levels' 4^k in
-    # units of the full tail 4^K_CUT / 3
-    pairs = 0.0
-    for i, (a, (lo_a, hi_a)) in enumerate(zip(A.shapes, spans)):
-        for b, (lo_b, hi_b) in zip(A.shapes[i + 1 :], spans[i + 1 :]):
-            lo, hi = max(lo_a, lo_b), min(hi_a, hi_b)
-            if lo < hi and max(a.x_range[0], b.x_range[0]) <= min(a.x_range[1], b.x_range[1]):
-                pairs += 4.0 ** (hi - K_CUT) - 4.0 ** (lo - K_CUT)
-    tail_lo = max(0.0, tail_lo - pairs * 2.0 * (4.0**K_CUT / 3.0))
-
-    return AreaBounds(area + tail_lo, area + tail_hi, levels, True)
+    levels = range(math.frexp(A.y_max)[1] - 1, K_CUT - 1, -1)
+    area = math.fsum(_merged_count(whitney_ranges(A, k)) * 4.0**k for k in levels)
+    tail = sum(
+        (s.x_range[1] - s.x_range[0]) * 2.0**K_CUT + 2.0 / 3.0 * 4.0**K_CUT
+        for s in A.shapes
+        if s.y_range[0] <= 2.0**K_CUT
+    )
+    return AreaBounds(area, area + tail, len(levels), True)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ Figure-1 comparators and the two unions of each induction step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import fixtures
 from .capacity import (
@@ -140,10 +140,10 @@ def thm1_report(corpus: list[HalfPlaneHull], cfg: VerifyConfig) -> list[CheckRes
         out.append(_ratio_row("t1", f"ratio[{i}]", values, fixtures.THM1_RATIO))
         if i < 3:
             # scale consistency: the ratio is invariant under doubling the
-            # hull; the area of 2A is computed afresh because this row tests it
-            A2 = A.scale(2.0)
-            area2 = neighborhood_area(A2, 1.0, cfg.tol_area, relative=True)
-            r2, s2, _ = _hull_ratio(A2, area2, cfg, cfg.seed + 3000 + i)
+            # hull.  N(2A) = 2N(A), so 4 times the bracket of |N(A)| certifies
+            # |N(2A)| and the row tests the walks of 2A
+            area2 = replace(area, lower=4.0 * area.lower, upper=4.0 * area.upper)
+            r2, s2, _ = _hull_ratio(A.scale(2.0), area2, cfg, cfg.seed + 3000 + i)
             tol = 3.0 * math.hypot(sigma, s2)
             values = {"ratio_A": ratio, "ratio_2A": r2, "tol": tol}
             verdict = _verdict(abs(ratio - r2) <= tol)
@@ -290,6 +290,8 @@ def _filled_verdict(ok: bool, regions: list, note: str) -> tuple[str, str, float
 
 
 def fattening_check(B: DiskCompact, cfg: VerifyConfig, tag: str = "", iterated: bool = False) -> list[CheckResult]:
+    if B.is_empty:
+        raise ValueError("fattening_check needs a nonempty compact")
     est_b = dcap_mc(B, cfg.n_walks, cfg.seed + 7001, cfg.threads)
     region = filled_region(B, 1.0, 2e-3)
     est_hat = dcap_mc(RectSet(*region.blocked_rects()), cfg.n_walks, cfg.seed + 7002, cfg.threads)
@@ -346,6 +348,8 @@ def fattening_check(B: DiskCompact, cfg: VerifyConfig, tag: str = "", iterated: 
 
 
 def smoothed_omega_check(B: DiskCompact, cfg: VerifyConfig, tag: str = "") -> list[CheckResult]:
+    if B.is_empty:
+        raise ValueError("smoothed_omega_check needs a nonempty compact")
     eps = 0.125  # keeps radius-2*eps balls within adjacent layers
     ls = dcap_layer_sum(B, cfg.n_walks, cfg.seed + 8001, cfg.threads)
     region = filled_region(B, eps, 2e-3)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hypcap.corpus import generate_element, mixed_disk_corpus
+from hypcap.corpus import generate_element, mixed_disk_corpus, mixed_halfplane_corpus
 from hypcap.dyadic import (
     DyadicSquare,
     _angle_footprint,
@@ -221,8 +221,8 @@ def test_whitney_slit_exact():
 
 
 def test_whitney_touching_feet_bracket():
-    # the feet of the half-disk and the slit share x = 1, so the tail's lower
-    # bound must not count their shared squares twice
+    # the feet of the half-disk and the slit share x = 1, so on every level
+    # their ranges share squares, which the union counts once
     A = HalfPlaneHull([HalfDisk(0, 1), VSlit(1, 0.5)])
     total = sum(_merged_count(whitney_ranges(A, k)) * 4.0**k for k in range(0, -46, -1))
     ab = whitney_cover_area(A)
@@ -232,8 +232,9 @@ def test_whitney_touching_feet_bracket():
 
 @pytest.mark.parametrize("shape", [VSlit(0.3, 2**-20), BoxShape(0.1, 0.6, 0.0, 2**-18)])
 def test_whitney_tail_of_a_low_hull(shape):
-    # a hull lower than 2^K_CUT meets only the levels k with 2^k <= its
-    # height, all in the tail; the exact area sums those levels
+    # a hull this low meets only the levels k with 2^k <= its height; the
+    # bracket counts them exactly down to K_CUT and bounds the rest, so it
+    # holds the sum of the hull's 40 top levels and stays within twice it
     A = HalfPlaneHull([shape])
     top = math.frexp(shape.y_range[1])[1] - 1
     total = sum(_merged_count(whitney_ranges(A, k)) * 4.0**k for k in range(top, top - 40, -1))
@@ -242,6 +243,27 @@ def test_whitney_tail_of_a_low_hull(shape):
     ab = whitney_cover_area(A)
     assert ab.lower <= total <= ab.upper
     assert ab.upper <= 2.0 * total
+
+
+# the half-plane corpus, a box of x-extent 2^12, whose ranges at every
+# level reach the most squares the tail bound allows, and the touching feet
+WHITNEY_HULLS = mixed_halfplane_corpus(12, 7) + [
+    HalfPlaneHull([BoxShape(0.0, 4096.0, 0.0, 1.0)]),
+    HalfPlaneHull([HalfDisk(0, 1), VSlit(1, 0.5)]),
+]
+
+
+@pytest.mark.parametrize("A", WHITNEY_HULLS, ids=range(len(WHITNEY_HULLS)))
+def test_whitney_one_line_tail_bound(A):
+    # below 2^-40 a shape of x-extent w meets at most w/2^k + 2 squares per
+    # level, w 2^-40 + (2/3) 4^-40 in all: enumerating 20 more levels lands
+    # inside the bracket, and the gap is that sum, up to one rounding
+    top = math.frexp(A.y_max)[1] - 1
+    deeper = math.fsum(_merged_count(whitney_ranges(A, k)) * 4.0**k for k in range(top, -61, -1))
+    ab = whitney_cover_area(A)
+    assert ab.lower <= deeper <= ab.upper
+    bound = sum((s.x_range[1] - s.x_range[0]) * 2.0**-40 + 2.0 / 3.0 * 4.0**-40 for s in A.shapes)
+    assert ab.gap <= bound + math.ulp(ab.upper)
 
 
 def test_whitney_empty():

@@ -38,7 +38,7 @@ from hypcap.hyperbolic import (
     neighborhood_member,
 )
 from hypcap.rng import CounterRNG
-from hypcap.verify import VerifyConfig, prop1_check, prop1_induction_check
+from hypcap.verify import VerifyConfig, fattening_check, prop1_check, prop1_induction_check, smoothed_omega_check
 from hypcap.wos import DiskDomain, run_walks
 
 NAN = float("nan")
@@ -180,6 +180,13 @@ def test_invalid_inputs_raise(call):
         (lambda: crad_exact_at_iy("box", 0.1, 1.0), ValueError, "box"),
         # a radial slit has no area for the Prop. 1 constant
         (lambda: prop1_check(SLIT_DISK, VerifyConfig()), ValueError, "positive area"),
+        # an empty compact is rejected before any walk or filled region
+        (lambda: fattening_check(DiskCompact([]), VerifyConfig()), ValueError, "fattening_check needs a nonempty"),
+        (
+            lambda: smoothed_omega_check(DiskCompact([]), VerifyConfig()),
+            ValueError,
+            "smoothed_omega_check needs a nonempty",
+        ),
         (lambda: prop1_induction_check([], VerifyConfig()), ValueError, "between 1 and 8"),
         (
             lambda: prop1_induction_check([DyadicSquare(4, k) for k in range(1, 10)], VerifyConfig()),
@@ -224,6 +231,8 @@ def test_invalid_inputs_raise(call):
         "unknown-corpus-kind",
         "unknown-crad-kind",
         "prop1-no-area",
+        "fattening-empty-compact",
+        "omega-empty-compact",
         "induction-no-squares",
         "induction-nine-squares",
         "member-outside-disk",

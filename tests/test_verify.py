@@ -17,6 +17,7 @@ import pytest
 import hypcap
 from hypcap import quadtree, verify
 from hypcap.capacity import crad_halfplane, ring
+from hypcap.corpus import mixed_halfplane_corpus
 from hypcap.dyadic import DyadicSquare
 from hypcap.geom import DiskCompact, HalfPlaneHull, RadialSlit, VSlit
 from hypcap.hyperbolic import neighborhood_area
@@ -133,7 +134,7 @@ def test_run_all_follows_claims_order(monkeypatch):
 
 def test_claims_compute_each_area_once(monkeypatch):
     # one |N| bracket per corpus element feeds its ratio, scale-consistency
-    # and comparator rows; t1 adds the area of 2A for each of 3 scale rows
+    # and comparator rows; the scale rows take 4 times it for the area of 2A
     calls = []
 
     def counting(*args, **kwargs):
@@ -142,10 +143,20 @@ def test_claims_compute_each_area_once(monkeypatch):
 
     monkeypatch.setattr(verify, "neighborhood_area", counting)
     run_claim("t1", SMOKE)
-    assert len(calls) == 6
+    assert len(calls) == 3
     calls.clear()
     run_claim("t2", SMOKE)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("tol", [SMOKE.tol_area, VerifyConfig().tol_area])
+def test_doubled_hull_area_is_four_times_the_area(tol):
+    # N(2A) = 2N(A), and the refinement of 2A is that of A at twice the scale,
+    # so t1's scale rows take 4 times the bracket of |N(A)| for |N(2A)|
+    for A in mixed_halfplane_corpus(3, SMOKE.seed):
+        area = neighborhood_area(A, 1.0, tol, relative=True)
+        area2 = neighborhood_area(A.scale(2.0), 1.0, tol, relative=True)
+        assert (area2.lower, area2.upper) == (4.0 * area.lower, 4.0 * area.upper)
 
 
 def test_claims_walk_each_obstacle_once(monkeypatch):

@@ -25,7 +25,7 @@ import numpy as np
 
 from hypcap import quadtree
 from hypcap.capacity import ring
-from hypcap.corpus import mixed_disk_corpus, mixed_halfplane_corpus
+from hypcap.corpus import generate_element, mixed_disk_corpus, mixed_halfplane_corpus
 from hypcap.dyadic import dyadic_cover, lipschitz_majorant_area, whitney_cover_area
 from hypcap.geom import ArcBox, DiskCompact, HalfPlaneHull, RadialSlit, VSlit
 from hypcap.hyperbolic import RectSet, filled_region, neighborhood_area
@@ -113,6 +113,9 @@ def fingerprints(claims):
         quadtree.refine = refine
     for i, B in enumerate(disks):
         yield f"covers/disk-{i}", digest(*dyadic_cover(B))
+    # disk-1 and disk-3 are both the two scale-1 squares; this cover's five
+    # maximal squares reach scale 4
+    yield "covers/arcbox-set-2", digest(*dyadic_cover(generate_element("arcbox-set", 7, 2)))
     for i, A in enumerate(hulls):
         yield f"covers/halfplane-{i}", digest(whitney_cover_area(A), lipschitz_majorant_area(A))
 
