@@ -15,6 +15,11 @@ level, exactly, down to 2^K_CUT.  On a lower level k a shape of x-extent w
 meets at most w/2^k + 2 of them, so all lower levels hold at most
 w 2^K_CUT + (2/3) 4^K_CUT per shape reaching below 2^K_CUT: one line bounds
 the rest.
+
+The covers read shapes only through the protocol that ``geom`` states:
+``angle_interval()`` and ``rho_min`` of a disk family, ``x_range``,
+``y_range``, ``section(y)`` and ``majorant_pieces()`` of a half-plane
+family.  A new family needs no change here.
 """
 
 from __future__ import annotations
@@ -24,15 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import (
-    ArcBox,
-    BoxShape,
-    DiskCompact,
-    HalfDisk,
-    HalfPlaneHull,
-    RadialSlit,
-    VSlit,
-)
+from .geom import ArcBox, DiskCompact, HalfPlaneHull
 from .quadtree import AreaBounds
 
 TWO_PI = 2.0 * math.pi
@@ -167,28 +164,6 @@ def dyadic_cover(B: DiskCompact) -> tuple[list[DyadicSquare], AreaBounds]:
 # ---------------------------------------------------------------------------
 
 
-def _band_cross_section(s, k: int) -> tuple[float, float] | None:
-    """x-interval of points of s with height in [2^k, 2^{k+1}], or None."""
-    lo_y = 2.0**k
-    hi_y = 2.0 ** (k + 1)
-    y0, y1 = s.y_range
-    if lo_y > y1 or hi_y < y0:
-        return None
-    if isinstance(s, (VSlit, BoxShape)):
-        return s.x_range
-    if isinstance(s, HalfDisk):
-        y_at = max(lo_y, y0)
-        halfw = math.sqrt(max(s.r * s.r - y_at * y_at, 0.0))
-        return (s.c - halfw, s.c + halfw)
-    raise TypeError(type(s).__name__)
-
-
-def _range_for_interval(lo: float, hi: float, k: int) -> tuple[int, int]:
-    """Inclusive j-range of level-k squares meeting the closed [lo, hi]."""
-    side = 2.0**k
-    return (int(math.ceil(lo / side)) - 1, int(math.floor(hi / side)))
-
-
 def _merged_count(ranges: list[tuple[int, int]]) -> int:
     if not ranges:
         return 0
@@ -206,12 +181,19 @@ def _merged_count(ranges: list[tuple[int, int]]) -> int:
 
 
 def whitney_ranges(A: HalfPlaneHull, k: int) -> list[tuple[int, int]]:
-    """Inclusive j-ranges of the level-k Whitney squares meeting A."""
+    """Inclusive j-ranges of the level-k Whitney squares meeting A.
+
+    A shape meets the band [2^k, 2^(k+1)] in the x-interval of its section at
+    its lowest height there, where every family is widest; the squares of
+    side 2^k meeting the closed [lo, hi] are j = ceil(lo/2^k) - 1 ... floor(hi/2^k).
+    """
+    side = 2.0**k
     ranges = []
     for s in A.shapes:
-        sect = _band_cross_section(s, k)
-        if sect is not None:
-            ranges.append(_range_for_interval(sect[0], sect[1], k))
+        y0, y1 = s.y_range
+        if y0 <= 2.0 * side and side <= y1:
+            lo, hi = s.section(max(side, y0))
+            ranges.append((math.ceil(lo / side) - 1, math.floor(hi / side)))
     return ranges
 
 
@@ -244,34 +226,6 @@ def whitney_cover_area(A: HalfPlaneHull) -> AreaBounds:
 # ---------------------------------------------------------------------------
 # Lipschitz majorant
 # ---------------------------------------------------------------------------
-
-
-def _pieces_for_shape(s) -> list[tuple]:
-    """Profile pieces (x_lo, x_hi, kind, params) of the shape's majorant.
-
-    kind 'lin': value a + b x on the span; kind 'arc': sqrt(r^2 - (x-c)^2).
-    """
-    if isinstance(s, VSlit):
-        return [
-            (s.x - s.h, s.x, "lin", (s.h - s.x, 1.0)),
-            (s.x, s.x + s.h, "lin", (s.h + s.x, -1.0)),
-        ]
-    if isinstance(s, BoxShape):
-        top = s.y1
-        return [
-            (s.x0 - top, s.x0, "lin", (top - s.x0, 1.0)),
-            (s.x0, s.x1, "lin", (top, 0.0)),
-            (s.x1, s.x1 + top, "lin", (top + s.x1, -1.0)),
-        ]
-    if isinstance(s, HalfDisk):
-        r, c = s.r, s.c
-        q = r / math.sqrt(2.0)
-        return [
-            (c - r * math.sqrt(2.0), c - q, "lin", (r * math.sqrt(2.0) - c, 1.0)),
-            (c - q, c + q, "arc", (c, r)),
-            (c + q, c + r * math.sqrt(2.0), "lin", (r * math.sqrt(2.0) + c, -1.0)),
-        ]
-    raise TypeError(type(s).__name__)
 
 
 def _piece_value(piece, x: float) -> float:
@@ -332,7 +286,8 @@ def lipschitz_majorant_area(A: HalfPlaneHull) -> float:
     breakpoints where the winning piece can change.
     """
     _require_shapes(A, HalfPlaneHull)
-    pieces = [p for s in A.shapes for p in _pieces_for_shape(s)]
+    # a slit's flat top has zero width and adds nothing to the envelope
+    pieces = [p for s in A.shapes for p in s.majorant_pieces() if p[0] < p[1]]
     if not pieces:
         return 0.0
     xs: set[float] = set()

@@ -9,6 +9,22 @@ half-plane stays simply connected; a disk compact is the analogous union
 inside the disk.  Disjointness is checked with exact pairwise predicates,
 contact along the rooting boundary (real axis / unit circle) is allowed.
 
+Each family answers its own geometry, so no other module branches on a
+shape's type.  Besides the queries of an ``Obstacle`` part (``dist``,
+``nearest``, ``contains_square``, ``sup_abs``), a half-plane family answers
+
+- ``x_range`` and ``y_range``: its extent in x and in height;
+- ``section(y)``: its x-interval at height y in ``y_range``;
+- ``majorant_pieces()``: the (x_lo, x_hi, kind, params) pieces of its least
+  norm-1 Lipschitz majorant, kind "lin" with value a + b x for params
+  (a, b) or "arc" with value sqrt(r^2 - (x - c)^2) for params (c, r);
+- ``affine(a, b)``: its image under x -> a x + b (a != 0), heights scaled
+  by |a|;
+- ``rises_over(x)``: whether it has points strictly above the axis over x;
+
+and a disk family answers ``angle_interval()``, its closed angular
+footprint (start, width), and ``rho_min``, its least modulus.
+
 All distance queries are exact closed forms, vectorized over numpy arrays
 of points encoded as complex numbers.
 """
@@ -66,8 +82,28 @@ def _never(cx) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+class _FlatTop:
+    """A rooted shape whose top is flat over its whole foot x_range: a box, or a slit, whose foot is a point."""
+
+    def section(self, y: float) -> tuple[float, float]:
+        return self.x_range
+
+    def rises_over(self, x: float) -> bool:
+        x0, x1 = self.x_range
+        return x0 <= x <= x1
+
+    def majorant_pieces(self) -> list[tuple]:
+        """The trapezoid: slope 1 up to the top, flat over the foot (of zero width for a slit), slope -1 down."""
+        (x0, x1), top = self.x_range, self.y_range[1]
+        return [
+            (x0 - top, x0, "lin", (top - x0, 1.0)),
+            (x0, x1, "lin", (top, 0.0)),
+            (x1, x1 + top, "lin", (top + x1, -1.0)),
+        ]
+
+
 @dataclass(frozen=True)
-class VSlit:
+class VSlit(_FlatTop):
     """Vertical slit {x} x [0, h] rooted on the real axis."""
 
     x: float
@@ -89,6 +125,9 @@ class VSlit:
     def contains_square(self, cx, cy, half) -> np.ndarray:
         return _never(cx)
 
+    def affine(self, a: float, b: float) -> VSlit:
+        return VSlit(a * self.x + b, abs(a) * self.h)
+
     @property
     def sup_abs(self) -> float:
         return math.hypot(self.x, self.h)
@@ -103,7 +142,7 @@ class VSlit:
 
 
 @dataclass(frozen=True)
-class BoxShape:
+class BoxShape(_FlatTop):
     """Axis-aligned solid box [x0, x1] x [y0, y1]; rooted iff y0 == 0."""
 
     x0: float
@@ -130,6 +169,11 @@ class BoxShape:
 
     def contains_square(self, cx, cy, half) -> np.ndarray:
         return (cx - half >= self.x0) & (cx + half <= self.x1) & (cy - half >= self.y0) & (cy + half <= self.y1)
+
+    def affine(self, a: float, b: float) -> BoxShape:
+        # a mirror (a < 0) swaps the ends
+        x0, x1 = sorted((a * self.x0 + b, a * self.x1 + b))
+        return BoxShape(x0, x1, abs(a) * self.y0, abs(a) * self.y1)
 
     @property
     def sup_abs(self) -> float:
@@ -183,6 +227,27 @@ class HalfDisk:
     def contains_square(self, cx, cy, half) -> np.ndarray:
         # above the axis, the corner farthest from c decides
         return (cy - half >= 0.0) & (np.hypot(np.abs(cx - self.c) + half, cy + half) <= self.r)
+
+    def section(self, y: float) -> tuple[float, float]:
+        halfw = math.sqrt(max(self.r * self.r - y * y, 0.0))
+        return (self.c - halfw, self.c + halfw)
+
+    def rises_over(self, x: float) -> bool:
+        # the height is 0 at the ends of the foot
+        return self.c - self.r < x < self.c + self.r
+
+    def majorant_pieces(self) -> list[tuple]:
+        """Slope 1 up to the cap's 45-degree points, the circle between them, slope -1 down."""
+        r, c = self.r, self.c
+        q = r / math.sqrt(2.0)
+        return [
+            (c - r * math.sqrt(2.0), c - q, "lin", (r * math.sqrt(2.0) - c, 1.0)),
+            (c - q, c + q, "arc", (c, r)),
+            (c + q, c + r * math.sqrt(2.0), "lin", (r * math.sqrt(2.0) + c, -1.0)),
+        ]
+
+    def affine(self, a: float, b: float) -> HalfDisk:
+        return HalfDisk(a * self.c + b, abs(a) * self.r)
 
     @property
     def sup_abs(self) -> float:
@@ -366,13 +431,11 @@ def _overlap_off_axis(a: HalfPlaneShape, b: HalfPlaneShape) -> bool:
     """True iff the closures of rooted shapes a and b share a point strictly above the axis.
 
     Each rises from its foot x_range, so they do iff their feet share a point
-    over which both rise: a half-disk has height 0 at the ends of its foot.
+    over which both rise.
     """
     lo = max(a.x_range[0], b.x_range[0])
     hi = min(a.x_range[1], b.x_range[1])
-    return lo < hi or (
-        lo == hi and all(s.x_range[0] < lo < s.x_range[1] for s in (a, b) if isinstance(s, HalfDisk))
-    )
+    return lo < hi or (lo == hi and a.rises_over(lo) and b.rises_over(lo))
 
 
 def _arc_intervals_touch(i0: tuple[float, float], i1: tuple[float, float]) -> bool:
@@ -549,15 +612,15 @@ class HalfPlaneHull(_ShapeUnion):
         return lo, max((s.x_range[1] for s in self.shapes), default=0.0)
 
     def translate(self, t: float) -> "HalfPlaneHull":
-        return HalfPlaneHull([_affine(s, 1.0, t) for s in self.shapes], validate=False)
+        return HalfPlaneHull([s.affine(1.0, t) for s in self.shapes], validate=False)
 
     def scale(self, s: float) -> "HalfPlaneHull":
         if not s > 0:
             raise ValueError("scale factor must be positive")
-        return HalfPlaneHull([_affine(sh, s, 0.0) for sh in self.shapes], validate=False)
+        return HalfPlaneHull([sh.affine(s, 0.0) for sh in self.shapes], validate=False)
 
     def mirror(self) -> "HalfPlaneHull":
-        return HalfPlaneHull([_affine(s, -1.0, 0.0) for s in self.shapes], validate=False)
+        return HalfPlaneHull([s.affine(-1.0, 0.0) for s in self.shapes], validate=False)
 
 
 class DiskCompact(_ShapeUnion):
@@ -574,15 +637,3 @@ class DiskCompact(_ShapeUnion):
     def sup_abs(self) -> float:
         return 0.0 if self.is_empty else 1.0
 
-
-def _affine(s: HalfPlaneShape, a: float, b: float) -> HalfPlaneShape:
-    """Image of s under x -> a x + b (a != 0); heights scale by |a|."""
-    k = abs(a)
-    if isinstance(s, VSlit):
-        return VSlit(a * s.x + b, k * s.h)
-    if isinstance(s, BoxShape):
-        x0, x1 = sorted((a * s.x0 + b, a * s.x1 + b))
-        return BoxShape(x0, x1, k * s.y0, k * s.y1)
-    if isinstance(s, HalfDisk):
-        return HalfDisk(a * s.c + b, k * s.r)
-    raise TypeError(type(s).__name__)

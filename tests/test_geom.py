@@ -86,17 +86,20 @@ def test_metric_projection_property():
             assert not s.dist(p) <= d * (1 - 1e-9)
 
 
-def test_translation_equivariance():
+@pytest.mark.parametrize(
+    "s", [VSlit(0.3, 0.8), BoxShape(-0.4, 0.6, 0.0, 0.9), HalfDisk(0.5, 0.7)], ids=lambda s: type(s).__name__
+)
+def test_translation_equivariance(s):
     rng = np.random.default_rng(6)
-    s = HalfDisk(0.5, 0.7)
-    from hypcap.geom import _affine
-
     for _ in range(50):
         p = complex(rng.uniform(-2, 2), rng.uniform(0, 2))
         t = rng.uniform(-5, 5)
         d0 = s.dist(p)
-        d1 = _affine(s, 1.0, t).dist(p + t)
+        d1 = s.affine(1.0, t).dist(p + t)
         assert d1 == pytest.approx(d0, rel=1e-12, abs=1e-12)
+        # the mirror x -> t - x
+        d2 = s.affine(-1.0, t).dist(t - p.real + 1j * p.imag)
+        assert d2 == pytest.approx(d0, rel=1e-12, abs=1e-12)
 
 
 def test_validate_hull_cases():

@@ -77,6 +77,32 @@ def test_module_names_are_used():
     assert unused == []
 
 
+SHAPE_FAMILIES = {"VSlit", "BoxShape", "HalfDisk", "RadialSlit", "ArcBox"}
+
+
+def _family_checks(tree: ast.Module):
+    """(line, enclosing top-level name) of every isinstance call whose class argument names a shape family."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+                # a bare name (VSlit) or the last part of a dotted one (geom.VSlit)
+                names = {getattr(n, "id", None) or getattr(n, "attr", None) for a in node.args[1:] for n in ast.walk(a)}
+                if names & SHAPE_FAMILIES:
+                    yield node.lineno, getattr(top, "name", "")
+
+
+def test_shape_families_stay_in_geom():
+    # each family answers its own geometry (the geom docstring lists what);
+    # only geom's validate_* functions, which check outside input, ask a type
+    offenders = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, where in _family_checks(ast.parse(path.read_text()))
+        if not (path.name == "geom.py" and where.startswith("validate_"))
+    ]
+    assert offenders == []
+
+
 # only the filled regions and RectSet use scipy, and they import it where
 # they use it: the estimators, the areas and the covers run without it
 _SCIPY_CHILD = """

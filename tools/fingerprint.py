@@ -1,7 +1,8 @@
 """Print one "name sha256" line per deterministic output of hypcap.
 
 Two checkouts give the same lines exactly when their leaves, brackets,
-dyadic, Whitney and Lipschitz covers, filled regions, walk ensembles and
+dyadic, Whitney and Lipschitz covers (of corpus hulls and of their mirror,
+half-size and translated images), filled regions, walk ensembles and
 claim rows are bit-identical, so a refactor is checked with one diff.  The
 rectset lines query RectSet.nearest where its k-NN loop has the least
 room, at points almost equidistant from many cells, so a change to the loop
@@ -118,6 +119,10 @@ def fingerprints(claims):
     yield "covers/arcbox-set-2", digest(*dyadic_cover(generate_element("arcbox-set", 7, 2)))
     for i, A in enumerate(hulls):
         yield f"covers/halfplane-{i}", digest(whitney_cover_area(A), lipschitz_majorant_area(A))
+    # the affine images of mixed_halfplane_corpus(3, 7): slits, a box staircase
+    # (mirrored, its boxes swap their ends) and a mix
+    moved = [B for A in hulls[:3] for B in (A.mirror(), A.scale(0.5), A.translate(0.375))]
+    yield "covers/halfplane-affine", digest(*((whitney_cover_area(B), lipschitz_majorant_area(B)) for B in moved))
 
     regions = {"ring(0.7)": ring(0.7), "arcbox(0.4,1.2,0.75)": DiskCompact([ArcBox(0.4, 1.2, 0.75)])}
     filled = {}
