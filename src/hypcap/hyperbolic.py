@@ -322,15 +322,20 @@ def _root_square(S: Obstacle, rho: float) -> tuple[float, float, float]:
     return x_lo, 0.0, max(x_hi - x_lo, S.y_max * math.exp(rho) * 1.01)
 
 
-def _refine(S: Obstacle, rho: float, goal) -> tuple[Leaves, AreaBounds]:
-    """quadtree.refine of S's rho-neighborhood from its root square until the gap meets goal.
+def _refine_args(S: Obstacle, rho: float, goal) -> tuple:
+    """The arguments of quadtree.refine and refine_bounds that refine S's rho-neighborhood until the gap meets goal.
 
     N lies in the open disk, so a disk cell across the circle adds to the
     gap only its area inside the disk, rounded up (_indisk_areas); the
     half-plane's root square lies in the closed half-plane.
     """
     clip = (lambda x0, y0, side: _indisk_areas(x0, y0, side)[1]) if S.space == "disk" else None
-    return quadtree.refine(*_root_square(S, rho), _classifier(S, rho), goal, clip)
+    return (*_root_square(S, rho), _classifier(S, rho), goal, clip)
+
+
+def _refine(S: Obstacle, rho: float, goal) -> tuple[Leaves, AreaBounds]:
+    """quadtree.refine of S's rho-neighborhood from its root square until the gap meets goal."""
+    return quadtree.refine(*_refine_args(S, rho, goal))
 
 
 def _check_rho_tol(rho: float, tol: float) -> None:
@@ -344,13 +349,20 @@ def neighborhood_area(
     tol: float = 1e-3,
     relative: bool = False,
 ) -> AreaBounds:
-    """Certified bounds on the euclidean area of the rho-neighborhood of S."""
+    """Certified bounds on the euclidean area of the rho-neighborhood of S.
+
+    The refinement keeps no leaves and stops partway through its last
+    level once the gap meets the tolerance (quadtree.refine_bounds), so
+    the bracket holds the one of a refinement that splits whole levels,
+    _refine(S, rho, goal)[1], and equals it whenever both classify as
+    many cells.
+    """
     require_obstacle(S)
     _check_rho_tol(rho, tol)
     if S.is_empty:
         return AreaBounds(0.0, 0.0, 0, True)
     goal = (lambda lo, up: tol * up) if relative else (lambda lo, up: tol)
-    return _refine(S, rho, goal)[1]
+    return quadtree.refine_bounds(*_refine_args(S, rho, goal))
 
 
 # ---------------------------------------------------------------------------

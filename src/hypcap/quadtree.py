@@ -16,9 +16,23 @@ whole closed unit disk), the target set lies in the space, so an UNKNOWN
 cell adds to the gap only its area inside the space, which the caller's
 clip measures cell by cell.
 
+refine returns the leaves with the bounds; refine_bounds, for callers that
+keep only the bounds, gathers no leaves and stops partway through the
+level it predicts last.  A level whose gap is at most twice the goal is
+predicted last, and its UNKNOWN cells are split in SLICES contiguous
+slices in array order.  After each slice the gap is the unknown area of
+the children so far plus the area of the parents not yet split, and the
+lower bound gains the INSIDE children so far; the refinement stops as soon
+as the gap meets the goal.  A split parent's children hold no more of
+the bracket than the parent did (up to the clip's outward rounding), so
+the bracket holds refine's, which splits every slice and often goes on.
+A level whose slices all run sums its bounds exactly as a whole level
+does, so refine_bounds returns refine's bounds bit for bit whenever it
+classifies as many cells.  Both run one loop, _descend.
+
 The classifier carries state down the tree: classify(cx, cy, half, carry)
 returns (codes, carry), where carry is an array with one row per cell.  At
-the root refine passes None.  refine keeps the rows of the UNKNOWN cells
+the root _descend passes None.  It keeps the rows of the UNKNOWN cells
 and repeats each one 4 times, in the order _split4 lays out their
 children, so each child receives its parent's row.  What a row holds is
 the classifier's business; hyperbolic._classifier keeps in it the parts of
@@ -36,6 +50,9 @@ import numpy as np
 UNKNOWN, INSIDE, OUTSIDE = 0, 1, 2
 # refine splits no cell deeper than this; it reads the value at call time
 MAX_DEPTH = 24
+# refine_bounds splits the level it predicts last in this many slices; it
+# reads the value at call time
+SLICES = 8
 
 
 @dataclass
@@ -130,63 +147,98 @@ def refine(
     cells' areas inside the space (the rim term of the module docstring);
     None counts each whole, for a root square that lies in the closed
     space.  The cell rectangles it gets are those Leaves.rects gives.
+    Every level is split whole, and every leaf is returned.
     """
-    ix = np.zeros(1, dtype=np.int64)
-    iy = np.zeros(1, dtype=np.int64)
-    carry = None
-    level = 0
+    settled = []
+    bounds = _descend(gx0, gy0, size, classify, gap_goal, clip, 1, lambda *cells: settled.append(cells))
+    levels, ixs, iys, clss = zip(*settled)
+    depths = np.repeat(np.asarray(levels, dtype=np.int64), [a.size for a in ixs])
+    leaves = Leaves(gx0, gy0, size, levels[-1], np.concatenate(ixs), np.concatenate(iys), depths, np.concatenate(clss))
+    return leaves, bounds
 
-    acc_ix, acc_iy, acc_cls, acc_levels, acc_counts = [], [], [], [], []
+
+def refine_bounds(
+    gx0: float,
+    gy0: float,
+    size: float,
+    classify: Classifier,
+    gap_goal: Callable[[float, float], float],
+    clip: Clip | None,
+) -> AreaBounds:
+    """The bounds of refine with the same arguments, or a bracket that holds them, with no leaves.
+
+    The level predicted last is split in SLICES slices, and the refinement
+    stops after the first slice at which the gap meets the goal (see the
+    module docstring).  The bracket is refine's, bit for bit, whenever every
+    slice runs, and otherwise holds refine's bracket with fewer cells
+    classified.
+    """
+    return _descend(gx0, gy0, size, classify, gap_goal, clip, SLICES, None)
+
+
+def _descend(gx0, gy0, size, classify, gap_goal, clip, slices, add_leaves) -> AreaBounds:
+    """The one refinement loop of refine and refine_bounds.
+
+    Each pass classifies one level: the root, then the children of the
+    previous level's UNKNOWN cells, in _split4 order.  A level is split in
+    min(slices, its UNKNOWN cells) contiguous slices when its gap is at
+    most twice the goal, and whole otherwise.  add_leaves(level, ix, iy,
+    cls), when given, receives each slice's settled cells and, at the end,
+    the last level's UNKNOWN cells.
+    """
+    ix = iy = np.zeros(1, dtype=np.int64)
+    carry = gaps = None
+    level, pieces = 0, 1
     lower = 0.0
     cells_refined = 0
 
-    def add_leaves(mask: np.ndarray) -> None:
-        acc_ix.append(ix[mask])
-        acc_iy.append(iy[mask])
-        acc_cls.append(cls[mask])
-        acc_levels.append(level)
-        acc_counts.append(acc_ix[-1].size)
+    def gap_areas(ix: np.ndarray, iy: np.ndarray, side: float) -> np.ndarray:
+        if clip is None:
+            return np.broadcast_to(side * side, ix.shape)
+        return clip(gx0 + ix * side, gy0 + iy * side, side)
 
     while True:
         side = size * math.ldexp(1.0, -level)
-        cx = gx0 + (ix + 0.5) * side
-        cy = gy0 + (iy + 0.5) * side
-        cls, carry = classify(cx, cy, 0.5 * side, carry)
-        cls = np.asarray(cls, dtype=np.int8)
-        del cx, cy
-        cells_refined += ix.size
+        cuts = np.arange(pieces + 1) * ix.size // pieces
+        if pieces > 1:
+            # rest[k]: the gap of the parents from slice k on, still unsplit
+            rest = np.cumsum(np.add.reduceat(gaps, cuts[:-1])[::-1])[::-1]
+        n_inside, unknown_so_far, kept = 0, 0.0, []
+        for k in range(pieces):
+            a, b = cuts[k], cuts[k + 1]
+            if level:
+                cix, ciy = _split4(ix[a:b], iy[a:b])
+                ccarry = np.repeat(carry[a:b], 4, axis=0)
+            else:
+                cix, ciy, ccarry = ix, iy, None
+            cls, ccarry = classify(gx0 + (cix + 0.5) * side, gy0 + (ciy + 0.5) * side, 0.5 * side, ccarry)
+            cls = np.asarray(cls, dtype=np.int8)
+            cells_refined += cix.size
+            unknown = cls == UNKNOWN
+            n_inside += int(np.count_nonzero(cls == INSIDE))
+            if add_leaves is not None:
+                add_leaves(level, cix[~unknown], ciy[~unknown], cls[~unknown])
+            cix, ciy = cix[unknown], ciy[unknown]
+            kept.append((cix, ciy, ccarry[unknown], gap_areas(cix, ciy, side)))
+            if k + 1 < pieces:
+                unknown_so_far += float(np.sum(kept[-1][3]))
+                lo = lower + _sum_of(side * side, n_inside)
+                gap = unknown_so_far + float(rest[k + 1])
+                if gap <= gap_goal(lo, lo + gap):
+                    return AreaBounds(lo, lo + gap, cells_refined, True)
+            del cls, ccarry, unknown
 
-        area = side * side
-        unknown = cls == UNKNOWN
-        n_unknown = int(np.count_nonzero(unknown))
-        lower += _sum_of(area, int(np.count_nonzero(cls == INSIDE)))
-        if clip is None:
-            gap = _sum_of(area, n_unknown)
-        else:
-            gap = float(np.sum(clip(gx0 + ix[unknown] * side, gy0 + iy[unknown] * side, side)))
-
-        if n_unknown < ix.size:
-            add_leaves(~unknown)
-
+        lower += _sum_of(side * side, n_inside)
+        ix, iy, carry, gaps = kept[0] if pieces == 1 else (np.concatenate(a) for a in zip(*kept))
+        del kept
+        gap = float(np.sum(gaps))
         target = gap_goal(lower, lower + gap)
-        if gap <= target or n_unknown == 0 or level >= MAX_DEPTH:
-            met = gap <= target
-            if n_unknown:
-                add_leaves(unknown)
-            break
-        ix, iy = _split4(ix[unknown], iy[unknown])
-        carry = np.repeat(carry[unknown], 4, axis=0)
+        if gap <= target or ix.size == 0 or level >= MAX_DEPTH:
+            if add_leaves is not None:
+                add_leaves(level, ix, iy, np.full(ix.size, UNKNOWN, dtype=np.int8))
+            return AreaBounds(lower, lower + gap, cells_refined, gap <= target)
+        pieces = min(slices, ix.size) if gap <= 2.0 * target else 1
         level += 1
-
-    ixs = np.concatenate(acc_ix)
-    iys = np.concatenate(acc_iy)
-    clss = np.concatenate(acc_cls)
-    depths = np.repeat(np.asarray(acc_levels, dtype=np.int64), acc_counts)
-
-    # the unknown leaves are the last level's unknown cells, whose area the
-    # loop summed into gap
-    leaves = Leaves(gx0, gy0, size, acc_levels[-1], ixs, iys, depths, clss)
-    return leaves, AreaBounds(lower, lower + gap, cells_refined, met)
 
 
 def adjacency_pairs(leaves: Leaves, active: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

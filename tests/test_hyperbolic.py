@@ -9,7 +9,7 @@ from scipy.sparse.csgraph import connected_components
 
 from hypcap import geom, quadtree
 from hypcap.capacity import ring
-from hypcap.corpus import generate_element
+from hypcap.corpus import generate_element, mixed_disk_corpus, mixed_halfplane_corpus
 from hypcap.geom import (
     ArcBox,
     BoxShape,
@@ -510,6 +510,21 @@ def _assert_same_refinements(got, want):
                 assert a == b, f.name
 
 
+def _pruned_area_matches_unpruned(S, tol, relative=True):
+    """neighborhood_area's bounds of S, once they and _refine's leaves and bounds at its goal match unpruned ones."""
+    goal = (lambda lo, up: tol * up) if relative else (lambda lo, up: tol)
+
+    def run(T):
+        # neighborhood_area runs quadtree.refine_bounds; only _refine is recorded
+        return neighborhood_area(T, 1.0, tol, relative=relative), _refine(T, 1.0, goal)
+
+    (got, _), seen = _recorded_refinements(lambda: run(S))
+    (want, _), ref = _unpruned(lambda: run(_OnePart(S)))
+    assert got == want
+    _assert_same_refinements(seen, ref)
+    return got
+
+
 @pytest.mark.parametrize(
     "kind, index",
     [
@@ -524,10 +539,7 @@ def _assert_same_refinements(got, want):
 def test_pruned_classifier_matches_unpruned(kind, index):
     S = generate_element(kind, 7, index)
     assert len(S.parts) >= 5
-    got, seen = _recorded_refinements(lambda: neighborhood_area(S, 1.0, 1e-2, relative=True))
-    want, ref = _unpruned(lambda: neighborhood_area(_OnePart(S), 1.0, 1e-2, relative=True))
-    assert got == want
-    _assert_same_refinements(seen, ref)
+    _pruned_area_matches_unpruned(S, 1e-2)
 
 
 def test_pruned_classifier_near_the_circle():
@@ -535,11 +547,7 @@ def test_pruned_classifier_near_the_circle():
     # divides by as little as 1.3e-7, so its balls may round far above
     # ROUNDING x (sup_abs + corner)
     S = DiskCompact([RadialSlit(0.0, 0.9999), RadialSlit(0.01, 0.9999)])
-    got, seen = _recorded_refinements(lambda: neighborhood_area(S, 1.0, 1e-3, relative=True))
-    want, ref = _unpruned(lambda: neighborhood_area(_OnePart(S), 1.0, 1e-3, relative=True))
-    assert not got.tolerance_met
-    assert got == want
-    _assert_same_refinements(seen, ref)
+    assert not _pruned_area_matches_unpruned(S, 1e-3).tolerance_met
 
 
 def test_pruned_filled_region_matches_unpruned():
@@ -556,9 +564,35 @@ def test_pruned_classifier_past_64_parts(monkeypatch):
     # 70 parts and the far flag need more bits than any numpy integer holds
     B = DiskCompact([RadialSlit(2 * math.pi * i / 70, 0.9) for i in range(70)])
     monkeypatch.setattr(quadtree, "MAX_DEPTH", 6)
-    _, seen = _recorded_refinements(lambda: neighborhood_area(B, 1.0, 1e-3))
-    _, ref = _unpruned(lambda: neighborhood_area(_OnePart(B), 1.0, 1e-3))
-    _assert_same_refinements(seen, ref)
+    _pruned_area_matches_unpruned(B, 1e-3, relative=False)
+
+
+def _nests_the_whole_level_bracket(S, tol, relative) -> bool:
+    """Whether neighborhood_area classified fewer cells than _refine, once its bracket holds _refine's."""
+    goal = (lambda lo, up: tol * up) if relative else (lambda lo, up: tol)
+    got, want = neighborhood_area(S, 1.0, tol, relative=relative), _refine(S, 1.0, goal)[1]
+    assert got.lower <= want.lower <= want.upper <= got.upper
+    assert got.cells_refined <= want.cells_refined
+    assert got.tolerance_met or not want.tolerance_met
+    if got.cells_refined == want.cells_refined:
+        assert got == want
+    return got.cells_refined < want.cells_refined
+
+
+def test_area_bounds_nest_the_whole_level_bracket(monkeypatch):
+    # neighborhood_area stops partway through its last level, so its bracket
+    # holds the one of the refinement that splits whole levels, from fewer
+    # cells, and is that one bit for bit when it classifies as many
+    corpus = mixed_disk_corpus(4, 7) + mixed_halfplane_corpus(12, 7)
+    fewer = sum(_nests_the_whole_level_bracket(S, 1e-3, True) for S in corpus)
+    fewer += _nests_the_whole_level_bracket(generate_element("arcbox-set", 7, 1), 1e-3, False)
+    # a silent return to whole levels would classify as many cells everywhere
+    assert fewer > 0
+    # capped at MAX_DEPTH, the whole-level refinement misses the goal
+    monkeypatch.setattr(quadtree, "MAX_DEPTH", 6)
+    B = DiskCompact([RadialSlit(2 * math.pi * i / 70, 0.9) for i in range(70)])
+    assert not _refine(B, 1.0, lambda lo, up: 1e-3)[1].tolerance_met
+    _nests_the_whole_level_bracket(B, 1e-3, False)
 
 
 NINE_SHAPE_HULL = HalfPlaneHull(

@@ -1,12 +1,13 @@
 """Print one "name sha256" line per deterministic output of hypcap.
 
-Two checkouts give the same lines exactly when their leaves, brackets,
-dyadic, Whitney and Lipschitz covers (of corpus hulls and of their mirror,
-half-size and translated images), filled regions, walk ensembles and
-claim rows are bit-identical, so a refactor is checked with one diff.  The
-rectset lines query RectSet.nearest where its k-NN loop has the least
-room, at points almost equidistant from many cells, so a change to the loop
-or a margin below the rounding shows up there:
+Two checkouts give the same lines exactly when their neighborhood-area
+brackets, whole-level refinements (leaves and brackets), dyadic, Whitney
+and Lipschitz covers (of corpus hulls and of their mirror, half-size and
+translated images), filled regions, walk ensembles and claim rows are
+bit-identical, so a refactor is checked with one diff.  The rectset lines
+query RectSet.nearest where its k-NN loop has the least room, at points
+almost equidistant from many cells, so a change to the loop or a margin
+below the rounding shows up there:
 
     PYTHONPATH=src python tools/fingerprint.py > new.txt
     PYTHONPATH=../parent/src python tools/fingerprint.py > old.txt
@@ -29,7 +30,7 @@ from hypcap.capacity import ring
 from hypcap.corpus import generate_element, mixed_disk_corpus, mixed_halfplane_corpus
 from hypcap.dyadic import dyadic_cover, lipschitz_majorant_area, whitney_cover_area
 from hypcap.geom import ArcBox, DiskCompact, HalfPlaneHull, RadialSlit, VSlit
-from hypcap.hyperbolic import RectSet, filled_region, neighborhood_area
+from hypcap.hyperbolic import RectSet, _refine, filled_region, neighborhood_area
 from hypcap.verify import VerifyConfig, run_claim
 from hypcap.wos import DiskDomain, HalfPlaneDomain, run_walks
 
@@ -93,25 +94,15 @@ def flood_cells(region) -> RectSet:
 
 def fingerprints(claims):
     """(name, sha256) pairs, in a fixed order."""
-    # neighborhood_area keeps its leaves to itself, so record them on the way
-    # out of the one refinement each call makes
-    refine = quadtree.refine
-    seen = []
-
-    def recording(*args):
-        out = refine(*args)
-        seen.append(out[0])
-        return out
-
     disks, hulls = mixed_disk_corpus(4, 7), mixed_halfplane_corpus(12, 7)
-    quadtree.refine = recording
-    try:
-        for space, corpus in (("disk", disks), ("halfplane", hulls)):
-            for i, S in enumerate(corpus):
-                bounds = neighborhood_area(S, 1.0, 1e-3, relative=True)
-                yield f"area/{space}-{i}", digest(leaves_digest(seen.pop()), bounds)
-    finally:
-        quadtree.refine = refine
+    areas = [(f"disk-{i}", B) for i, B in enumerate(disks)] + [(f"halfplane-{i}", A) for i, A in enumerate(hulls)]
+    for name, S in areas:
+        yield f"area/{name}", digest(neighborhood_area(S, 1.0, 1e-3, relative=True))
+    # the refinement that splits whole levels, at neighborhood_area's goal:
+    # its leaves and bounds
+    for name, S in areas:
+        leaves, bounds = _refine(S, 1.0, lambda lo, up: 1e-3 * up)
+        yield f"refine/{name}", digest(leaves_digest(leaves), bounds)
     for i, B in enumerate(disks):
         yield f"covers/disk-{i}", digest(*dyadic_cover(B))
     # disk-1 and disk-3 are both the two scale-1 squares; this cover's five
