@@ -197,6 +197,19 @@ def whitney_ranges(A: HalfPlaneHull, k: int) -> list[tuple[int, int]]:
     return ranges
 
 
+def _fsum_toward(terms: list[float], down: bool) -> float:
+    """The exact sum of terms rounded down (or up): math.fsum, moved one float where the sign of its residual says so.
+
+    fsum rounds the exact sum to nearest, and fsum(terms + [-s]) is the
+    exact residual rounded, so it has the residual's sign.
+    """
+    s = math.fsum(terms)
+    r = math.fsum(terms + [-s])
+    if (r < 0) if down else (r > 0):
+        return math.nextafter(s, -math.inf if down else math.inf)
+    return s
+
+
 def whitney_cover_area(A: HalfPlaneHull) -> AreaBounds:
     """Total area of the distinct Whitney squares meeting A.
 
@@ -205,22 +218,25 @@ def whitney_cover_area(A: HalfPlaneHull) -> AreaBounds:
     y0 <= 2^(k+1) <= 2^K_CUT, and then, with x-extent w, in at most
     w/2^k + 2 squares, whose areas sum over k < K_CUT to at most
     w 2^K_CUT + (2/3) 4^K_CUT.  The bracket is [area, area + that sum over
-    such shapes], of width about 2^K_CUT times the hull's x-extent.  While
-    the x-extent is at most 2^12 each count is below 2^53, so every term
-    count 4^k is exact and fsum rounds their total once.
+    such shapes], of width about 2^K_CUT times the hull's x-extent, rounded
+    outward: its lower end is the exact sum of the level areas rounded
+    down, and its upper end the exact sum of those and the tail terms
+    rounded up, with 2/3 rounded up too.  While the x-extent is at most
+    2^12 each count is below 2^53, so every term count 4^k is exact.
     """
     _require_shapes(A, HalfPlaneHull)
     if A.is_empty:
         return AreaBounds(0.0, 0.0, 0, True)
     # the top level k has 2^k <= y_max < 2^(k+1)
     levels = range(math.frexp(A.y_max)[1] - 1, K_CUT - 1, -1)
-    area = math.fsum(_merged_count(whitney_ranges(A, k)) * 4.0**k for k in levels)
-    tail = sum(
-        (s.x_range[1] - s.x_range[0]) * 2.0**K_CUT + 2.0 / 3.0 * 4.0**K_CUT
+    terms = [_merged_count(whitney_ranges(A, k)) * 4.0**k for k in levels]
+    tail = [
+        t
         for s in A.shapes
         if s.y_range[0] <= 2.0**K_CUT
-    )
-    return AreaBounds(area, area + tail, len(levels), True)
+        for t in ((s.x_range[1] - s.x_range[0]) * 2.0**K_CUT, math.nextafter(2.0 / 3.0, 1.0) * 4.0**K_CUT)
+    ]
+    return AreaBounds(_fsum_toward(terms, True), _fsum_toward(terms + tail, False), len(levels), True)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,21 @@ shape's type.  Besides the queries of an ``Obstacle`` part (``dist``,
 - ``rises_over(x)``: whether it has points strictly above the axis over x;
 
 and a disk family answers ``angle_interval()``, its closed angular
-footprint (start, width), and ``rho_min``, its least modulus.
+footprint (start, width), and ``rho_min``, its least modulus.  Every family
+answers
+
+- ``pieces()``: the (kind, *params) pieces of its hyperbolic
+  neighborhoods.  A closed set's neighborhood is the set together with the
+  neighborhood of its boundary, so the pieces are the solid itself ("box"
+  (x0, x1, y0, y1) or "sector" (theta0, theta1, rho), which enter as they
+  are, or "halfdisk" (c, r), a hyperbolic half-plane, which enters through
+  its neighborhood) and the boundary as vertical geodesic segments "vseg"
+  (x, y0, y1), horizontal segments "hseg" (x0, x1, y), radial geodesic
+  segments "rseg" (theta, rho) from rho e^(i theta) to the circle and
+  arcs "arc" (theta0, theta1, rho) of |z| = rho, which enter through
+  their neighborhoods.  hyperbolic turns each piece into disks and
+  half-planes.  A shape union answers the pieces of its shapes, and any
+  other obstacle None.
 
 All distance queries are exact closed forms, vectorized over numpy arrays
 of points encoded as complex numbers.
@@ -91,6 +105,14 @@ class _FlatTop:
     def rises_over(self, x: float) -> bool:
         x0, x1 = self.x_range
         return x0 <= x <= x1
+
+    def pieces(self) -> list[tuple]:
+        """The sides, and for a box the box itself, its top and an unrooted box's bottom."""
+        (x0, x1), (y0, y1) = self.x_range, self.y_range
+        if x0 == x1:
+            return [("vseg", x0, y0, y1)]
+        out = [("box", x0, x1, y0, y1), ("vseg", x0, y0, y1), ("vseg", x1, y0, y1), ("hseg", x0, x1, y1)]
+        return out + [("hseg", x0, x1, y0)] if y0 > 0 else out
 
     def majorant_pieces(self) -> list[tuple]:
         """The trapezoid: slope 1 up to the top, flat over the foot (of zero width for a slit), slope -1 down."""
@@ -236,6 +258,10 @@ class HalfDisk:
         # the height is 0 at the ends of the foot
         return self.c - self.r < x < self.c + self.r
 
+    def pieces(self) -> list[tuple]:
+        """The half-disk itself: its arc is a whole geodesic."""
+        return [("halfdisk", self.c, self.r)]
+
     def majorant_pieces(self) -> list[tuple]:
         """Slope 1 up to the cap's 45-degree points, the circle between them, slope -1 down."""
         r, c = self.r, self.c
@@ -318,6 +344,9 @@ class RadialSlit:
     def angle_interval(self) -> tuple[float, float]:
         a = float(_norm_angle(self.theta))
         return (a, 0.0)
+
+    def pieces(self) -> list[tuple]:
+        return [("rseg", self.theta, self.rho)]
 
 
 @dataclass(frozen=True)
@@ -417,6 +446,12 @@ class ArcBox:
     def angle_interval(self) -> tuple[float, float]:
         return (float(_norm_angle(self.theta0)), float(self.width))
 
+    def pieces(self) -> list[tuple]:
+        """The sector itself, its inner arc and, unless it is the full ring, its two sides."""
+        t0, t1, rho = self.theta0, self.theta1, self.rho
+        out = [("sector", t0, t1, rho), ("arc", t0, t1, rho)]
+        return out if self.width >= TWO_PI else out + [("rseg", t0, rho), ("rseg", t1, rho)]
+
 
 HalfPlaneShape = Union[VSlit, BoxShape, HalfDisk]
 DiskShape = Union[RadialSlit, ArcBox]
@@ -509,6 +544,10 @@ class Obstacle(ABC):
       can hold a square; slits have no area, and the other obstacles
       (``RectSet``) answer False everywhere.
 
+    - ``pieces()``: the pieces of the module docstring, from which
+      hyperbolic measures neighborhoods in closed form, or None (the
+      default, and ``RectSet``'s), in which case the quadtree measures them.
+
     Disk-space obstacles also have ``min_abs``, a lower bound on |z| over
     the set.  The walkable ones (HalfPlaneHull, DiskCompact and RectSet)
     have ``sup_abs``, a bound on |z| over the set (0 when empty, 1 for a
@@ -530,6 +569,10 @@ class Obstacle(ABC):
 
     def contains_square(self, cx, cy, half) -> np.ndarray:
         return _never(cx)
+
+    def pieces(self) -> list[tuple] | None:
+        """The pieces of every part (see the module docstring), or None for an obstacle without them."""
+        return None
 
 
 def require_obstacle(S, space: str | None = None) -> None:
@@ -583,6 +626,9 @@ class _ShapeUnion(Obstacle):
         for s in self.shapes:
             out |= s.contains_square(cx, cy, half)
         return out
+
+    def pieces(self) -> list[tuple]:
+        return [p for s in self.shapes for p in s.pieces()]
 
     @property
     def is_empty(self) -> bool:

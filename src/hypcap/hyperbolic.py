@@ -8,11 +8,23 @@ Hyperbolic balls are euclidean disks with closed-form center and radius,
 so z lies in the rho-neighborhood of S exactly when the euclidean distance
 from S to the center of the rho-ball about z is at most its radius: one
 distance test, and no iterative minimization of the hyperbolic distance
-enters the certification chain.  Neighborhood areas are bracketed by an
+enters the certification chain.
+
+The neighborhood of a shape union is a finite union of atoms,
+intersections of closed disks, complements of open disks and closed
+half-planes, built from the pieces its shapes name (geom): balls are
+disks, and the points within rho of a geodesic lie between the
+equidistant lines or circles through its ideal points (Beardon, The
+Geometry of Discrete Groups, 1983).  neighborhood_area measures that
+union with one vertical sweep in closed form and brackets it by a bound
+on the sweep's rounding (_sweep_area).
+
+Obstacles without pieces (RectSet) and filled regions are bracketed by an
 adaptive quadtree whose cell tests use the exact ball membership at radii
 shrunk/grown by a certified bound on the cell's hyperbolic radius, a
 bound on how far N reaches from S within the cell, and exact containment
-of the cell in a shape of S.  N lies in the open disk, so in the disk an
+of the cell in a shape of S; the quadtree also stays the tests' certified
+reference for the sweep.  N lies in the open disk, so in the disk an
 unsettled cell across the circle counts only its area inside the disk,
 rounded up, and the floods that fill a neighborhood run only over cells
 that meet the closed disk.
@@ -223,12 +235,16 @@ def _classifier(S: Obstacle, rho: float):
       its center, which lies in every ball of that descendant and within
       halfdiag of c, so neither invariant clears the part's bit above it.
       Asking the candidate parts of the cells still UNKNOWN therefore gives
-      the answer of S.contains_square.
+      the answer of S.contains_square.  A cell the shrunk-ball test reached
+      (rc < rho) is not asked: a part that holds it holds its centre, which
+      lies in the shrunk ball, so that test already settled it INSIDE.
 
     A part's bit is cleared only when both invariants let it go, and cells
     the ball tests do not apply to keep every part.  slack is geom.ROUNDING
     x M, M = S.sup_abs plus a bound on the moduli of cell centers (in
-    _root_square), and a ball test adds B e^(rho + rc) for its ball: B = 2 x
+    _root_square), and a ball test adds B e^(rho + rc), with the largest
+    rc of the cells classified together (a larger margin only keeps more
+    parts, and changes no decision): B = 2 x
     that bound in the half-plane (a ball about x + iy reaches |x| +
     y e^(rho + rc)), 1 in the disk (_ball_disk divides by 1 - t^2 |z|^2 >=
     e^-(rho + rc), 1.3e-7 at MAX_DEPTH beside the circle).  A descendant's
@@ -283,12 +299,14 @@ def _classifier(S: Obstacle, rho: float):
             del d, on, r_c, r_lo
         test, rc = settle(z, half, halfdiag, out)
         t = np.flatnonzero(test)
+        asked = np.ones(cx.shape, dtype=bool)
         if t.size:
             zc = z[t]
             cand = carry[t]
             cb, rb = ball(zc, rho + rc)
-            # rc <= 1/sqrt2 in the half-plane; past 40 a disk margin exceeds any distance
-            d, keep = nearest(cb, cand, rb + slack + ball_slack * np.exp(rho + np.minimum(rc, 40.0)))
+            # rc <= 1/sqrt2 in the half-plane; past 40 a disk margin exceeds any
+            # distance.  One margin for all, at the largest rc
+            d, keep = nearest(cb, cand, rb + slack + ball_slack * math.exp(rho + min(float(rc.max()), 40.0)))
             del cb
             sub = np.full(t.shape, UNKNOWN, dtype=np.int8)
             sub[~(d <= rb)] = OUTSIDE
@@ -302,7 +320,10 @@ def _classifier(S: Obstacle, rho: float):
             if f.size:
                 in_t = test[f]
                 carry[f[in_t]] |= far_keep[in_t]
-        u = np.flatnonzero(out == UNKNOWN)
+            # a part that holds a cell holds its centre, which lies in the
+            # shrunk ball, so the cells that test reached are settled
+            asked[t[rc < rho]] = False
+        u = np.flatnonzero(asked & (out == UNKNOWN))
         for j, part in enumerate(parts):
             rows = u[(carry[u] & (1 << j)) != 0]
             if rows.size:
@@ -338,6 +359,406 @@ def _refine(S: Obstacle, rho: float, goal) -> tuple[Leaves, AreaBounds]:
     return quadtree.refine(*_refine_args(S, rho, goal))
 
 
+# ---------------------------------------------------------------------------
+# neighborhood atoms and the exact sweep
+# ---------------------------------------------------------------------------
+
+# An atom is a tuple (disks, hole, lines, xr): it lies in each closed disk
+# (cx, cy, r) of disks (at most 3), outside the open disk hole (or None), in
+# each closed half-plane a x + b y <= c of lines (at most 2, each with
+# b != 0) and in the closed x-range xr (or None).  Its curves are the upper
+# and lower arcs of its circles and its lines, numbered 10 x (atom index) +
+# slot: slots 2j and 2j + 1 are the upper and lower arcs of disk j, 6 and 7
+# those of the hole, 8 and 9 the lines.
+_LOWER_SLOTS = np.array([1, 3, 5, 8, 9])
+_UPPER_SLOTS = np.array([0, 2, 4, 8, 9])
+
+
+def _ball_atom(space: str, z: complex, rho: float) -> tuple:
+    c, r = _BALLS[space](np.asarray([z]), rho)
+    return (((float(c[0].real), float(c[0].imag), float(r[0])),), None, (), None)
+
+
+def _angle_lines(t0: float, t1: float) -> list[tuple]:
+    """Half-plane pairs whose intersections tile the directions [t0, t1]: one up to pi, two past it, none for a full turn."""
+    if t1 - t0 >= geom.TWO_PI:
+        return [()]
+    cuts = (t0, t1) if t1 - t0 <= math.pi else (t0, t0 + 0.5 * (t1 - t0), t1)
+    return [((math.sin(a), -math.cos(a), 0.0), (-math.sin(b), math.cos(b), 0.0)) for a, b in zip(cuts, cuts[1:])]
+
+
+def _piece_atoms(space: str, piece: tuple, rho: float) -> list[tuple]:
+    """Atoms whose union is the rho-neighborhood of a boundary piece, or a solid piece itself.
+
+    - "vseg" (x, y0, y1): the points within rho of the vertical geodesic
+      through x form the wedge |Re z - x| <= sinh(rho) Im z, and those
+      whose nearest point on it lies at a height in [y0, y1] form
+      y0 <= |z - x| <= y1; beyond, the nearest point is an end, so add the
+      end balls.
+    - "hseg" (x0, x1, y): the balls about its points have equal radii, so
+      they sweep the stadium [x0, x1] x [y e^-rho, y e^rho] and the end balls.
+    - "halfdisk" (c, r): a hyperbolic half-plane; its neighborhood is cut off
+      by the equidistant of its arc, the circle of radius r cosh(rho) about
+      c + i r sinh(rho).
+    - "rseg" (theta, r0): the points within rho of the diameter through
+      e^(i theta) form the lens between the circles of radius coth(rho) about
+      +-i e^(i theta) csch(rho); those whose nearest point on it lies at
+      modulus >= r0 lie beyond the geodesic perpendicular to it at
+      r0 e^(i theta), the disk of radius (1 - r0^2) / (2 r0) about
+      e^(i theta) (1 + r0^2) / (2 r0); add the ball about the tip.
+    - "arc" (t0, t1, r): the balls about r e^(it) are rotations of the one
+      about r, a disk of center cb and radius rb on the real axis, so they
+      sweep the annular sector cb - rb <= |z| <= cb + rb over [t0, t1] and
+      the end balls.
+    - "box" and "sector": the solid itself.
+    """
+    kind, *p = piece
+    if kind == "vseg":
+        x, y0, y1 = p
+        sh = math.sinh(rho)
+        wedge = (((x, 0.0, y1),), (x, 0.0, y0) if y0 > 0 else None, ((1.0, -sh, x), (-1.0, -sh, -x)), None)
+        return [wedge] + [_ball_atom(space, complex(x, y), rho) for y in (y1, y0) if y > 0]
+    if kind == "hseg":
+        x0, x1, y = p
+        band = ((0.0, -1.0, -y * math.exp(-rho)), (0.0, 1.0, y * math.exp(rho)))
+        return [((), None, band, (x0, x1))] + [_ball_atom(space, complex(x, y), rho) for x in (x0, x1)]
+    if kind == "box":
+        x0, x1, y0, y1 = p
+        return [((), None, ((0.0, -1.0, -y0), (0.0, 1.0, y1)), (x0, x1))]
+    if kind == "halfdisk":
+        c, r = p
+        return [(((c, r * math.sinh(rho), r * math.cosh(rho)),), None, ((0.0, -1.0, 0.0),), None)]
+    if kind == "rseg":
+        theta, r0 = p
+        cos, sin = math.cos(theta), math.sin(theta)
+        e, k = 1.0 / math.sinh(rho), 1.0 / math.tanh(rho)
+        far, rad = (1.0 + r0 * r0) / (2.0 * r0), (1.0 - r0 * r0) / (2.0 * r0)
+        lens = ((-sin * e, cos * e, k), (sin * e, -cos * e, k), (cos * far, sin * far, rad))
+        return [(lens, None, (), None), _ball_atom(space, r0 * complex(cos, sin), rho)]
+    t0, t1, r = p
+    if kind == "sector":
+        outer, inner = 1.0, r
+    else:
+        cb, rb = _BALLS["disk"](np.asarray([complex(r)]), rho)
+        outer, inner = float(cb[0].real + rb[0]), float(cb[0].real - rb[0])
+    hole = (0.0, 0.0, inner) if inner > 0 else None
+    out = [(((0.0, 0.0, outer),), hole, lines, None) for lines in _angle_lines(t0, t1)]
+    if kind == "arc" and t1 - t0 < geom.TWO_PI:
+        out += [_ball_atom(space, r * complex(math.cos(t), math.sin(t)), rho) for t in (t0, t1)]
+    return out
+
+
+def _neighborhood_atoms(pieces: list[tuple], space: str, rho: float) -> list[tuple]:
+    """The distinct atoms of all pieces: a box's corner balls come from its side and from its top."""
+    return list(dict.fromkeys(a for piece in pieces for a in _piece_atoms(space, piece, rho)))
+
+
+def _pack(atoms: list[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(circles (n, 4, 3), lines (n, 2, 3), xr (n, 2)): disks in rows 0-2 of circles, padded with r = inf, the hole in row 3 (r = 0 if none), lines padded with 0 x + y <= inf."""
+    n = len(atoms)
+    circles = np.zeros((n, 4, 3))
+    circles[:, :3, 2] = np.inf
+    lines = np.zeros((n, 2, 3))
+    lines[:, :, 1:] = (1.0, np.inf)
+    xr = np.tile([-np.inf, np.inf], (n, 1))
+    for i, (disks, hole, ls, x) in enumerate(atoms):
+        if disks:
+            circles[i, : len(disks)] = disks
+        if hole is not None:
+            circles[i, 3] = hole
+        if ls:
+            lines[i, : len(ls)] = ls
+        if x is not None:
+            xr[i] = x
+    return circles, lines, xr
+
+
+def _atoms_hold(packed, idx: np.ndarray, x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
+    """Whether atom idx[i] holds (x[i], y[i]), each constraint loosened by tol."""
+    circles, lines, xr = (a[idx] for a in packed)
+    dist = np.hypot(x[:, None] - circles[:, :, 0], y[:, None] - circles[:, :, 1])
+    ok = np.all(dist[:, :3] <= circles[:, :3, 2] + tol, axis=1) & (dist[:, 3] >= circles[:, 3, 2] - tol)
+    a, b, c = lines[:, :, 0], lines[:, :, 1], lines[:, :, 2]
+    ok &= np.all(a * x[:, None] + b * y[:, None] - c <= tol * np.hypot(a, b), axis=1)
+    return ok & (xr[:, 0] - tol <= x) & (x <= xr[:, 1] + tol)
+
+
+def _atom_boxes(packed) -> np.ndarray:
+    """(n, 4) bounding boxes (x0, x1, y0, y1) of the atoms, from their disks, x-ranges and horizontal lines."""
+    circles, lines, xr = packed
+    cx, cy, r = circles[:, :3, 0], circles[:, :3, 1], circles[:, :3, 2]
+    a, b, c = lines[:, :, 0], lines[:, :, 1], lines[:, :, 2]
+    flat = a == 0.0
+    y_lo = np.where(flat & (b < 0), c / b, -np.inf)
+    y_hi = np.where(flat & (b > 0), c / b, np.inf)
+    return np.stack(
+        [
+            np.maximum(xr[:, 0], np.max(cx - r, axis=1)),
+            np.minimum(xr[:, 1], np.min(cx + r, axis=1)),
+            np.maximum(np.max(cy - r, axis=1), np.max(y_lo, axis=1)),
+            np.minimum(np.min(cy + r, axis=1), np.min(y_hi, axis=1)),
+        ],
+        axis=1,
+    )
+
+
+def _events(packed, boxes: np.ndarray, scale: float) -> np.ndarray:
+    """The x of every point where the union's cross-section can change its structure.
+
+    These are the x-range ends, the x-extremes of each circle at a point of
+    its own atom, and the crossings of any two curves at a point of both
+    their atoms (of one atom, for two of its own curves), each membership
+    loosened by tol = ROUNDING x scale.  Elsewhere no curve that bounds a
+    cross-section crosses another, starts or ends.  A pair of curves whose
+    crossing discriminant h^2 lies within ROUNDING x scale^2 below 0 counts
+    as touching at the foot of its chord, so a tangency that rounding
+    pushes apart still gives a breakpoint when the point passes the test.
+    """
+    circles, lines, xr = packed
+    tol = geom.ROUNDING * scale
+    near = -geom.ROUNDING * scale * scale
+    ca, cj = np.nonzero((circles[:, :, 2] > 0) & np.isfinite(circles[:, :, 2]))
+    la, lj = np.nonzero(np.isfinite(lines[:, :, 2]))
+    C, L = circles[ca, cj], lines[la, lj]
+    x0, x1, y0, y1 = boxes.T
+    overlap = (
+        (x0[:, None] <= x1[None, :] + tol)
+        & (x0[None, :] <= x1[:, None] + tol)
+        & (y0[:, None] <= y1[None, :] + tol)
+        & (y0[None, :] <= y1[:, None] + tol)
+    )
+    # (x, y, atom of one curve, atom of the other) of each candidate point
+    found = [(C[:, 0] + sgn * C[:, 2], C[:, 1], ca, ca) for sgn in (1.0, -1.0)]
+    p, q = np.triu_indices(ca.size, 1)
+    pair = overlap[ca[p], ca[q]]
+    (cx, cy, r), (cx2, cy2, r2) = C[p[pair]].T, C[q[pair]].T
+    dx, dy = cx2 - cx, cy2 - cy
+    dd = np.hypot(dx, dy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (dd * dd + r * r - r2 * r2) / (2.0 * dd)
+        ok = (dd > 0) & (r * r - a * a >= near)
+    ux, uy, a, h = dx[ok] / dd[ok], dy[ok] / dd[ok], a[ok], np.sqrt(np.maximum(r * r - a * a, 0.0)[ok])
+    fx, fy = cx[ok] + a * ux, cy[ok] + a * uy
+    found += [(fx - sgn * h * uy, fy + sgn * h * ux, ca[p[pair][ok]], ca[q[pair][ok]]) for sgn in (1.0, -1.0)]
+    p, q = np.nonzero(overlap[ca][:, la])
+    (cx, cy, r), (a, b, c) = C[p].T, L[q].T
+    nrm = np.hypot(a, b)
+    off = (a * cx + b * cy - c) / nrm
+    ok = r * r - off * off >= near
+    h = np.sqrt(np.maximum(r * r - off * off, 0.0)[ok]) / nrm[ok]
+    fx, fy = cx[ok] - a[ok] * off[ok] / nrm[ok], cy[ok] - b[ok] * off[ok] / nrm[ok]
+    found += [(fx - sgn * h * b[ok], fy + sgn * h * a[ok], ca[p[ok]], la[q[ok]]) for sgn in (1.0, -1.0)]
+    p, q = np.triu_indices(la.size, 1)
+    pair = overlap[la[p], la[q]]
+    (a1, b1, c1), (a2, b2, c2) = L[p[pair]].T, L[q[pair]].T
+    det = a1 * b2 - a2 * b1
+    ok = det != 0
+    found.append(((c1 * b2 - c2 * b1)[ok] / det[ok], (a1 * c2 - a2 * c1)[ok] / det[ok], la[p[pair][ok]], la[q[pair][ok]]))
+    px, py, i, j = (np.concatenate(col) for col in zip(*found))
+    hit = _atoms_hold(packed, i, px, py, tol) & _atoms_hold(packed, j, px, py, tol)
+    return np.unique(np.concatenate([px[hit], xr[np.isfinite(xr)]]))
+
+
+def _curve_integrals(packed, ids: np.ndarray, xa: np.ndarray, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(integral of each curve ids[i] over [xa[i], xb[i]], a bound on its rounding).
+
+    An arc y = cy +- sqrt(r^2 - (x - cx)^2) integrates to cy w +- (F(xb) -
+    F(xa)), F(x) = (t s + r^2 atan2(t, s)) / 2 with t = x - cx clipped to
+    [-r, r] and s = sqrt((r - t)(r + t)): atan2 keeps asin's angle exact
+    where t / r nears +-1, so each F is off by a few ulps of r (r + |x| +
+    |cx|).  A line integrates to its value at the midpoint times w, off by a
+    few ulps of w (|c| + |a m|) / |b|.  The bound charges ROUNDING for each
+    ulp, by the rule of geom.ROUNDING.
+    """
+    circles, lines, _ = packed
+    atom, slot = np.divmod(ids, 10)
+    w = xb - xa
+    out, err = np.empty(ids.size), np.empty(ids.size)
+    i = np.flatnonzero(slot < 8)
+    cx, cy, r = circles[atom[i], slot[i] // 2].T
+    sign = 1.0 - 2.0 * (slot[i] % 2)
+
+    def F(x):
+        t = np.clip(x - cx, -r, r)
+        s = np.sqrt((r - t) * (r + t))
+        return 0.5 * (t * s + r * r * np.arctan2(t, s))
+
+    out[i] = cy * w[i] + sign * (F(xb[i]) - F(xa[i]))
+    err[i] = geom.ROUNDING * (r * (r + np.abs(cx) + np.abs(xa[i]) + np.abs(xb[i])) + np.abs(cy) * w[i])
+    j = np.flatnonzero(slot >= 8)
+    a, b, c = lines[atom[j], slot[j] - 8].T
+    m = 0.5 * (xa[j] + xb[j])
+    v = (c - a * m) / b
+    out[j] = v * w[j]
+    err[j] = geom.ROUNDING * w[j] * ((np.abs(c) + np.abs(a * m)) / np.abs(b) + np.abs(v))
+    return out, err
+
+
+def _sweep_area(atoms: list[tuple], goal) -> AreaBounds:
+    """[A - E, A + E] about the area A of the union of the atoms, measured by one vertical sweep.
+
+    Between consecutive events (_events) no curve that bounds a
+    cross-section crosses another, so each slab's union cross-section is
+    the same sequence of intervals between the same curves at every x of
+    the slab.  The sweep reads it at the slab's midpoint m, evaluating each
+    atom only on the slabs its bounding box covers, and integrates each
+    bounding curve over the slab in closed form (_curve_integrals).
+
+    E bounds what rounding can do, by the rule of geom.ROUNDING with M the
+    largest coordinate of any atom's bounding box:
+
+    - the closed forms: each integral's bound, and ROUNDING x the sum of
+      their moduli for summing them;
+    - the events: each lies within ROUNDING x M of the event it computes
+      (a transversal crossing, an extreme, a range end).  Between the two
+      the sweep may use the structure of the neighboring slab, which is
+      off by at most the union's height H, so each event adds
+      ROUNDING x M x H.  A crossing of two nearly tangent curves may be
+      placed up to about sqrt(ROUNDING) x M off, but there the two differ
+      by about ROUNDING x M, so its error is below the same term while
+      sqrt(ROUNDING) x M < H.  This also covers the test at m of whether m lies
+      in a circle's x-extent, which can err only within ROUNDING x M of
+      its extreme, an event, so in a slab that narrow;
+    - the decisions at m.  The sweep compares curve values at m: an atom's
+      greatest lower and least upper bound, its hole against them, whether
+      an interval is empty, and, over the sorted intervals of the slab,
+      each interval's ends against its predecessor's and the running top.
+      A value cy +- s of an arc is off by at most ROUNDING x (|m| + |cx| +
+      r + |cy|) + min(d2 / s, sqrt(d2)), where d2 = ROUNDING x r (|m| +
+      |cx| + r) bounds the error of s^2, so the bound grows towards the
+      circle's x-extremes, where s shrinks; a line's value v is off by at
+      most ROUNDING x ((|c| + |a m|) / |b| + |v|).  A comparison
+      whose values lie within the sum of their bounds may have gone either
+      way, and then the slab's integrand is off by at most |p - q| at each
+      x for its two curves p and q: the union's length moves by at most
+      the move of one interval end.  p - q keeps its sign on the slab, so
+      such a comparison adds |integral of p - q| over the slab, with both
+      integrals' rounding bounds.  This is where the tangencies the pieces
+      have by construction land: a tip ball touches its wedge or lens, and
+      a stadium's line or an arc's annulus its end balls, at a point that
+      another curve crosses there, so their slabs end at the point of
+      contact and their curves separate quadratically across the slab.
+
+    The bracket is [max(A - E, 0), A + E]; tolerance_met says whether its
+    gap meets goal.  Every formula is homogeneous in the coordinates, so a
+    hull scaled by a power of 2 gives the bracket scaled by its square.
+    """
+    packed = _pack(atoms)
+    boxes = _atom_boxes(packed)
+    M = float(np.max(np.abs(boxes)))
+    height = float(np.max(boxes[:, 3]) - np.min(boxes[:, 2]))
+    xs = _events(packed, boxes, M)
+    xa, xb = xs[:-1], xs[1:]
+    intervals, charges = _cross_sections(packed, boxes, xs)
+    (bottoms, tops, k), more = _union(*intervals)
+    integral, err = _curve_integrals(packed, np.concatenate([tops, bottoms]), xa[np.tile(k, 2)], xb[np.tile(k, 2)])
+    area = float(np.sum(integral[: k.size] - integral[k.size :]))
+    p, q, at = (np.concatenate(x) for x in zip(*charges, *more))
+    ip, ep = _curve_integrals(packed, p, xa[at], xb[at])
+    iq, eq = _curve_integrals(packed, q, xa[at], xb[at])
+    rounding = float(np.sum(err)) + geom.ROUNDING * float(np.sum(np.abs(integral)))
+    decisions = float(np.sum(np.abs(ip - iq) + ep + eq))
+    e = rounding + decisions + xs.size * geom.ROUNDING * M * height
+    lower, upper = max(area - e, 0.0), area + e
+    return AreaBounds(lower, upper, 0, upper - lower <= goal(lower, upper))
+
+
+def _cross_sections(packed, boxes: np.ndarray, xs: np.ndarray):
+    """Each atom's cross-section at the midpoint of each slab its bounding box covers.
+
+    Returns the intervals as arrays (slab, bottom, top, bottom curve, top
+    curve, bottom bound, top bound), the bounds those of the values'
+    rounding (see _sweep_area), and the comparisons that rounding could
+    flip as (curve, curve, slab) arrays.
+    """
+    circles, lines, xr = packed
+    mid = 0.5 * (xs[:-1] + xs[1:])
+    k0 = np.maximum(np.searchsorted(xs, boxes[:, 0], "right") - 1, 0)
+    k1 = np.minimum(np.searchsorted(xs, boxes[:, 1], "left"), mid.size)
+    cnt = np.maximum(k1 - k0, 0)
+    atom = np.repeat(np.arange(len(boxes)), cnt)
+    slab = np.arange(atom.size) + np.repeat(k0 - (np.cumsum(cnt) - cnt), cnt)
+    m = mid[slab][:, None]
+    base = 10 * atom
+    rows = np.arange(atom.size)
+    charges = []
+
+    def charge(hit, p, q):
+        charges.append((p[hit], q[hit], slab[hit]))
+
+    cx, cy, r = (circles[atom, :, k] for k in range(3))
+    u = m - cx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sqrt(np.maximum((r - u) * (r + u), 0.0))
+        # s^2 is off by at most d2, so s by d2 / s and by sqrt(d2)
+        d2 = geom.ROUNDING * r * (np.abs(m) + np.abs(cx) + r)
+        size = np.abs(m) + np.abs(cx) + r + np.abs(cy)
+        dc = np.where(np.isfinite(r) & (r > 0), geom.ROUNDING * size + np.minimum(d2 / s, np.sqrt(d2)), 0.0)
+    a, b, c = (lines[atom, :, k] for k in range(3))
+    v = (c - a * m) / b
+    dl = np.where(np.isfinite(c), (np.abs(c) + np.abs(a * m)) / np.abs(b) + np.abs(v), 0.0)
+    inside = np.all(np.abs(u[:, :3]) <= r[:, :3], axis=1) & (xr[atom, 0] <= m[:, 0]) & (m[:, 0] <= xr[atom, 1])
+    dev = np.concatenate([dc[:, :3], geom.ROUNDING * dl], axis=1)
+    lows = np.concatenate([cy[:, :3] - s[:, :3], np.where(b < 0, v, -np.inf)], axis=1)
+    ups = np.concatenate([cy[:, :3] + s[:, :3], np.where(b > 0, v, np.inf)], axis=1)
+    ends = []
+    for vals, pick, slots in ((lows, np.argmax, _LOWER_SLOTS), (ups, np.argmin, _UPPER_SLOTS)):
+        j = pick(vals, axis=1)
+        best, dbest = vals[rows, j], dev[rows, j]
+        close = inside[:, None] & np.isfinite(vals) & (np.abs(vals - best[:, None]) <= dev + dbest[:, None])
+        close[rows, j] = False
+        hit_row, hit_col = np.nonzero(close)
+        charges.append((base[hit_row] + slots[hit_col], base[hit_row] + slots[j[hit_row]], slab[hit_row]))
+        ends.append((best, base + slots[j], dbest))
+    (lo, lo_id, dlo), (hi, hi_id, dhi) = ends
+    # the hole splits [lo, hi] into [lo, min(hi, its lower arc)] and [max(lo, its upper arc), hi]
+    hole = inside & (np.abs(u[:, 3]) < r[:, 3])
+    h_lo, h_hi, dh = cy[:, 3] - s[:, 3], cy[:, 3] + s[:, 3], dc[:, 3]
+    charge(hole & (np.abs(h_lo - hi) <= dh + dhi), base + 7, hi_id)
+    charge(hole & (np.abs(h_hi - lo) <= dh + dlo), base + 6, lo_id)
+    cut_top, cut_bot = hole & (h_lo < hi), hole & (h_hi > lo)
+    top1 = np.where(cut_top, h_lo, hi), np.where(cut_top, base + 7, hi_id), np.where(cut_top, dh, dhi)
+    bot2 = np.where(cut_bot, h_hi, lo), np.where(cut_bot, base + 6, lo_id), np.where(cut_bot, dh, dlo)
+    parts = []
+    for (bv, bid, db), (tv, tid, dt), live in (((lo, lo_id, dlo), top1, inside), (bot2, (hi, hi_id, dhi), hole)):
+        charge(live & (np.abs(tv - bv) <= db + dt), tid, bid)
+        keep = live & (bv < tv)
+        parts.append((slab[keep], bv[keep], tv[keep], bid[keep], tid[keep], db[keep], dt[keep]))
+    return [np.concatenate(x) for x in zip(*parts)], charges
+
+
+def _union(k, bot, top, bid, tid, db, dt):
+    """((bottom curves, top curves, slabs) of the intervals of each slab's union, the comparisons rounding could flip).
+
+    The intervals of _cross_sections are sorted by slab and bottom; an
+    interval starts a new one of the union when its bottom lies above the
+    running top of its slab's earlier ones, a segmented running maximum
+    taken over the tops' ranks offset by slab.
+    """
+    order = np.lexsort((bot, k))
+    k, bot, top, bid, tid, db, dt = (x[order] for x in (k, bot, top, bid, tid, db, dt))
+    count = k.size
+    by_top = np.argsort(top, kind="stable")
+    rank = np.empty(count, dtype=np.int64)
+    rank[by_top] = np.arange(count)
+    # run[i]: the interval holding the running top of its slab up to i
+    run = by_top[np.maximum.accumulate(k * count + rank) - k * count]
+    later = np.r_[False, k[1:] == k[:-1]]
+    prev = np.r_[0, run[:-1]]
+    before = np.r_[0, np.arange(count - 1)]
+    charges = [
+        (p[hit], q[hit], k[hit])
+        for hit, p, q in (
+            (later & (np.abs(bot - bot[before]) <= db + db[before]), bid, bid[before]),
+            (later & (np.abs(bot - top[prev]) <= db + dt[prev]), bid, tid[prev]),
+            (later & (np.abs(top - top[prev]) <= dt + dt[prev]), tid, tid[prev]),
+        )
+    ]
+    start = np.flatnonzero(~later | (bot > top[prev]))
+    last = np.r_[start[1:] - 1, count - 1]
+    return (bid[start], tid[run[last]], k[start]), charges
+
+
 def _check_rho_tol(rho: float, tol: float) -> None:
     if not all(v > 0 and math.isfinite(v) for v in (rho, tol)):
         raise ValueError("rho and tol must be positive and finite")
@@ -351,18 +772,24 @@ def neighborhood_area(
 ) -> AreaBounds:
     """Certified bounds on the euclidean area of the rho-neighborhood of S.
 
-    The refinement keeps no leaves and stops partway through its last
-    level once the gap meets the tolerance (quadtree.refine_bounds), so
-    the bracket holds the one of a refinement that splits whole levels,
-    _refine(S, rho, goal)[1], and equals it whenever both classify as
-    many cells.
+    For a shape union, the sweep over the atoms of its pieces
+    (_sweep_area) gives the area in closed form, in a bracket whose width
+    is set by rounding alone, and classifies no cell: cells_refined is 0.  For an obstacle without pieces (a RectSet)
+    a quadtree refinement keeps no leaves and stops partway through its
+    last level once the gap meets the tolerance (quadtree.refine_bounds),
+    so the bracket holds the one of a refinement that splits whole levels,
+    _refine(S, rho, goal)[1], and equals it whenever both classify as many
+    cells.
     """
     require_obstacle(S)
     _check_rho_tol(rho, tol)
     if S.is_empty:
         return AreaBounds(0.0, 0.0, 0, True)
     goal = (lambda lo, up: tol * up) if relative else (lambda lo, up: tol)
-    return quadtree.refine_bounds(*_refine_args(S, rho, goal))
+    pieces = S.pieces()
+    if pieces is None:
+        return quadtree.refine_bounds(*_refine_args(S, rho, goal))
+    return _sweep_area(_neighborhood_atoms(pieces, S.space, rho), goal)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hypcap.corpus import generate_element, mixed_disk_corpus, mixed_halfplane_corpus
 from hypcap.dyadic import (
+    K_CUT,
     DyadicSquare,
     _angle_footprint,
     _merged_count,
@@ -257,13 +259,27 @@ WHITNEY_HULLS = mixed_halfplane_corpus(12, 7) + [
 def test_whitney_one_line_tail_bound(A):
     # below 2^-40 a shape of x-extent w meets at most w/2^k + 2 squares per
     # level, w 2^-40 + (2/3) 4^-40 in all: enumerating 20 more levels lands
-    # inside the bracket, and the gap is that sum, up to one rounding
+    # inside the bracket, and the gap is that sum, up to the outward
+    # rounding of both ends and one rounding of the sum
     top = math.frexp(A.y_max)[1] - 1
     deeper = math.fsum(_merged_count(whitney_ranges(A, k)) * 4.0**k for k in range(top, -61, -1))
     ab = whitney_cover_area(A)
     assert ab.lower <= deeper <= ab.upper
     bound = sum((s.x_range[1] - s.x_range[0]) * 2.0**-40 + 2.0 / 3.0 * 4.0**-40 for s in A.shapes)
-    assert ab.gap <= bound + math.ulp(ab.upper)
+    assert ab.gap <= bound + 3 * math.ulp(ab.upper)
+
+
+@pytest.mark.parametrize("A", mixed_halfplane_corpus(12, 7), ids=range(12))
+def test_whitney_bracket_holds_the_exact_level_sums(A):
+    # rounded outward, the lower end lies below the exact sum of the levels
+    # it counts and the upper end above the exact sum down to 2^-60
+    top = math.frexp(A.y_max)[1] - 1
+
+    def exact(bottom):
+        return sum(Fraction(_merged_count(whitney_ranges(A, k))) * Fraction(4) ** k for k in range(top, bottom - 1, -1))
+
+    ab = whitney_cover_area(A)
+    assert ab.lower <= exact(K_CUT) and exact(-60) <= ab.upper
 
 
 def test_whitney_empty():

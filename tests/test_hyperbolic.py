@@ -25,6 +25,7 @@ from hypcap.hyperbolic import (
     SQRT2,
     DomainError,
     RectSet,
+    _atoms_hold,
     _ball_disk,
     _ball_halfplane,
     _cell_of_origin,
@@ -32,7 +33,10 @@ from hypcap.hyperbolic import (
     _flood_masks,
     _indisk_areas,
     _member_mask,
+    _neighborhood_atoms,
+    _pack,
     _refine,
+    _refine_args,
     _root_square,
     circle_rect_area,
     filled_region,
@@ -157,25 +161,59 @@ def test_neighborhood_area_closed_forms():
     #   above that circle: h^2 (sh + sh^2 (pi/2 + gd));
     # - HalfDisk(c, r): its arc is a geodesic, and N is the disk of radius
     #   r ch about c + i r sh, cut by the axis: r^2 (sh + ch^2 (pi/2 + gd));
-    # - ring(a) = {a <= |z| < 1}: the annulus tanh(artanh a - rho/2) <= |z| < 1.
+    # - ring(a) = {a <= |z| < 1}: the annulus tanh(artanh a - rho/2) <= |z| < 1;
+    # - RadialSlit(theta, r0): see _radial_slit_area.
     rho = 1.0
     sh, ch, gd = math.sinh(rho), math.cosh(rho), math.asin(math.tanh(rho))
     slit = sh + sh * sh * (math.pi / 2 + gd)
     disk = sh + ch * ch * (math.pi / 2 + gd)
     r_in = math.tanh(math.atanh(0.7) - rho / 2)
     annulus = math.pi * (1.0 - r_in * r_in)
+    radial = _radial_slit_area(0.7, rho)
     assert slit == pytest.approx(4.540336984403, abs=1e-12)
     assert disk == pytest.approx(6.976902794438, abs=1e-12)
     assert annulus == pytest.approx(2.753158496664, abs=1e-12)
+    # the quadrature of ROADMAP item 6 stage A
+    assert radial == pytest.approx(0.2383254967, abs=1e-10)
     cases = [
         (HalfPlaneHull([VSlit(-0.5, 1.5)]), 1.5**2 * slit),
         (HalfPlaneHull([HalfDisk(0.3, 0.8)]), 0.8**2 * disk),
         (ring(0.7), annulus),
+        # the same slit rotated: its breakpoints fall near circles' x-extremes,
+        # where an asin form of the arc integrals loses digits
+        (DiskCompact([RadialSlit(0.0, 0.7)]), radial),
+        (DiskCompact([RadialSlit(1.234, 0.7)]), radial),
     ]
     for S, true in cases:
         ab = neighborhood_area(S, rho, 1e-4, relative=True)
         assert ab.tolerance_met
         assert ab.lower <= true <= ab.upper
+
+
+def _radial_slit_area(r0, rho):
+    """|N_rho(RadialSlit(0, r0))| by Green's theorem over its three boundary arcs.
+
+    N is the lens about the real diameter, between the circles of radius
+    coth rho about -+i csch rho, beyond the geodesic perpendicular to it at
+    r0, together with the ball about r0.  The ball touches each lens circle
+    from inside at a point T on that geodesic, so the boundary runs from 1
+    along the upper lens arc to T, round the ball's far side to conj(T),
+    and back to 1 along the lower arc.  A counterclockwise arc of the circle
+    of center c and radius R from angle a to b adds (R^2 (b - a) + R (c.x
+    (sin b - sin a) - c.y (cos b - cos a))) / 2.
+    """
+    csch, coth, t = 1.0 / math.sinh(rho), 1.0 / math.tanh(rho), math.tanh(rho / 2.0)
+    bx, br = r0 * (1 - t * t) / (1 - t * t * r0 * r0), t * (1 - r0 * r0) / (1 - t * t * r0 * r0)
+    # T lies on the ray from the upper arc's center through the ball's center
+    d = math.hypot(bx, csch)
+    tx, ty = bx * coth / d, csch * coth / d - csch
+
+    def arc(cx, cy, R, a0, a1):
+        return 0.5 * (R * R * (a1 - a0) + R * (cx * (math.sin(a1) - math.sin(a0)) - cy * (math.cos(a1) - math.cos(a0))))
+
+    phi = math.atan2(ty, tx - bx)
+    upper = arc(0.0, -csch, coth, math.atan2(csch, 1.0), math.atan2(ty + csch, tx))
+    return 2.0 * upper + arc(bx, 0.0, br, phi, 2.0 * math.pi - phi)
 
 
 def test_neighborhood_area_empty():
@@ -300,9 +338,12 @@ def test_filled_nearly_closed_ring_traps_pocket():
     assert fb.lower - 3e-2 <= nhat_oracle <= fb.upper + 3e-2
     assert nb.lower - 3e-2 <= n_oracle <= nb.upper + 3e-2
     # true values satisfy |filled| >= |plain|, so the brackets must overlap
-    # in that order even though they come from independent refinements
+    # in that order even though they come from independent computations
     assert fb.upper >= nb.lower - 1e-12
-    assert fb.lower >= nb.lower - 1e-12
+    # filled_region refines N to half the goal and adds the certified
+    # pocket, so its lower end is at least that of N's quadtree bracket at
+    # the goal (the sweep's bracket is exact to 1e-9, above both lower ends)
+    assert fb.lower >= _quadtree_bounds(B, lambda lo, up: 1e-3).lower - 1e-12
 
 
 def test_filled_region_refines_once(monkeypatch):
@@ -510,13 +551,18 @@ def _assert_same_refinements(got, want):
                 assert a == b, f.name
 
 
+def _quadtree_bounds(S, goal):
+    """quadtree.refine_bounds of S's 1-neighborhood until the gap meets goal: the certified quadtree bracket."""
+    return quadtree.refine_bounds(*_refine_args(S, 1.0, goal))
+
+
 def _pruned_area_matches_unpruned(S, tol, relative=True):
-    """neighborhood_area's bounds of S, once they and _refine's leaves and bounds at its goal match unpruned ones."""
+    """The quadtree's bounds of S, once they and _refine's leaves and bounds at their goal match unpruned ones."""
     goal = (lambda lo, up: tol * up) if relative else (lambda lo, up: tol)
 
     def run(T):
-        # neighborhood_area runs quadtree.refine_bounds; only _refine is recorded
-        return neighborhood_area(T, 1.0, tol, relative=relative), _refine(T, 1.0, goal)
+        # only _refine is recorded: refine_bounds runs no quadtree.refine
+        return _quadtree_bounds(T, goal), _refine(T, 1.0, goal)
 
     (got, _), seen = _recorded_refinements(lambda: run(S))
     (want, _), ref = _unpruned(lambda: run(_OnePart(S)))
@@ -568,9 +614,9 @@ def test_pruned_classifier_past_64_parts(monkeypatch):
 
 
 def _nests_the_whole_level_bracket(S, tol, relative) -> bool:
-    """Whether neighborhood_area classified fewer cells than _refine, once its bracket holds _refine's."""
+    """Whether refine_bounds classified fewer cells than _refine, once its bracket holds _refine's."""
     goal = (lambda lo, up: tol * up) if relative else (lambda lo, up: tol)
-    got, want = neighborhood_area(S, 1.0, tol, relative=relative), _refine(S, 1.0, goal)[1]
+    got, want = _quadtree_bounds(S, goal), _refine(S, 1.0, goal)[1]
     assert got.lower <= want.lower <= want.upper <= got.upper
     assert got.cells_refined <= want.cells_refined
     assert got.tolerance_met or not want.tolerance_met
@@ -580,7 +626,7 @@ def _nests_the_whole_level_bracket(S, tol, relative) -> bool:
 
 
 def test_area_bounds_nest_the_whole_level_bracket(monkeypatch):
-    # neighborhood_area stops partway through its last level, so its bracket
+    # refine_bounds stops partway through its last level, so its bracket
     # holds the one of the refinement that splits whole levels, from fewer
     # cells, and is that one bit for bit when it classifies as many
     corpus = mixed_disk_corpus(4, 7) + mixed_halfplane_corpus(12, 7)
@@ -593,6 +639,74 @@ def test_area_bounds_nest_the_whole_level_bracket(monkeypatch):
     B = DiskCompact([RadialSlit(2 * math.pi * i / 70, 0.9) for i in range(70)])
     assert not _refine(B, 1.0, lambda lo, up: 1e-3)[1].tolerance_met
     _nests_the_whole_level_bracket(B, 1e-3, False)
+
+
+# every piece kind, at several radii: an unrooted box (as the dyadic cover
+# tests build one) has a bottom and an annular cut on its sides, the full
+# ring has no sides or end balls, and an ArcBox wider than pi splits its
+# sector and its inner arc's annulus in two
+PIECE_CASES = {
+    "vslit": HalfPlaneHull([VSlit(0.3, 0.8)]),
+    "box": HalfPlaneHull([BoxShape(-0.4, 0.6, 0.0, 0.9)]),
+    "unrooted-box": HalfPlaneHull([BoxShape(0.4, 0.6, 1.2, 1.8)], validate=False),
+    "halfdisk": HalfPlaneHull([HalfDisk(0.5, 0.7)]),
+    "touching-feet": HalfPlaneHull([HalfDisk(0.0, 1.0), VSlit(1.0, 0.5)]),
+    "radial-slit": DiskCompact([RadialSlit(1.234, 0.7)]),
+    "arcbox": DiskCompact([ArcBox(2.0, 2.8, 0.8)]),
+    "full-ring": ring(0.7),
+    "arcbox-past-pi": DiskCompact([ArcBox(0.3, 5.3, 0.75)]),
+}
+
+
+@pytest.mark.parametrize("rho", [0.25, 1.0, 3.0])
+@pytest.mark.parametrize("S", PIECE_CASES.values(), ids=PIECE_CASES.keys())
+def test_atoms_are_the_neighborhood(S, rho):
+    # the union of the atoms of S's pieces is N: exact ball membership and
+    # the atoms' own constraints agree on random points of the root square
+    gx0, gy0, size = _root_square(S, rho)
+    rng = np.random.default_rng(17)
+    z = gx0 + size * rng.uniform(size=40_000) + 1j * (gy0 + size * rng.uniform(size=40_000))
+    z = z[np.abs(z) < 1.0] if S.space == "disk" else z[z.imag > 0]
+    want = _member_mask(S, z, rho)
+    assert np.any(want)
+    atoms = _neighborhood_atoms(S.pieces(), S.space, rho)
+    packed = _pack(atoms)
+    got = np.zeros(z.size, dtype=bool)
+    for i in range(len(atoms)):
+        got |= _atoms_hold(packed, np.full(z.size, i), z.real, z.imag, 0.0)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [3, 7, 11])
+@pytest.mark.parametrize("kind", ["slit-forest", "staircase", "halfdisk-mix", "radial-slit-set", "arcbox-set"])
+def test_sweep_bracket_lies_in_the_quadtree_bracket(kind, seed):
+    # the sweep classifies no cell, and its bracket, a million times
+    # narrower than the area, sits inside the quadtree's
+    S = generate_element(kind, seed, 1)
+    got = neighborhood_area(S, 1.0, 1e-3, relative=True)
+    want = _quadtree_bounds(S, lambda lo, up: 1e-3 * up)
+    assert got.tolerance_met and got.cells_refined == 0
+    assert want.lower <= got.lower <= got.upper <= want.upper
+    assert got.gap <= 1e-6 * got.midpoint
+
+
+def test_sweep_bracket_stays_narrow_where_a_midpoint_meets_an_extreme():
+    # the slab between x = sinh 0.3 and 1 - sinh 0.3 has its midpoint at 0.5,
+    # the x-extreme of the second box's side disk, whose point lies outside
+    # that side's wedge: there s = 0, and the arc's value is known to the
+    # square root of its square's error, not to its error over s
+    S = HalfPlaneHull([BoxShape(0.0, 1.0, 0.0, 1.0), BoxShape(1.5, 2.0, 0.0, 1.0), BoxShape(2.5, 3.0, 0.0, 1.0)])
+    got = neighborhood_area(S, 0.3, 1e-6, relative=True)
+    want = quadtree.refine_bounds(*_refine_args(S, 0.3, lambda lo, up: 1e-3 * up))
+    assert got.tolerance_met
+    assert want.lower <= got.lower <= got.upper <= want.upper
+
+
+def test_obstacles_without_pieces_take_the_quadtree():
+    assert FRAME.pieces() is None
+    got = neighborhood_area(FRAME, 0.05, 1e-2)
+    assert got.cells_refined > 0
+    assert got == quadtree.refine_bounds(*_refine_args(FRAME, 0.05, lambda lo, up: 1e-2))
 
 
 NINE_SHAPE_HULL = HalfPlaneHull(

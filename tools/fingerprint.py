@@ -1,7 +1,8 @@
 """Print one "name sha256" line per deterministic output of hypcap.
 
 Two checkouts give the same lines exactly when their neighborhood-area
-brackets, whole-level refinements (leaves and brackets), dyadic, Whitney
+brackets (the sweep's, and the quadtree's of quadtree.refine_bounds),
+whole-level refinements (leaves and brackets), dyadic, Whitney
 and Lipschitz covers (of corpus hulls and of their mirror, half-size and
 translated images), filled regions, walk ensembles and claim rows are
 bit-identical, so a refactor is checked with one diff.  The rectset lines
@@ -30,7 +31,7 @@ from hypcap.capacity import ring
 from hypcap.corpus import generate_element, mixed_disk_corpus, mixed_halfplane_corpus
 from hypcap.dyadic import dyadic_cover, lipschitz_majorant_area, whitney_cover_area
 from hypcap.geom import ArcBox, DiskCompact, HalfPlaneHull, RadialSlit, VSlit
-from hypcap.hyperbolic import RectSet, _refine, filled_region, neighborhood_area
+from hypcap.hyperbolic import RectSet, _refine, _refine_args, filled_region, neighborhood_area
 from hypcap.verify import VerifyConfig, run_claim
 from hypcap.wos import DiskDomain, HalfPlaneDomain, run_walks
 
@@ -98,8 +99,10 @@ def fingerprints(claims):
     areas = [(f"disk-{i}", B) for i, B in enumerate(disks)] + [(f"halfplane-{i}", A) for i, A in enumerate(hulls)]
     for name, S in areas:
         yield f"area/{name}", digest(neighborhood_area(S, 1.0, 1e-3, relative=True))
-    # the refinement that splits whole levels, at neighborhood_area's goal:
-    # its leaves and bounds
+    # the quadtree's bracket at neighborhood_area's goal, and the refinement
+    # that splits whole levels there: its leaves and bounds
+    for name, S in areas:
+        yield f"bounds/{name}", digest(quadtree.refine_bounds(*_refine_args(S, 1.0, lambda lo, up: 1e-3 * up)))
     for name, S in areas:
         leaves, bounds = _refine(S, 1.0, lambda lo, up: 1e-3 * up)
         yield f"refine/{name}", digest(leaves_digest(leaves), bounds)
